@@ -1,7 +1,9 @@
-"""Compare contour-trace eigenvalues against direct diagonalization.
+"""Compare trace-series eigenvalues against direct diagonalization.
 
 For the cos x benchmark, prints the two values and their difference at a
-few indices, together with the per-order contributions of the trace series.
+few indices, together with the per-order contributions of the trace series
+(computed by Rayleigh-Schroedinger recursion) and the Neumann contraction
+max ||(VR)^2|| on the sampled contour nodes.
 
 Usage: python scripts/trace_vs_diagonalization.py [n ...]
 """
@@ -30,7 +32,7 @@ def main():
         orders = ", ".join(f"{t:+.3e}" for t in te.orders)
         print(f"n={n}: trace {te.value:.12f}  direct {direct:.12f}  "
               f"diff {abs(te.value - direct):.2e}")
-        print(f"       orders [{orders}]")
+        print(f"       orders [{orders}]  contraction {te.contraction:.4f}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Subcommands:
   compute  -- spectrum + residual report as CSV with a .meta.json sidecar
   verify   -- property suites with recorded empirical constants
   matelem  -- one matrix element by all three routes
-  trace    -- resolvent/contour diagnostics for one index
+  trace    -- resolvent diagnostics and the RS trace series for one index
 
 Config schema (JSON): {"alpha": >0, "c0": optional, "terms": [[a_x, a_xi,
 re, im], ...], "nmax": >=1, "tol": optional, "epsilon": optional}.
@@ -50,6 +50,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
@@ -61,28 +67,35 @@ def parse_config(text: str) -> RunConfig:
 
     problems = []
     alpha = doc.get("alpha")
-    if not isinstance(alpha, (int, float)) or alpha <= 0:
+    if not _is_number(alpha) or alpha <= 0:
         problems.append(f"alpha must be a positive number, got {alpha!r}")
         alpha = 1.0
     c0 = doc.get("c0", 0.0)
-    if not isinstance(c0, (int, float)):
+    if not _is_number(c0):
         problems.append(f"c0 must be a number, got {c0!r}")
         c0 = 0.0
     terms = []
-    for i, row in enumerate(doc.get("terms", [])):
+    rows = doc.get("terms", [])
+    if not isinstance(rows, list):
+        problems.append(f"terms must be a list, got {rows!r}")
+        rows = []
+    for i, row in enumerate(rows):
         if (not isinstance(row, list)) or len(row) != 4 or not all(
-                isinstance(v, (int, float)) for v in row):
+                _is_number(v) for v in row):
             problems.append(f"terms[{i}] must be [a_x, a_xi, re, im]")
             continue
         ax, axi, re, im = map(float, row)
         terms.append((PhasePoint(ax, axi), complex(re, im)))
     nmax = doc.get("nmax")
-    if not isinstance(nmax, int) or nmax < 1:
+    if not isinstance(nmax, int) or isinstance(nmax, bool) or nmax < 1:
         problems.append(f"nmax must be an integer >= 1, got {nmax!r}")
         nmax = 1
     tol = doc.get("tol", 1e-8)
+    if not _is_number(tol) or tol <= 0:
+        problems.append(f"tol must be a positive number, got {tol!r}")
+        tol = 1e-8
     epsilon = doc.get("epsilon", alpha / 2.0)
-    if not (0.0 < epsilon < alpha):
+    if not _is_number(epsilon) or not 0.0 < epsilon < alpha:
         problems.append(f"epsilon must lie in (0, alpha), got {epsilon!r}")
         epsilon = alpha / 2.0
     if problems:
@@ -282,6 +295,7 @@ def main(argv=None) -> int:
                   f"||RVR||_2={norms.hilbert_schmidt:.3e} "
                   f"||RVR||_1={norms.trace_norm:.3e}")
             te = trace_eigenvalue(V, args.n, eps, jmax=args.jmax)
+            print(f"Neumann contraction max ||(VR)^2|| = {te.contraction:.6f}")
             print(f"orders: {te.orders}")
             print(f"partial sums: {te.partial_sums}")
             print(f"eigenvalue estimate: {te.value:.12f}")

@@ -1,12 +1,15 @@
-"""Contour-integral trace machinery for eigenvalue extraction.
+"""Resolvent machinery on a contour, and the trace series for eigenvalues.
 
-Everything here lives on a circular contour of radius epsilon in
+Everything here refers to a circular contour of radius epsilon in
 (0, alpha) around the unperturbed eigenvalue alpha(2n+1): inverse-
 distance sums to the unperturbed spectrum, norms of R(lambda)VR(lambda),
-trapezoid quadrature of contour traces of lambda R (VR)^j, and the
-alternating-series eigenvalue reconstruction.  The unperturbed resolvent
-is diagonal in the Hermite basis, so traces reduce to dense matrix
-powers of D V with D = diag(1/(lambda_k - lambda)).
+the contour traces t_j = (1/2 pi i) oint lambda Tr[R (VR)^j] dlambda and
+the alternating-series eigenvalue reconstruction.  The traces are the
+Rayleigh-Schroedinger corrections of lambda_n up to sign, so they are
+computed by the RS recursion, one matrix-vector product per order, with
+the diagonal reduced resolvent of the Hermite basis; contour quadrature of
+the same integrals serves only as a test oracle.  The Neumann contraction
+||(VR)^2|| that licenses the series is checked on sampled contour nodes.
 """
 
 from __future__ import annotations
@@ -168,53 +171,67 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
                     trace_norm=tr_best)
 
 
-def _contour_traces(vm: np.ndarray, contour: Contour, jmax: int,
-                    neumann_check: bool = False) -> np.ndarray:
-    """Trapezoid quadrature of (1/2 pi i) oint lambda Tr[R (VR)^j] dlambda
-    for j = 1..jmax; returns the complex quadrature values.
+def _rs_orders(vm: np.ndarray, n: int, alpha: float, jmax: int) -> np.ndarray:
+    """Contour traces t_1 .. t_jmax from the Rayleigh-Schroedinger recursion.
 
-    Per node: C = D V, traces Tr[C^j D] from the diagonals of the
-    accumulated powers.  The trapezoid rule on this smooth periodic
-    integrand converges geometrically in the node count.
+    (1/2 pi i) oint lambda Tr[R (VR)^j] dlambda around the isolated
+    eigenvalue alpha(2n+1) is, up to the sign (-1)^(j+1), the j-th Taylor
+    coefficient of lambda_n(kappa) for H0 + kappa V (Kato, II.2): the RS
+    correction E^j of the same truncated matrix.  In intermediate
+    normalisation, from psi^0 = e_n:  E^j = (V psi^(j-1))_n and
+    psi^j = S (V psi^(j-1) - sum_{i=1..j} E^i psi^(j-i)), where the reduced
+    resolvent S = Q / (alpha(2n+1) - H0) is diagonal.  Each order costs one
+    matrix-vector product.
     """
     N = vm.shape[0]
-    lam_k = contour.alpha * (2.0 * np.arange(N) + 1.0)
-    angles = contour.angles()
-    nodes = contour.nodes()
-    acc = np.zeros(jmax, dtype=complex)
+    if not 0 <= n < N:
+        raise ValueError(f"index n={n} must lie in the basis [0, {N})")
+    gap = 2.0 * alpha * (n - np.arange(N))
+    gap[n] = 1.0
+    reduced = 1.0 / gap
+    reduced[n] = 0.0
+    psi = [np.zeros(N, dtype=complex)]
+    psi[0][n] = 1.0
+    energies = [0.0j]
+    for j in range(1, jmax + 1):
+        v_psi = vm @ psi[j - 1]
+        energies.append(v_psi[n])
+        for i in range(1, j + 1):
+            v_psi -= energies[i] * psi[j - i]
+        psi.append(reduced * v_psi)
+    return np.array([(-1.0) ** (j + 1) * energies[j].real
+                     for j in range(1, jmax + 1)])
+
+
+def _neumann_contraction(vm: np.ndarray, contour: Contour) -> float:
+    """max ||(VR)^2|| (spectral norm) over every _SVD_NODE_STRIDE-th contour
+    node; raises NeumannDivergence if it reaches 1."""
+    lam_k = contour.alpha * (2.0 * np.arange(vm.shape[0]) + 1.0)
     contraction = 0.0
-    for idx, lam in enumerate(nodes):
-        d = 1.0 / (lam_k - lam)
-        c = d[:, None] * vm
-        weight = (contour.epsilon / contour.node_count) * lam \
-            * np.exp(1j * angles[idx])
-        power = c
-        for j in range(1, jmax + 1):
-            acc[j - 1] += weight * np.dot(np.diagonal(power), d)
-            if j < jmax:
-                power = power @ c
-        if neumann_check and idx % _SVD_NODE_STRIDE == 0:
-            vr = vm * d[None, :]
-            contraction = max(contraction, float(
-                np.linalg.norm(vr @ vr, 2)))
-    if neumann_check and contraction >= 1.0:
+    for lam in contour.nodes()[::_SVD_NODE_STRIDE]:
+        vr = vm * (1.0 / (lam_k - lam))[None, :]
+        contraction = max(contraction, float(np.linalg.norm(vr @ vr, 2)))
+    if contraction >= 1.0:
         raise NeumannDivergence(
             f"||(VR)^2|| reaches {contraction:.3f} >= 1 on the contour; "
             "the eigenvalue series is not guaranteed to converge"
         )
-    return acc
+    return contraction
 
 
 def trace_order_j(V: Potential, n: int, epsilon: float, N: int | None = None,
                   j: int = 1, node_count: int = DEFAULT_NODES) -> float:
-    """Trace of (1/2 pi i) oint lambda R(lambda) (V R(lambda))^j dlambda."""
+    """Trace of (1/2 pi i) oint lambda R(lambda) (V R(lambda))^j dlambda.
+
+    Evaluated exactly by the RS recursion, so it does not depend on the
+    contour; epsilon and node_count are validated as a Contour.
+    """
     if j < 1:
         raise ValueError("j must be at least 1")
     if N is None:
         N = basis_size(n)
-    contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
-    vm = v_matrix(V, N)
-    return float(_contour_traces(vm, contour, j)[j - 1].real)
+    Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
+    return float(_rs_orders(v_matrix(V, N), n, V.alpha, j)[j - 1])
 
 
 @dataclass(frozen=True)
@@ -225,6 +242,7 @@ class TraceEigenvalue:
     unperturbed: float
     orders: tuple[float, ...]          # t_1 .. t_jmax
     partial_sums: tuple[float, ...]    # prediction after including each order
+    contraction: float = math.nan      # largest ||(VR)^2|| checked (nan: none)
 
 
 def trace_eigenvalue(V: Potential, n: int, epsilon: float,
@@ -232,9 +250,10 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
                      node_count: int = DEFAULT_NODES) -> TraceEigenvalue:
     """lambda_n(H+V) from the alternating series of contour traces.
 
-    value = alpha(2n+1) + sum_{j=1}^{jmax} (-1)^(j+1) t_j.  The even-power
-    contraction ||(VR)^2|| is estimated on sampled contour nodes; the
-    series is rejected if it reaches 1.
+    value = alpha(2n+1) + sum_{j=1}^{jmax} (-1)^(j+1) t_j, with the t_j
+    from the RS recursion.  The even-power contraction ||(VR)^2|| is
+    computed on sampled contour nodes; the series is rejected if it
+    reaches 1.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
@@ -242,8 +261,8 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
         N = basis_size(n)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     vm = v_matrix(V, N)
-    traces = _contour_traces(vm, contour, jmax, neumann_check=True)
-    orders = tuple(float(t.real) for t in traces)
+    contraction = _neumann_contraction(vm, contour)
+    orders = tuple(float(t) for t in _rs_orders(vm, n, V.alpha, jmax))
     base = contour.center
     partial = []
     total = base
@@ -251,4 +270,4 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
         total += t if j % 2 else -t
         partial.append(total)
     return TraceEigenvalue(value=total, unperturbed=base, orders=orders,
-                           partial_sums=tuple(partial))
+                           partial_sums=tuple(partial), contraction=contraction)

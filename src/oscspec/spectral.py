@@ -37,6 +37,13 @@ def eigensolve(table: MatrixElementTable) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def _solve_with_diagonal(V: Potential, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the N x N truncation and its real diagonal
+    alpha(2k+1) + V_kk; the matrix itself is not kept."""
+    table = build_matrix(V, N)
+    return eigensolve(table), table.entries.diagonal().real.copy()
+
+
 def basis_size(nmax: int) -> int:
     """Padding rule: translations couple index k to a band of width O(sqrt k)."""
     return 2 * nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
@@ -62,12 +69,13 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     Solves at N = basis_size(nmax) and again at 2N; trusted_max is the
     largest index whose sampled neighbourhood agrees within
     convergence_tol under the doubling.  Raises TruncationError if that
-    falls short of nmax.
+    falls short of nmax.  Warns, naming the indices, where sorted order may
+    not be the perturbative labelling.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     n_basis = basis_size(nmax)
-    ev = eigensolve(build_matrix(V, n_basis))
+    ev, first_order = _solve_with_diagonal(V, n_basis)
     ev_double = eigensolve(build_matrix(V, 2 * n_basis))
 
     step = max(1, math.ceil(nmax / 32))
@@ -85,11 +93,20 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
         )
 
     if V.coefficient_sum() >= V.alpha:
-        warnings.warn(
-            "sum |c_a| >= alpha: sorted-order eigenvalue labelling may differ "
-            "from the perturbative labelling at low indices",
-            stacklevel=2,
-        )
+        # Below this bound Weyl's inequality keeps lambda_n within half the
+        # level spacing of alpha(2n+1) + c0, so sorted order is the
+        # perturbative labelling.  Past it, name the trusted indices whose
+        # eigenvalue lies half a spacing or more from its first-order
+        # prediction alpha(2n+1) + V_nn.
+        drift = np.abs(ev[: trusted_max + 1] - first_order[: trusted_max + 1])
+        suspect = np.flatnonzero(drift >= V.alpha)
+        if suspect.size:
+            warnings.warn(
+                f"sum |c_a| >= alpha and |lambda_n - (alpha(2n+1) + V_nn)| "
+                f">= alpha at n = {suspect.tolist()}: sorted-order eigenvalue "
+                "labelling may differ from the perturbative labelling there",
+                stacklevel=2,
+            )
     return Spectrum(
         alpha=V.alpha,
         basis_size=n_basis,

@@ -62,6 +62,33 @@ class TestParseConfig:
         assert "nmax" in msg
         assert "epsilon" in msg
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", True),
+        ("nmax", True),
+        ("c0", False),
+        ("epsilon", "x"),
+        ("epsilon", None),
+        ("tol", -1),
+        ("tol", 0),
+        ("tol", "a"),
+        ("tol", True),
+        ("terms", [[True, 0.0, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.0]]),
+        ("terms", 5),
+    ])
+    def test_malformed_field_exit_two(self, tmp_path, capsys, field, value):
+        cfg_path = write_config(tmp_path, dict(GOOD_CONFIG, **{field: value}))
+        out = tmp_path / "run.csv"
+        assert main(["compute", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+        assert not out.exists()
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="alpha must be"):
+            parse_config('{"alpha": NaN, "nmax": 2}')
+
     def test_missing_mirror_rejected(self):
         bad = dict(GOOD_CONFIG, terms=[[1.0, 0.0, 0.5, 0.0]])
         with pytest.raises(ValidationError):
@@ -163,5 +190,6 @@ class TestMain:
                      "--jmax", "3"]) == 0
         out = capsys.readouterr().out
         assert "eigenvalue estimate" in out
+        assert "Neumann contraction max ||(VR)^2|| = " in out
         est = float(out.strip().split()[-1])
         assert est == pytest.approx(21.0, abs=1.0)

@@ -1,22 +1,31 @@
-"""Tests for the contour-trace eigenvalue machinery."""
+"""Tests for the contour-trace eigenvalue machinery.
+
+The trace orders come from the Rayleigh-Schroedinger recursion, which does
+not depend on the contour; the contour quadrature in contour_oracle checks
+them, and the epsilon and node-count tests run on that quadrature.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from oscspec.model import Potential
+from contour_oracle import contour_order_j, contour_traces
+from oscspec.matelem import v_matrix
+from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
     Contour,
     NeumannDivergence,
+    TraceEigenvalue,
     WindowPartition,
+    _rs_orders,
     resolvent_sums,
     rvr_norms,
     trace_eigenvalue,
     trace_order_j,
 )
 from oscspec.asymptotics import first_order_diagonal
-from oscspec.spectral import spectrum
+from oscspec.spectral import basis_size, spectrum
 
 
 def cos_potential(amplitude=1.0, alpha=1.0, frequency=1.0):
@@ -132,19 +141,63 @@ class TestTraceOrders:
 
     def test_epsilon_independence(self):
         V = cos_potential(amplitude=0.7)
-        a = trace_order_j(V, n=8, epsilon=0.3, j=2)
-        b = trace_order_j(V, n=8, epsilon=0.7, j=2)
+        a = contour_order_j(V, n=8, epsilon=0.3, j=2)
+        b = contour_order_j(V, n=8, epsilon=0.7, j=2)
         assert a == pytest.approx(b, abs=1e-11)
 
     def test_node_doubling_converged(self):
         V = cos_potential(amplitude=0.7)
-        a = trace_order_j(V, n=8, epsilon=0.5, j=2, node_count=64)
-        b = trace_order_j(V, n=8, epsilon=0.5, j=2, node_count=128)
+        a = contour_order_j(V, n=8, epsilon=0.5, j=2, node_count=64)
+        b = contour_order_j(V, n=8, epsilon=0.5, j=2, node_count=128)
         assert a == pytest.approx(b, abs=1e-10)
+
+    def test_rejects_bad_contour(self):
+        # the RS route ignores the contour but still validates it
+        with pytest.raises(ValueError):
+            trace_order_j(cos_potential(), n=5, epsilon=1.5, j=1)
 
     def test_rejects_bad_j(self):
         with pytest.raises(ValueError):
             trace_order_j(cos_potential(), n=5, epsilon=0.5, j=0)
+
+
+def quasi_potential():
+    """Complex coefficients, a_xi != 0 and c0 != 0."""
+    terms = []
+    for (ax, axi), c in (((1.0, 0.0), 0.5 * np.exp(0.7j)),
+                         ((0.6, 0.8), 0.2 * np.exp(2.1j))):
+        c = complex(c)
+        terms += [(PhasePoint(ax, axi), c), (PhasePoint(-ax, -axi), c.conjugate())]
+    return Potential(alpha=1.0, terms=tuple(terms), c0=0.25)
+
+
+class TestRsMatchesContour:
+    """Every RS order equals the contour quadrature of the same trace."""
+
+    @pytest.mark.parametrize("V, n", [
+        (cos_potential(), 8),
+        (cos_potential(), 32),
+        (cos_potential(), 64),
+        (quasi_potential(), 12),
+    ], ids=["cos-8", "cos-32", "cos-64", "quasi-12"])
+    def test_orders_equal_quadrature(self, V, n):
+        jmax = 6
+        vm = v_matrix(V, basis_size(n))
+        rs = _rs_orders(vm, n, V.alpha, jmax)
+        oracle = contour_traces(vm, Contour(n=n, alpha=V.alpha, epsilon=0.5),
+                                jmax)
+        np.testing.assert_allclose(rs, oracle.real, rtol=0, atol=1e-12)
+
+    def test_trace_order_j_is_rs_order(self):
+        V = quasi_potential()
+        vm = v_matrix(V, basis_size(12))
+        rs = _rs_orders(vm, 12, V.alpha, 4)
+        for j in range(1, 5):
+            assert trace_order_j(V, n=12, epsilon=0.5, j=j) == rs[j - 1]
+
+    def test_index_outside_basis_rejected(self):
+        with pytest.raises(ValueError):
+            trace_order_j(cos_potential(), n=10, epsilon=0.5, N=10)
 
 
 class TestTraceEigenvalue:
@@ -169,6 +222,12 @@ class TestTraceEigenvalue:
         result = trace_eigenvalue(V, n=n, epsilon=0.5, jmax=6)
         spec = spectrum(V, nmax=n)
         assert result.value == pytest.approx(spec.trusted()[n], abs=1e-7)
+        assert 0.0 < result.contraction < 1.0
+
+    def test_default_contraction_unset(self):
+        te = TraceEigenvalue(value=1.0, unperturbed=1.0, orders=(),
+                             partial_sums=())
+        assert math.isnan(te.contraction)
 
     def test_orders_decay(self):
         V = cos_potential(amplitude=0.5)

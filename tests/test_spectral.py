@@ -140,9 +140,17 @@ class TestSpectrum:
             spectrum(V, nmax=10, convergence_tol=1e-300)
 
     def test_large_coefficient_warns(self):
-        V = Potential.cosine(alpha=1.0, amplitude=2.5, frequency=1.0)
-        with pytest.warns(UserWarning, match="labelling"):
+        V = Potential.cosine(alpha=1.0, amplitude=5.0, frequency=1.0)
+        with pytest.warns(UserWarning, match=r"at n = \[0, 1\]: .*labelling"):
             spectrum(V, nmax=5)
+
+    def test_cosine_does_not_warn(self):
+        # sum |c_a| = alpha, but every eigenvalue stays within half a
+        # spacing of its first-order prediction
+        V = Potential.cosine(alpha=1.0, amplitude=1.0, frequency=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum(V, nmax=200)
 
     def test_matches_direct_solve(self):
         V = Potential.cosine(alpha=0.5, amplitude=0.3, frequency=1.2)
