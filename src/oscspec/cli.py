@@ -25,7 +25,7 @@ from . import __version__
 from .asymptotics import AsymptoticModel, first_order_diagonal, residual_report
 from .matelem import (u_element, u_element_bessel, u_element_oracle,
                       window_sup)
-from .model import PhasePoint, Potential, ValidationError, validate
+from .model import PhasePoint, Potential, ValidationError, rho, validate
 from .resolvent import resolvent_sums, rvr_norms, trace_eigenvalue, trace_order_j
 from .spectral import spectrum
 from .specialfn import bessel_j_grid
@@ -51,16 +51,21 @@ def _fmt(x: float) -> str:
 
 
 def _is_number(x) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A JSON number with a finite float value; true and false are not
+    numbers here."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an integer beyond the float range
+        return False
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
@@ -129,6 +134,7 @@ def run_compute(config: RunConfig, out_path: Path) -> None:
         "config": config.raw,
         "basis_size": spec.basis_size,
         "trusted_max": spec.trusted_max,
+        "max_doubling_delta": spec.max_doubling_delta,
         "convergence_tol": config.convergence_tol,
         "version": __version__,
     }
@@ -160,15 +166,10 @@ def _suite_matelem(config: RunConfig, rng) -> tuple[bool, str]:
         worst = max(worst, abs(closed - oracle))
         if k <= kp:
             series = u_element_bessel(p, alpha, k, kp, jmax=48)
-            if 2.0 * abs(_omega_rho(p, alpha)) <= (k + kp + 1) ** (1.0 / 6.0):
+            if 2.0 * rho(p, alpha) <= (k + kp + 1) ** (1.0 / 6.0):
                 worst = max(worst, abs(abs(series) - abs(closed)))
     ok = worst <= 1e-10
     return ok, f"max cross-route discrepancy = {worst:.3e}"
-
-
-def _omega_rho(p: PhasePoint, alpha: float) -> complex:
-    from .matelem import _omega
-    return _omega(p, alpha)
 
 
 def _suite_window(config: RunConfig, rng) -> tuple[bool, str]:

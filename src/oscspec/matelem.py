@@ -9,7 +9,8 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 * `u_element_bessel` -- partial sums of the Bessel-series expansion.
 
 `v_matrix`/`build_matrix` assemble the dense truncated matrix of V and
-of H+V.  The closed-form route is evaluated through a prefactored
+of H+V; `parity_blocks` finds its even/odd split when V commutes with
+parity.  The closed-form route is evaluated through a prefactored
 Laguerre recurrence whose iterates are exactly the (signed) element
 magnitudes, so every intermediate stays bounded by 1 and basis sizes of
 10^4 never overflow.
@@ -35,6 +36,7 @@ __all__ = [
     "v_element",
     "v_matrix",
     "build_matrix",
+    "parity_blocks",
     "window_sup",
 ]
 
@@ -250,6 +252,22 @@ def build_matrix(V: Potential, N: int) -> MatrixElementTable:
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     mat[np.diag_indices(N)] += diag
     return MatrixElementTable(alpha=V.alpha, dimension=N, entries=mat)
+
+
+def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:
+    """Index slices of the diagonal blocks that together hold every entry of m.
+
+    Parity P phi_k = (-1)^k phi_k satisfies P U_a P = U_{-a}, so V commutes
+    with P when every c_a is real, and then every entry between an even and
+    an odd index is exactly 0.0 (`_accumulate_pair` multiplies odd offsets
+    by c_a - conj(c_a)).  Returns (even, odd) slices when m[0::2, 1::2] is
+    all zero, else one slice over everything.  m must be Hermitian, so the
+    other off-block vanishes with it.  Exact: a single nonzero entry keeps
+    the matrix whole.
+    """
+    if m.shape[0] > 1 and not np.any(m[0::2, 1::2]):
+        return (slice(0, None, 2), slice(1, None, 2))
+    return (slice(None),)
 
 
 def window_sup(V: Potential, n: int) -> float:

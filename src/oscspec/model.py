@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 CONJUGACY_TOL = 1e-12
+_NORM_POWERS = (-1.5, 0.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,17 @@ class Potential:
         return out
 
 
+def _in_float_range(a: PhasePoint, c: complex, alpha: float) -> bool:
+    """Whether |c| and |||a|||^p, p in _NORM_POWERS, are finite and the
+    norm is nonzero, so the derived constants of `validate` exist."""
+    try:
+        norm = metric_norm(a, alpha)
+        return (0.0 < norm < math.inf and abs(c) < math.inf
+                and all(math.isfinite(norm**p) for p in _NORM_POWERS))
+    except OverflowError:   # float ** raises where * gives inf
+        return False
+
+
 def validate(potential: Potential) -> ValidationReport:
     """Check every structural condition; return derived constants.
 
@@ -128,7 +140,8 @@ def validate(potential: Potential) -> ValidationReport:
     """
     problems = []
     alpha = potential.alpha
-    if not (alpha > 0 and math.isfinite(alpha)):
+    alpha_ok = alpha > 0 and math.isfinite(alpha)
+    if not alpha_ok:
         problems.append(f"alpha must be a positive finite real, got {alpha}")
 
     points = [p for p, _ in potential.terms]
@@ -142,10 +155,17 @@ def validate(potential: Potential) -> ValidationReport:
     for p, c in potential.terms:
         if p.is_zero():
             continue
+        if alpha_ok and not _in_float_range(p, c, alpha):
+            problems.append(
+                f"phase point ({p.a_x}, {p.a_xi}) in terms has a metric norm "
+                f"or coefficient outside the float range at alpha = {alpha}"
+            )
         mirror = -p
         if mirror not in coeffs:
             problems.append(f"missing mirror term -a for a = ({p.a_x}, {p.a_xi})")
-        elif abs(coeffs[mirror] - c.conjugate()) > CONJUGACY_TOL:
+            continue
+        gap = coeffs[mirror] - c.conjugate()
+        if math.hypot(gap.real, gap.imag) > CONJUGACY_TOL:  # abs() can overflow
             problems.append(
                 f"coefficient at ({mirror.a_x}, {mirror.a_xi}) is not the "
                 f"conjugate of the one at ({p.a_x}, {p.a_xi})"
@@ -156,14 +176,17 @@ def validate(potential: Potential) -> ValidationReport:
     if problems:
         raise ValidationError(problems)
 
-    alpha_ok = alpha if alpha > 0 else 1.0
     norms = {
-        p: sum(metric_norm(a, alpha_ok) ** p * abs(c) for a, c in potential.terms)
-        for p in (-1.5, 0.0, 3.0)
+        p: sum(metric_norm(a, alpha) ** p * abs(c) for a, c in potential.terms)
+        for p in _NORM_POWERS
     }
+    operator_bound = potential.coefficient_sum()
+    if not all(math.isfinite(v) for v in (operator_bound, *norms.values())):
+        raise ValidationError(
+            ["the sums over terms of |||a|||^p |c_a| overflow the float range"])
     return ValidationReport(
         gamma=potential.gamma(),
         kappa=potential.kappa(),
         norms=norms,
-        operator_bound=potential.coefficient_sum(),
+        operator_bound=operator_bound,
     )

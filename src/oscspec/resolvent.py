@@ -10,6 +10,8 @@ computed by the RS recursion, one matrix-vector product per order, with
 the diagonal reduced resolvent of the Hermite basis; contour quadrature of
 the same integrals serves only as a test oracle.  The Neumann contraction
 ||(VR)^2|| that licenses the series is checked on sampled contour nodes.
+R is diagonal, so when V splits into parity blocks (`parity_blocks`) so do
+VR and RVR; the dense norms are then taken block by block, exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import v_matrix
+from .matelem import parity_blocks, v_matrix
 from .model import Potential
 from .spectral import basis_size
 
@@ -160,12 +162,17 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
         warnings.warn("HS-norm truncation tail exceeds 1% of the computed value",
                       stacklevel=2)
 
+    # the singular values of RVR are those of its parity blocks together
+    blocks = [(vm[s, s], lam_k[s]) for s in parity_blocks(vm)]
     op_best = tr_best = 0.0
     for lam in nodes[::_SVD_NODE_STRIDE]:
-        d = 1.0 / (lam_k - lam)
-        rvr = d[:, None] * vm * d[None, :]
-        sv = np.linalg.svd(rvr, compute_uv=False)
-        op_best = max(op_best, float(sv[0]))
+        parts = []
+        for v, lk in blocks:
+            d = 1.0 / (lk - lam)
+            parts.append(np.linalg.svd(d[:, None] * v * d[None, :],
+                                       compute_uv=False))
+        sv = np.concatenate(parts)
+        op_best = max(op_best, float(np.max(sv)))
         tr_best = max(tr_best, float(np.sum(sv)))
     return RvrNorms(operator_norm=op_best, hilbert_schmidt=hs_best,
                     trace_norm=tr_best)
@@ -205,12 +212,15 @@ def _rs_orders(vm: np.ndarray, n: int, alpha: float, jmax: int) -> np.ndarray:
 
 def _neumann_contraction(vm: np.ndarray, contour: Contour) -> float:
     """max ||(VR)^2|| (spectral norm) over every _SVD_NODE_STRIDE-th contour
-    node; raises NeumannDivergence if it reaches 1."""
+    node; raises NeumannDivergence if it reaches 1.  (VR)^2 is block
+    diagonal with V, so its norm is the largest over the parity blocks."""
     lam_k = contour.alpha * (2.0 * np.arange(vm.shape[0]) + 1.0)
+    blocks = [(vm[s, s], lam_k[s]) for s in parity_blocks(vm)]
     contraction = 0.0
     for lam in contour.nodes()[::_SVD_NODE_STRIDE]:
-        vr = vm * (1.0 / (lam_k - lam))[None, :]
-        contraction = max(contraction, float(np.linalg.norm(vr @ vr, 2)))
+        for v, lk in blocks:
+            vr = v * (1.0 / (lk - lam))[None, :]
+            contraction = max(contraction, float(np.linalg.norm(vr @ vr, 2)))
     if contraction >= 1.0:
         raise NeumannDivergence(
             f"||(VR)^2|| reaches {contraction:.3f} >= 1 on the contour; "

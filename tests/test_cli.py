@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscspec.cli import main, parse_config, run_compute
 from oscspec.model import ValidationError
@@ -16,6 +18,36 @@ GOOD_CONFIG = {
     "tol": 1e-9,
     "epsilon": 0.5,
 }
+
+
+# JSON numbers of every size, including integers past the float range and
+# the NaN/Infinity tokens Python's json module reads and writes
+_numbers = st.one_of(st.floats(), st.integers(-10**400, 10**400))
+_json_values = st.one_of(st.none(), st.booleans(), _numbers,
+                         st.text(max_size=3),
+                         st.lists(st.one_of(_numbers, st.booleans()),
+                                  max_size=5))
+
+
+@st.composite
+def _mirrored_terms(draw):
+    """Rows [a_x, a_xi, re, im] with their mirrors, so that documents get
+    past the structural checks to the derived constants."""
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        ax, axi, re, im = (draw(_numbers) for _ in range(4))
+        rows += [[ax, axi, re, im], [-ax, -axi, re, -im]]
+    return rows
+
+
+_config_documents = st.fixed_dictionaries({}, optional={
+    "alpha": st.one_of(_numbers, _json_values),
+    "c0": _json_values,
+    "terms": st.one_of(_mirrored_terms(), _json_values),
+    "nmax": _json_values,
+    "tol": _json_values,
+    "epsilon": _json_values,
+})
 
 
 def write_config(tmp_path, doc):
@@ -74,6 +106,8 @@ class TestParseConfig:
         ("tol", True),
         ("terms", [[True, 0.0, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.0]]),
         ("terms", 5),
+        ("terms", [[1e200, 0.0, 0.5, 0.0], [-1e200, 0.0, 0.5, 0.0]]),
+        ("terms", [[1e-200, 0.0, 0.5, 0.0], [-1e-200, 0.0, 0.5, 0.0]]),
     ])
     def test_malformed_field_exit_two(self, tmp_path, capsys, field, value):
         cfg_path = write_config(tmp_path, dict(GOOD_CONFIG, **{field: value}))
@@ -84,6 +118,24 @@ class TestParseConfig:
         assert err.startswith("error:")
         assert field in err
         assert not out.exists()
+
+    def test_tiny_alpha_exit_two(self, tmp_path, capsys):
+        # |||a||| = a_x / sqrt(alpha) = 1e150, whose cube overflows
+        doc = {"alpha": 1e-300, "terms": GOOD_CONFIG["terms"], "nmax": 8}
+        out = tmp_path / "run.csv"
+        assert main(["compute", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        assert "outside the float range at alpha = 1e-300" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @given(doc=_config_documents)
+    @settings(max_examples=400, deadline=None)
+    def test_parse_config_raises_only_value_errors(self, doc):
+        try:
+            parse_config(json.dumps(doc))
+        except ValueError:
+            pass
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="alpha must be"):
@@ -120,6 +172,7 @@ class TestCompute:
         assert meta["config"] == GOOD_CONFIG
         assert meta["trusted_max"] >= 8
         assert meta["basis_size"] > 16
+        assert 0.0 <= meta["max_doubling_delta"] <= GOOD_CONFIG["tol"]
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = parse_config(json.dumps(GOOD_CONFIG))

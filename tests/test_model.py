@@ -117,6 +117,24 @@ class TestValidate:
             validate(pot)
         assert len(err.value.problems) == 2
 
+    @pytest.mark.parametrize("alpha, terms, match", [
+        (1.0, ((PhasePoint(1e200, 0), 0.5), (PhasePoint(-1e200, 0), 0.5)),
+         "float range"),
+        (1.0, ((PhasePoint(1e-200, 0), 0.5), (PhasePoint(-1e-200, 0), 0.5)),
+         "float range"),
+        (1e-300, ((PhasePoint(1, 0), 0.5), (PhasePoint(-1, 0), 0.5)),
+         "float range"),
+        (1.0, ((PhasePoint(1, 0), 1e308),
+               (PhasePoint(-1, 0), -0.3e308 + 1.5e308j)), "conjugate"),
+        (1.0, tuple((PhasePoint(s * ax, 0), 1e308)
+                    for ax in (1, 2) for s in (1, -1)), "overflow"),
+    ])
+    def test_extreme_sizes_are_problems(self, alpha, terms, match):
+        # each raised OverflowError or ZeroDivisionError from float
+        # arithmetic before these sizes were reported as problems
+        with pytest.raises(ValidationError, match=match):
+            validate(Potential(alpha=alpha, terms=terms))
+
     def test_symmetry_broken_mutations_rejected(self):
         import numpy as np
         rng = np.random.default_rng(2)

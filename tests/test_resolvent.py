@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from contour_oracle import contour_order_j, contour_traces
-from oscspec.matelem import v_matrix
+from oscspec.matelem import parity_blocks, v_matrix
 from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
+    _SVD_NODE_STRIDE,
     Contour,
     NeumannDivergence,
     TraceEigenvalue,
     WindowPartition,
+    _neumann_contraction,
     _rs_orders,
     resolvent_sums,
     rvr_norms,
@@ -124,6 +126,28 @@ class TestRvrNorms:
                                                    rel=1e-10)
         assert n2.operator_norm == pytest.approx(2.0 * n1.operator_norm,
                                                  rel=1e-10)
+
+    def test_parity_split_matches_unsplit(self):
+        # cos x commutes with parity, so the SVDs and the contraction are
+        # taken on two blocks; compare with the whole matrix
+        V, n, eps = cos_potential(), 32, 0.5
+        N = basis_size(n)
+        vm = v_matrix(V, N)
+        assert len(parity_blocks(vm)) == 2
+        contour = Contour(n=n, alpha=V.alpha, epsilon=eps)
+        lam_k = V.alpha * (2.0 * np.arange(N) + 1.0)
+        op = tr = contraction = 0.0
+        for lam in contour.nodes()[::_SVD_NODE_STRIDE]:
+            d = 1.0 / (lam_k - lam)
+            sv = np.linalg.svd(d[:, None] * vm * d[None, :], compute_uv=False)
+            op, tr = max(op, sv[0]), max(tr, np.sum(sv))
+            vr = vm * d[None, :]
+            contraction = max(contraction, np.linalg.norm(vr @ vr, 2))
+        norms = rvr_norms(V, n, eps)
+        assert norms.operator_norm == pytest.approx(op, rel=1e-13)
+        assert norms.trace_norm == pytest.approx(tr, rel=1e-13)
+        assert _neumann_contraction(vm, contour) == pytest.approx(
+            contraction, rel=1e-13)
 
 
 class TestTraceOrders:

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oscspec.matelem import MatrixElementTable, build_matrix
-from oscspec.model import Potential
+from oscspec.matelem import MatrixElementTable, build_matrix, parity_blocks
+from oscspec.model import PhasePoint, Potential
 from oscspec.spectral import (
     Spectrum,
     TruncationError,
@@ -89,6 +89,55 @@ class TestEigensolve:
                                    eigensolve(table_from(dusted)), atol=1e-12)
 
 
+class TestParityBlocks:
+    """V commutes with parity when every c_a is real; eigensolve then
+    diagonalizes the even- and odd-index blocks apart."""
+
+    @staticmethod
+    def assert_matches_full_solve(m):
+        ev = eigensolve(table_from(m))
+        full = np.linalg.eigvalsh(m)
+        np.testing.assert_allclose(ev, full, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(full)))
+
+    def test_cosine_odd_order_split(self):
+        m = build_matrix(Potential.cosine(alpha=1.0), 301).entries
+        assert parity_blocks(m) == (slice(0, None, 2), slice(1, None, 2))
+        self.assert_matches_full_solve(m)
+
+    def test_real_coefficients_complex_blocks(self):
+        # a_xi != 0 with real c_a: the blocks are complex Hermitian
+        V = Potential(alpha=1.0, terms=(
+            (PhasePoint(0.6, 0.8), 0.2), (PhasePoint(-0.6, -0.8), 0.2),
+            (PhasePoint(1.0, 0.0), 0.5), (PhasePoint(-1.0, 0.0), 0.5),
+        ), c0=0.25)
+        m = build_matrix(V, 120).entries
+        assert len(parity_blocks(m)) == 2
+        assert np.max(np.abs(m[0::2, 0::2].imag)) > 0.1
+        self.assert_matches_full_solve(m)
+
+    def test_complex_coefficients_stay_whole(self):
+        V = Potential(alpha=1.0, terms=(
+            (PhasePoint(1.0, 0.0), 0.5 + 0.1j),
+            (PhasePoint(-1.0, 0.0), 0.5 - 0.1j),
+        ))
+        assert parity_blocks(build_matrix(V, 40).entries) == (slice(None),)
+
+    def test_one_tiny_odd_offset_entry_keeps_whole(self):
+        m = build_matrix(Potential.cosine(alpha=1.0), 40).entries.copy()
+        m[2, 5] = m[5, 2] = 1e-300
+        assert parity_blocks(m) == (slice(None),)
+        self.assert_matches_full_solve(m)
+
+    def test_one_by_one_and_diagonal(self):
+        assert parity_blocks(np.array([[3.0]])) == (slice(None),)
+        np.testing.assert_array_equal(eigensolve(table_from([[3.0]])), [3.0])
+        m = np.diag([5.0, 1.0, 3.0, -2.0, 4.0])
+        assert len(parity_blocks(m)) == 2
+        np.testing.assert_array_equal(eigensolve(table_from(m)),
+                                      [-2.0, 1.0, 3.0, 4.0, 5.0])
+
+
 class TestBasisSize:
     def test_monotone_and_padded(self):
         prev = 0
@@ -135,9 +184,24 @@ class TestSpectrum:
             spectrum(V, nmax=0)
 
     def test_impossible_tolerance_raises(self):
-        V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=1.0)
-        with pytest.raises(TruncationError):
+        # at frequency 8 the N and 2N solves differ by 3.1e-9 at n = 0:
+        # truncation, not roundoff (at frequency 1 they agree exactly)
+        V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
+        with pytest.raises(TruncationError, match=r"failed at index 0:"):
             spectrum(V, nmax=10, convergence_tol=1e-300)
+
+    def test_every_index_certified(self):
+        # at frequency 6 the deltas near n = 40 are truncation (about 1e-10)
+        V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=6.0)
+        spec = spectrum(V, nmax=40)
+        direct = eigensolve(build_matrix(V, 2 * spec.basis_size))
+        deltas = np.abs(spec.trusted() - direct[:41])
+        assert spec.max_doubling_delta == np.max(deltas)
+        # the error names the first index past the tolerance, sampled or not
+        tol = 0.5 * spec.max_doubling_delta
+        first = int(np.flatnonzero(deltas > tol)[0])
+        with pytest.raises(TruncationError, match=rf"at index {first}:"):
+            spectrum(V, nmax=40, convergence_tol=tol)
 
     def test_large_coefficient_warns(self):
         V = Potential.cosine(alpha=1.0, amplitude=5.0, frequency=1.0)
