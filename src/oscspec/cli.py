@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +192,7 @@ def _suite_resolvent(config: RunConfig, rng) -> tuple[bool, str]:
         details.append(f"n={n}: s1/ln n={sums.s1 / math.log(n):.3f} "
                        f"s2a={sums.s2a:.3f} gap/sqrt n={sums.gap / math.sqrt(n):.3f}")
     if V.terms:
-        t1 = trace_order_j(V, 50, config.epsilon, j=1)
+        t1 = trace_order_j(V, 50, j=1)
         diag = first_order_diagonal(V, 50)
         ok = abs(t1 - diag) <= 1e-8
         details.append(f"|trace_1 - diag| = {abs(t1 - diag):.2e}")
@@ -261,10 +261,8 @@ def main(argv=None) -> int:
         if args.command == "compute":
             config = _load_config(args.config)
             if args.nmax is not None:
-                config = RunConfig(potential=config.potential, nmax=args.nmax,
-                                   convergence_tol=config.convergence_tol,
-                                   epsilon=config.epsilon,
-                                   raw={**config.raw, "nmax": args.nmax})
+                config = replace(config, nmax=args.nmax,
+                                 raw={**config.raw, "nmax": args.nmax})
             run_compute(config, Path(args.out))
             print(f"wrote {args.out}")
             return 0

@@ -10,10 +10,12 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 
 `v_matrix`/`build_matrix` assemble the dense truncated matrix of V and
 of H+V; `parity_blocks` finds its even/odd split when V commutes with
-parity.  The closed-form route is evaluated through a prefactored
-Laguerre recurrence whose iterates are exactly the (signed) element
-magnitudes, so every intermediate stays bounded by 1 and basis sizes of
-10^4 never overflow.
+parity; `window_sup` bounds the elements near the diagonal.  Every
+closed-form magnitude comes from one prefactored Laguerre recurrence,
+`_magnitudes`, run on one offset for a single element and on a vector of
+offsets for a matrix or a window block.  Its iterates are exactly the
+(signed) element magnitudes, so every intermediate stays bounded by 1 and
+basis sizes of 10^4 never overflow.
 """
 
 from __future__ import annotations
@@ -50,22 +52,23 @@ def _omega(a: PhasePoint, alpha: float) -> complex:
     return complex(0.5 * sa * a.a_xi, -0.5 * a.a_x / sa)
 
 
-def _magnitude(k: int, m: int, rho: float) -> float:
-    """Signed magnitude sqrt(k!/k'!) (sqrt2 rho)^m e^{-rho^2} L_k^{(m)}(2 rho^2).
+def _magnitudes(r: float, m, kmax: int):
+    """Yield g_k = sqrt(k!/k'!) (sqrt2 r)^m e^{-r^2} L_k^{(m)}(2 r^2), k = 0..kmax.
 
-    Recurrence on the prefactored quantity itself; bounded by 1 throughout.
+    m = k' - k is a float offset or an ndarray of offsets.  The recurrence
+    runs on the prefactored quantity itself, so every iterate is bounded by
+    1; its body uses only arithmetic and ** 0.5 so one loop serves both.
     """
-    x = 2.0 * rho * rho
-    g = math.exp(m * math.log(math.sqrt(2.0) * rho) - rho * rho
-                 - 0.5 * math.lgamma(m + 1))
-    if k == 0:
-        return g
+    x = 2.0 * r * r
+    g = np.exp(m * math.log(math.sqrt(2.0) * r) - r * r
+               - 0.5 * gammaln(m + 1.0))
     prev = 0.0
-    for j in range(k):
+    yield g
+    for j in range(kmax):
         prev, g = g, (
-            (2 * j + 1 + m - x) * g - math.sqrt(j * (j + m)) * prev
-        ) / math.sqrt((j + 1) * (j + 1 + m))
-    return g
+            (2 * j + 1 + m - x) * g - (j * (j + m)) ** 0.5 * prev
+        ) / ((j + 1) * (j + 1 + m)) ** 0.5
+        yield g
 
 
 def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
@@ -82,7 +85,7 @@ def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
     if r == 0.0:
         return 1.0 + 0.0j if k == k_prime else 0.0j
     m = k_prime - k
-    mag = _magnitude(k, m, r)
+    *_, mag = _magnitudes(r, float(m), k)
     if not math.isfinite(mag):
         raise OverflowError(
             f"matrix-element magnitude not finite at k={k}, k'={k_prime}"
@@ -160,7 +163,7 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
 
     Converges to the closed form in the regime 2 rho <= (k'+k+1)^(1/6).
     """
-    from .specialfn import a_coefficients, bessel_j
+    from .specialfn import a_coefficients, bessel_j, f_factor
 
     if k > k_prime:
         raise ValueError("bessel route requires k <= k'")
@@ -177,8 +180,7 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     for j, aj in enumerate(coeffs):
         if aj != 0.0:
             total += aj * ratio**j * bessel_j(m + j, arg)
-    sqrt_f = math.exp(0.5 * ((gammaln(k_prime + 1) - gammaln(k + 1))
-                             + m * math.log(2.0 / s)))
+    sqrt_f = math.sqrt(f_factor(k, k_prime))
     theta = cmath.phase(-w)
     return cmath.exp(1j * m * theta) * sqrt_f * total
 
@@ -192,32 +194,25 @@ def v_element(V: Potential, k: int, k_prime: int) -> complex:
 
 
 def _accumulate_pair(out: np.ndarray, p: PhasePoint, c: complex,
-                     alpha: float, N: int) -> None:
-    """Add the {a, -a} pair contribution to the upper triangle of `out`.
+                     alpha: float, lo: int) -> None:
+    """Add the {a, -a} pair contribution to the upper triangle of `out`,
+    the block of rows and columns lo .. lo + len(out) - 1.
 
-    One pass of the prefactored Laguerre recurrence, shared across all
-    diagonal offsets m = k' - k; row k is emitted as the recurrence reaches
-    degree k.
+    One pass of the magnitude recurrence, shared across all diagonal
+    offsets m = k' - k; row k is emitted as the recurrence reaches degree k.
     """
+    n = out.shape[0]
     w = _omega(p, alpha)
-    r = abs(w)
-    x = 2.0 * r * r
     theta = cmath.phase(-w)
-    marr = np.arange(N, dtype=float)
+    marr = np.arange(n, dtype=float)
     # c_a e^{i m theta} + conj(c_a) e^{i m (theta+pi)}
     phase = np.exp(1j * marr * theta)
-    coeff = phase * (c + np.where(np.arange(N) % 2 == 0, c.conjugate(),
+    coeff = phase * (c + np.where(np.arange(n) % 2 == 0, c.conjugate(),
                                   -c.conjugate()))
-    g = np.exp(marr * math.log(math.sqrt(2.0) * r) - r * r
-               - 0.5 * gammaln(marr + 1.0))
-    g_prev = np.zeros(N)
-    out[0, :] += coeff * g
-    for k in range(1, N):
-        j = k - 1
-        num = (2 * j + 1 + marr - x) * g - np.sqrt(j * (j + marr)) * g_prev
-        g_prev, g = g, num / np.sqrt((j + 1) * (j + 1 + marr))
-        width = N - k
-        out[k, k:] += coeff[:width] * g[:width]
+    for k, g in enumerate(_magnitudes(abs(w), marr, lo + n - 1)):
+        if k >= lo:
+            width = n - (k - lo)
+            out[k - lo, k - lo:] += coeff[:width] * g[:width]
 
 
 def v_matrix(V: Potential, N: int) -> np.ndarray:
@@ -228,7 +223,7 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
         raise ValueError(f"basis size {N} exceeds configured maximum {MAX_BASIS}")
     upper = np.zeros((N, N), dtype=complex)
     for p, c in V.pairs():
-        _accumulate_pair(upper, p, c, V.alpha, N)
+        _accumulate_pair(upper, p, c, V.alpha, 0)
     if V.c0 != 0:
         upper[np.diag_indices(N)] += V.c0
     # mirror the strict upper triangle row by row (no index-array blowup)
@@ -273,9 +268,10 @@ def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:
 def window_sup(V: Potential, n: int) -> float:
     """sup |<V phi_k, phi_k'>| over the window |k-n|, |k'-n| <= kappa sqrt(n)."""
     half = int(math.floor(V.kappa() * math.sqrt(n)))
-    lo, hi = max(0, n - half), n + half
-    best = 0.0
-    for k in range(lo, hi + 1):
-        for kp in range(k, hi + 1):
-            best = max(best, abs(v_element(V, k, kp)))
-    return best
+    lo = max(0, n - half)
+    block = np.zeros((n + half - lo + 1,) * 2, dtype=complex)
+    for p, c in V.pairs():
+        _accumulate_pair(block, p, c, V.alpha, lo)
+    block[np.diag_indices(len(block))] += V.c0
+    # the upper triangle holds every magnitude, since V is Hermitian
+    return float(np.max(np.abs(block)))

@@ -229,18 +229,16 @@ def _neumann_contraction(vm: np.ndarray, contour: Contour) -> float:
     return contraction
 
 
-def trace_order_j(V: Potential, n: int, epsilon: float, N: int | None = None,
-                  j: int = 1, node_count: int = DEFAULT_NODES) -> float:
+def trace_order_j(V: Potential, n: int, N: int | None = None,
+                  j: int = 1) -> float:
     """Trace of (1/2 pi i) oint lambda R(lambda) (V R(lambda))^j dlambda.
 
-    Evaluated exactly by the RS recursion, so it does not depend on the
-    contour; epsilon and node_count are validated as a Contour.
+    Evaluated exactly by the RS recursion, so no contour enters.
     """
     if j < 1:
         raise ValueError("j must be at least 1")
     if N is None:
         N = basis_size(n)
-    Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     return float(_rs_orders(v_matrix(V, N), n, V.alpha, j)[j - 1])
 
 

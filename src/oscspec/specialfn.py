@@ -1,10 +1,9 @@
 """Validated special-function kernels.
 
-Generalized Laguerre polynomials, Bessel functions of the first kind
-(via the cosine integral representation), log-factorial ratios, the
-factorial prefactor F and the recurrence coefficients A_j used in the
-Bessel-series representation of oscillator matrix elements.  All
-operations are pure functions.
+Bessel functions of the first kind (via the cosine integral
+representation), the factorial prefactor F and the recurrence
+coefficients A_j used in the Bessel-series representation of oscillator
+matrix elements.  All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import numpy as np
 
 __all__ = [
     "AjSequence",
-    "laguerre",
     "bessel_j",
     "bessel_j_grid",
-    "log_factorial_ratio",
     "f_factor",
     "a_coefficients",
 ]
@@ -30,77 +27,34 @@ BESSEL_ORDER_MAX = 10**6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def laguerre(k: int, m: int, x: float) -> float:
-    """Evaluate the generalized Laguerre polynomial L_k^{(m)}(x).
-
-    Forward three-term recurrence in the degree at fixed argument.
-    """
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be nonnegative")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + m - x
-    for j in range(1, k):
-        prev, cur = cur, ((2 * j + 1 + m - x) * cur - (j + m) * prev) / (j + 1)
-    return cur
-
-
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer n >= 0, x >= 0.
-
-    Composite Gauss-Legendre quadrature of (1/pi) * int_0^pi
-    cos(x sin(t) - n t) dt, with the panel count growing with x + n so
-    each panel sees a bounded amount of phase.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if n > BESSEL_ORDER_MAX:
-        raise ValueError(f"order {n} beyond supported range {BESSEL_ORDER_MAX}")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    panels = int(math.ceil(x)) + n + 16
-    h = math.pi / panels
-    # All panel nodes at once: centers[p] + (h/2) * gl_node
-    centers = (np.arange(panels) + 0.5) * h
-    theta = (centers[:, None] + (0.5 * h) * _GL_NODES[None, :]).ravel()
-    vals = np.cos(x * np.sin(theta) - n * theta)
-    w = np.broadcast_to((0.5 * h) * _GL_WEIGHTS, (panels, 10)).ravel()
-    return float(np.dot(w, vals) / math.pi)
+    """Bessel function of the first kind J_n(x) for integer n >= 0, x >= 0."""
+    return float(bessel_j_grid(n, np.array([x]))[0])
 
 
 def bessel_j_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    """J_n over a batch of arguments sharing one composite quadrature grid.
+    """J_n over a batch of arguments x >= 0 sharing one quadrature grid.
 
-    Panel count follows the scalar rule for the largest argument, so the
-    batch result matches `bessel_j` pointwise to quadrature tolerance.
+    Composite Gauss-Legendre quadrature of (1/pi) * int_0^pi
+    cos(x sin(t) - n t) dt, with the panel count growing with the largest
+    x plus n so each panel sees a bounded amount of phase.  J_n(0) is exact.
     """
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if n > BESSEL_ORDER_MAX:
+        raise ValueError(f"order {n} beyond supported range {BESSEL_ORDER_MAX}")
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 0):
         raise ValueError("arguments must be nonnegative")
     x_max = float(np.max(xs, initial=0.0))
     panels = int(math.ceil(x_max)) + n + 16
     h = math.pi / panels
+    # All panel nodes at once: centers[p] + (h/2) * gl_node
     centers = (np.arange(panels) + 0.5) * h
     theta = (centers[:, None] + (0.5 * h) * _GL_NODES[None, :]).ravel()
     w = np.broadcast_to((0.5 * h) * _GL_WEIGHTS, (panels, 10)).ravel()
     vals = np.cos(xs[:, None] * np.sin(theta)[None, :] - n * theta[None, :])
-    return vals @ w / math.pi
-
-
-def log_factorial_ratio(k: int, k_prime: int) -> float:
-    """Return ln sqrt(k!/k'!) = -0.5 * sum_{j=k+1}^{k'} ln j  (k <= k')."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > k_prime:
-        raise ValueError("requires k <= k'")
-    if k_prime - k <= 512:
-        return -0.5 * sum(math.log(j) for j in range(k + 1, k_prime + 1))
-    return -0.5 * (math.lgamma(k_prime + 1) - math.lgamma(k + 1))
+    return np.where(xs == 0, float(n == 0), vals @ w / math.pi)
 
 
 def f_factor(k: int, k_prime: int) -> float:

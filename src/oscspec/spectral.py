@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import MatrixElementTable, build_matrix, parity_blocks
+from .matelem import MAX_BASIS, MatrixElementTable, build_matrix, parity_blocks
 from .model import Potential
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
@@ -84,6 +84,12 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    # the integer test first keeps huge nmax away from math.sqrt
+    if nmax > MAX_BASIS or 2 * basis_size(nmax) > MAX_BASIS:
+        raise ValueError(
+            f"nmax {nmax} too large: the doubling solve needs basis size "
+            f"2 * basis_size(nmax) <= {MAX_BASIS}"
+        )
     n_basis = basis_size(nmax)
     ev, first_order = _solve_with_diagonal(V, n_basis)
     ev_double = eigensolve(build_matrix(V, 2 * n_basis))

@@ -199,7 +199,7 @@ def test_trace_identity(cosx):
     # epsilon dependence is measured on the contour quadrature itself.
     worst_diag = worst_eps = 0.0
     for n in (10, 50, 100, 200):
-        t_rs = trace_order_j(cosx, n, epsilon=0.5, j=1)
+        t_rs = trace_order_j(cosx, n, j=1)
         t_half = contour_order_j(cosx, n, epsilon=0.5, j=1)
         t_quarter = contour_order_j(cosx, n, epsilon=0.25, j=1)
         diag = first_order_diagonal(cosx, n)

@@ -217,6 +217,19 @@ class TestMain:
                      "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nmax_beyond_float_range_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        huge = 10**400
+        cfg_path = write_config(tmp_path, {**GOOD_CONFIG, "nmax": huge})
+        assert main(["compute", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["compute", "--config", str(cfg_path), "--out", str(out),
+                     "--nmax", str(huge)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_matelem_smoke(self, capsys):
         assert main(["matelem", "--ax", "1.0", "--axi", "0.5",
                      "--k", "3", "--kprime", "7"]) == 0

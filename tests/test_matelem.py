@@ -6,14 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laguerre_oracle import laguerre
 from oscspec.matelem import (build_matrix, u_element, u_element_bessel,
                              u_element_oracle, v_element, v_matrix, window_sup)
 from oscspec.model import PhasePoint, Potential, metric_norm
-from oscspec.specialfn import laguerre
 
 
 def cosx():
     return Potential.cosine(alpha=1.0)
+
+
+def quasi_potential():
+    """Complex coefficients, a_xi != 0 and c0 != 0."""
+    terms = []
+    for (ax, axi), c in (((1.0, 0.0), 0.5 * np.exp(0.7j)),
+                         ((0.6, 0.8), 0.2 * np.exp(2.1j))):
+        c = complex(c)
+        terms += [(PhasePoint(ax, axi), c), (PhasePoint(-ax, -axi), c.conjugate())]
+    return Potential(alpha=1.0, terms=tuple(terms), c0=0.25)
+
+
+def v_element_oracle(V, k, k_prime):
+    """<V phi_k, phi_k'> from the Gauss-Hermite quadrature of every U_a."""
+    total = V.c0 if k == k_prime else 0.0j
+    for p, c in V.terms:
+        total += c * u_element_oracle(p, V.alpha, k, k_prime)
+    return total
 
 
 def random_phase_point(rng, norm_cap, alpha):
@@ -241,6 +259,8 @@ class TestBuildMatrix:
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_matches_scalar_elements(self):
+        # v_matrix and v_element share one recurrence; the quadrature is
+        # the independent route
         pot = Potential(alpha=1.3, terms=(
             (PhasePoint(0.9, -0.2), 0.4 + 0.1j),
             (PhasePoint(-0.9, 0.2), 0.4 - 0.1j),
@@ -249,7 +269,7 @@ class TestBuildMatrix:
         for k in range(25):
             for kp in range(25):
                 assert m[k, kp] == pytest.approx(
-                    v_element(pot, k, kp), abs=1e-12)
+                    v_element_oracle(pot, k, kp), abs=1e-12)
 
     def test_off_diagonal_bound(self):
         m = v_matrix(cosx(), 50)
@@ -264,6 +284,18 @@ class TestBuildMatrix:
 
 
 class TestWindowBound:
+    @pytest.mark.parametrize("V, n", [
+        (cosx(), 64),
+        (cosx(), 256),
+        (quasi_potential(), 100),
+    ], ids=["cos-64", "cos-256", "quasi-100"])
+    def test_matches_oracle_window(self, V, n):
+        half = int(math.floor(V.kappa() * math.sqrt(n)))
+        window = range(max(0, n - half), n + half + 1)
+        want = max(abs(v_element_oracle(V, k, kp))
+                   for k in window for kp in window if k <= kp)
+        assert window_sup(V, n) == pytest.approx(want, abs=1e-12)
+
     def test_scaled_sup_stable_small(self):
         sups = [window_sup(cosx(), n) * n**0.25 for n in (64, 256)]
         assert max(sups) / min(sups) < 2.0

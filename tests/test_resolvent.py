@@ -154,13 +154,13 @@ class TestTraceOrders:
     def test_first_order_is_diagonal_element(self):
         V = cos_potential(amplitude=0.8)
         for n in (3, 10, 25):
-            t1 = trace_order_j(V, n=n, epsilon=0.5, j=1)
+            t1 = trace_order_j(V, n=n, j=1)
             assert t1 == pytest.approx(first_order_diagonal(V, n), abs=1e-11)
 
     def test_zero_potential_all_orders_vanish(self):
         V = Potential(alpha=1.0, terms=(), c0=0.0)
         for j in (1, 2, 3):
-            assert trace_order_j(V, n=5, epsilon=0.5, N=48, j=j) == \
+            assert trace_order_j(V, n=5, N=48, j=j) == \
                 pytest.approx(0.0, abs=1e-13)
 
     def test_epsilon_independence(self):
@@ -175,14 +175,9 @@ class TestTraceOrders:
         b = contour_order_j(V, n=8, epsilon=0.5, j=2, node_count=128)
         assert a == pytest.approx(b, abs=1e-10)
 
-    def test_rejects_bad_contour(self):
-        # the RS route ignores the contour but still validates it
-        with pytest.raises(ValueError):
-            trace_order_j(cos_potential(), n=5, epsilon=1.5, j=1)
-
     def test_rejects_bad_j(self):
         with pytest.raises(ValueError):
-            trace_order_j(cos_potential(), n=5, epsilon=0.5, j=0)
+            trace_order_j(cos_potential(), n=5, j=0)
 
 
 def quasi_potential():
@@ -217,11 +212,11 @@ class TestRsMatchesContour:
         vm = v_matrix(V, basis_size(12))
         rs = _rs_orders(vm, 12, V.alpha, 4)
         for j in range(1, 5):
-            assert trace_order_j(V, n=12, epsilon=0.5, j=j) == rs[j - 1]
+            assert trace_order_j(V, n=12, j=j) == rs[j - 1]
 
     def test_index_outside_basis_rejected(self):
         with pytest.raises(ValueError):
-            trace_order_j(cos_potential(), n=10, epsilon=0.5, N=10)
+            trace_order_j(cos_potential(), n=10, N=10)
 
 
 class TestTraceEigenvalue:

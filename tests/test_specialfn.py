@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laguerre_oracle import laguerre
 from oscspec.specialfn import (AjSequence, a_coefficients, bessel_j,
-                               bessel_j_grid, f_factor, laguerre,
-                               log_factorial_ratio)
+                               bessel_j_grid, f_factor)
 
 
 def laguerre_exact(k: int, m: int, x: Fraction) -> Fraction:
@@ -67,6 +67,11 @@ class TestBessel:
     def test_at_zero(self):
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(3, 0.0) == 0.0
+        xs = np.array([0.0, 1.5, 0.0])
+        for n in (0, 3):
+            vals = bessel_j_grid(n, xs)
+            assert vals[0] == vals[2] == float(n == 0)
+            assert vals[1] == pytest.approx(bessel_series(n, 1.5), abs=1e-10)
 
     def test_first_zero_of_j0(self):
         # locate the first zero of J_0 by bisection on the power series
@@ -116,20 +121,12 @@ class TestBessel:
             bessel_j(0, -1.0)
         with pytest.raises(ValueError):
             bessel_j(10**6 + 1, 1.0)
-
-
-class TestLogFactorialRatio:
-    def test_empty_product(self):
-        assert log_factorial_ratio(5, 5) == 0.0
-
-    def test_small_cases(self):
-        assert log_factorial_ratio(0, 2) == pytest.approx(-0.5 * math.log(2))
-        assert log_factorial_ratio(10, 12) == pytest.approx(
-            -0.5 * (math.log(11) + math.log(12)))
-
-    def test_precondition(self):
         with pytest.raises(ValueError):
-            log_factorial_ratio(3, 2)
+            bessel_j_grid(-1, np.array([1.0]))
+        with pytest.raises(ValueError):
+            bessel_j_grid(0, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            bessel_j_grid(10**6 + 1, np.array([1.0]))
 
 
 class TestFFactor:

@@ -8,6 +8,7 @@ import pytest
 
 from oscspec.matelem import MatrixElementTable, build_matrix, parity_blocks
 from oscspec.model import PhasePoint, Potential
+from oscspec import spectral
 from oscspec.spectral import (
     Spectrum,
     TruncationError,
@@ -182,6 +183,22 @@ class TestSpectrum:
         V = Potential(alpha=1.0, terms=(), c0=0.0)
         with pytest.raises(ValueError):
             spectrum(V, nmax=0)
+
+    def test_basis_limit_checked_before_assembly(self, monkeypatch):
+        # 2 * basis_size(4694) = 20002 > MAX_BASIS; nothing may be built
+        class Built(Exception):
+            pass
+
+        def refuse(V, N):
+            raise Built(N)
+
+        monkeypatch.setattr(spectral, "build_matrix", refuse)
+        V = Potential.cosine(alpha=1.0)
+        for nmax in (4694, 10**400):
+            with pytest.raises(ValueError, match="20000"):
+                spectrum(V, nmax=nmax)
+        with pytest.raises(Built):   # 2 * basis_size(4693) = 19998 passes
+            spectrum(V, nmax=4693)
 
     def test_impossible_tolerance_raises(self):
         # at frequency 8 the N and 2N solves differ by 3.1e-9 at n = 0:
