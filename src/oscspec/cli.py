@@ -133,8 +133,10 @@ def run_compute(config: RunConfig, out_path: Path) -> None:
     meta = {
         "config": config.raw,
         "basis_size": spec.basis_size,
+        "coupling_band": spec.coupling_band,
         "trusted_max": spec.trusted_max,
-        "max_doubling_delta": spec.max_doubling_delta,
+        "max_certified_bound": spec.max_certified_bound,
+        "stage_seconds": spec.stage_seconds,
         "convergence_tol": config.convergence_tol,
         "version": __version__,
     }

@@ -41,10 +41,28 @@ __all__ = [
 
 DEFAULT_NODES = 128
 _SVD_NODE_STRIDE = 16
+# Dense bytes rvr_norms and trace_eigenvalue may plan, sized for a 7 GB
+# host with room left for the interpreter and another process.  They plan
+# 80 bytes per entry of the N x N basis: the complex V (16), |V|^2 (8) and
+# the dense temporaries of the norms.  Measured peaks with V in one block
+# (no parity split) were 58 and 66 bytes per entry at N = 2000.
+DENSE_BYTE_BUDGET = 4 * 2**30
+_DENSE_BYTES_PER_ENTRY = 80
 
 
 class NeumannDivergence(RuntimeError):
     """The even-power contraction check failed; the series may diverge."""
+
+
+def _check_dense_budget(N: int) -> None:
+    """Refuse, before anything is allocated, a basis whose dense arrays
+    would exceed DENSE_BYTE_BUDGET."""
+    planned = _DENSE_BYTES_PER_ENTRY * N * N
+    if planned > DENSE_BYTE_BUDGET:
+        raise ValueError(
+            f"basis size {N} plans {planned / 2**30:.1f} GiB of dense "
+            f"arrays, over the {DENSE_BYTE_BUDGET / 2**30:.0f} GiB budget"
+        )
 
 
 @dataclass(frozen=True)
@@ -140,6 +158,7 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     coarser node sample (they need a full SVD each)."""
     if N is None:
         N = basis_size(n)
+    _check_dense_budget(N)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     vm = v_matrix(V, N)
     v_abs2 = np.abs(vm) ** 2
@@ -267,6 +286,7 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
         raise ValueError("jmax must be at least 1")
     if N is None:
         N = basis_size(n)
+    _check_dense_budget(N)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     vm = v_matrix(V, N)
     contraction = _neumann_contraction(vm, contour)

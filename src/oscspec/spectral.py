@@ -1,40 +1,55 @@
-"""Diagonalization of the truncated H+V matrix with convergence control.
+"""Diagonalization of the truncated H+V matrix with a certified error bound.
 
-Eigenvalues of the truncation only approximate eigenvalues of H+V up to
-some index; `spectrum` certifies a trusted window by re-solving at twice
-the basis size and comparing every index up to nmax.  When V commutes with
-parity (every c_a real, e.g. multiplication by an even function such as
-cos x) the matrix splits exactly into its even- and odd-index blocks,
-which `eigensolve` diagonalizes apart: two solves of half the order cost
-about a quarter of one full solve.
+`spectrum` solves one truncation A_N = P(H+V)P and bounds the distance of
+every Ritz value theta_n, n <= nmax, from the eigenvalue lambda_n of the
+full operator by a quadratic residual bound.  The Ritz vectors reach the
+rest of the basis only through a corner block of V whose entries decay
+super-exponentially past a band b, so their residuals cost one small
+block, and the rest of the spectrum is bounded below a priori.  When the
+bound misses the tolerance, N grows geometrically up to a cap.  When V
+commutes with parity (every c_a real, e.g. multiplication by an even
+function such as cos x) the matrix splits exactly into its even- and
+odd-index blocks, which `eigensolve` diagonalizes apart: two solves of
+half the order cost about a quarter of one full solve.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import MAX_BASIS, MatrixElementTable, build_matrix, parity_blocks
-from .model import Potential
+from .matelem import (MAX_BASIS, MatrixElementTable, _accumulate_pair,
+                      build_matrix, parity_blocks)
+from .model import Potential, rho
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
 
 _REAL_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
+# The basis grows by this factor while the certificate fails, up to
+# BASIS_CAP, half of MAX_BASIS, so no matrix exceeds the largest one the
+# earlier doubling solve built.
+_GROWTH = 1.5
+BASIS_CAP = MAX_BASIS // 2
 
 
 class TruncationError(RuntimeError):
-    """Raised when the doubling check cannot certify the requested indices."""
+    """Raised when the residual bound cannot certify the requested indices."""
 
 
-def eigensolve(table: MatrixElementTable) -> np.ndarray:
+def eigensolve(table: MatrixElementTable, *,
+               ritz: list | None = None) -> np.ndarray:
     """All eigenvalues of the Hermitian table, ascending.
 
     Backed by LAPACK's Hermitian solver, one call per parity block; a
     purely real block (common for even potentials) is routed through the
-    cheaper symmetric path.
+    cheaper symmetric path.  Given a list `ritz`, the blocks are solved
+    with eigenvectors, and one (slice, eigenvalues, eigenvectors) triple
+    per block is appended to it.
     """
     m = table.entries
     parts = []
@@ -43,20 +58,121 @@ def eigensolve(table: MatrixElementTable) -> np.ndarray:
         if np.max(np.abs(block.imag)) <= _REAL_TOL * max(
                 1.0, np.max(np.abs(block.real))):
             block = block.real
-        parts.append(np.linalg.eigvalsh(block))
+        if ritz is None:
+            parts.append(np.linalg.eigvalsh(block))
+        else:
+            w, x = np.linalg.eigh(block)
+            ritz.append((s, w, x))
+            parts.append(w)
     return np.sort(np.concatenate(parts))
-
-
-def _solve_with_diagonal(V: Potential, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the N x N truncation and its real diagonal
-    alpha(2k+1) + V_kk; the matrix itself is not kept."""
-    table = build_matrix(V, N)
-    return eigensolve(table), table.entries.diagonal().real.copy()
 
 
 def basis_size(nmax: int) -> int:
     """Padding rule: translations couple index k to a band of width O(sqrt k)."""
     return 2 * nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
+
+
+def _start_size(nmax: int) -> int:
+    """First basis size `spectrum` tries."""
+    return nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
+
+
+def _rounding(V: Potential, N: int) -> float:
+    """Error of the eigensolver's eigenvalues: sqrt(N) eps ||A_N||, with
+    ||A_N|| <= alpha(2N-1) + |c0| + sum |c_a|.
+
+    LAPACK's backward-error bound is p(N) eps ||A_N|| with p modest; the
+    probabilistic analysis of Higham and Mary (SIAM J. Sci. Comput. 41,
+    2019) takes p(N) = sqrt(N) for rounding errors of independent sign.
+    It grows with N.
+    """
+    norm = V.alpha * (2 * N - 1) + abs(V.c0) + V.coefficient_sum()
+    return math.sqrt(N) * _EPS * norm
+
+
+def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
+    """Smallest band b whose dropped coupling is bounded by `target`, and
+    that bound.
+
+    Entries of V between index j < N and k = j + m >= N are bounded by
+    sum_a |c_a| T_a(m), T_a(m) = (sqrt2 r_a)^m (N+m)^(m/2) / m!, from
+    Szego's |L_j^(m)(x)| <= binom(j+m, j) e^(x/2) (Orthogonal Polynomials,
+    (7.21.3)).  The ratio T_a(m+1)/T_a(m) is at most
+    q = sqrt2 r_a sqrt(e (N+m+1)) / (m+1), which falls with m, so the
+    offsets m > b sum to at most T_a(b+1) / (1 - q).  That sum bounds every
+    row and column sum of the entries outside the block E that
+    `_coupling_block` keeps, hence (Schur test) their operator norm.
+    """
+    terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c)) for p, c in V.terms]
+    if not terms:
+        return 0, 0.0
+    b = 0
+    while True:
+        m = b + 1
+        total = 0.0
+        for z, c in terms:
+            q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
+            if q >= 1.0:
+                total = math.inf
+                break
+            log_t = m * math.log(z) + 0.5 * m * math.log(N + m) - math.lgamma(m + 1)
+            total += c * math.exp(log_t) / (1.0 - q)
+        if total <= target:
+            return b, total
+        b += 1
+
+
+def _coupling_block(V: Potential, N: int, b: int) -> tuple[np.ndarray, int]:
+    """E = V[N:N+b, lo:N] with lo = max(0, N - b), and lo.
+
+    One `_accumulate_pair` pass per pair on the block of indices
+    lo .. N+b-1; E is the conjugate transpose of its upper-right corner.
+    """
+    lo = max(0, N - b)
+    upper = np.zeros((N + b - lo,) * 2, dtype=complex)
+    for p, c in V.pairs():
+        _accumulate_pair(upper, p, c, V.alpha, lo)
+    return upper[: N - lo, N - lo:].conj().T, lo
+
+
+def _certify(V: Potential, N: int, ritz: list, nmax: int) -> tuple[np.ndarray, int]:
+    """Bounds on |lambda_n(H+V) - theta_n| for n = 0..nmax, and the band b.
+
+    For the Ritz vectors X = x_0..x_m of A_N the coupling to everything
+    else is F = [0; E X]: zero towards the other Ritz vectors, the
+    residuals E x_i towards the rest of the basis.  The complement is
+    bounded below by min(theta_{m+1}, alpha(2N+1) + c0 - sum|c_a|) -
+    sum|c_a|: the tail's H is at least alpha(2N+1), ||V - c0|| <= sum|c_a|
+    since each U_a is unitary, and its coupling to the other Ritz vectors
+    is a part of QVP.  For index n, m is the smallest index >= n whose gap
+    eta_n = that lower bound - theta_n is positive, and
+    |lambda_n - theta_n| <= ||F||_F^2 / eta_n.  To that come the dropped
+    coupling (Weyl) and the eigensolver's rounding (`_rounding`).
+    """
+    sigma = V.coefficient_sum()
+    # the dropped coupling kept to eps ||A_N||, a sqrt(N)-th of the rounding
+    b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
+    E, lo = _coupling_block(V, N, b)
+    thetas, res2 = [], []
+    for s, w, x in ritz:
+        rows = np.arange(N)[s]
+        keep = rows >= lo
+        thetas.append(w)
+        res2.append(np.sum(np.abs(E[:, rows[keep] - lo] @ x[keep]) ** 2, axis=0))
+    theta = np.concatenate(thetas)
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    cum = np.cumsum(np.concatenate(res2)[order])
+    n = np.arange(nmax + 1)
+    # index m(n) + 1: the first Ritz value beyond theta_n + sum|c_a|
+    past = np.searchsorted(theta, theta[n] + sigma, side="right")
+    nearest = np.minimum(np.append(theta, np.inf)[past],
+                       V.alpha * (2 * N + 1) + V.c0.real - sigma)
+    eta = nearest - sigma - theta[n]
+    quadratic = np.full(nmax + 1, np.inf)
+    ok = eta > 0
+    quadratic[ok] = cum[past[ok] - 1] / eta[ok]
+    return quadratic + dropped + _rounding(V, N), b
 
 
 @dataclass(frozen=True)
@@ -68,41 +184,80 @@ class Spectrum:
     trusted_max: int
     eigenvalues: np.ndarray
     convergence_tol: float
-    max_doubling_delta: float   # max |lambda_n(N) - lambda_n(2N)| over n <= trusted_max
+    bounds: np.ndarray      # >= |lambda_n(H+V) - eigenvalues[n]|, n <= trusted_max
+    coupling_band: int      # offsets of V the residuals keep
+    stage_seconds: dict     # assembly, solve, certificate; all sizes tried
+
+    @property
+    def max_certified_bound(self) -> float:
+        return float(np.max(self.bounds))
 
     def trusted(self) -> np.ndarray:
         return self.eigenvalues[: self.trusted_max + 1]
 
 
-def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
-    """Eigenvalues of H+V trusted through index nmax.
+def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
+    """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk, the bounds for
+    n <= nmax and the band; stage times are added to `seconds`.  The
+    matrix and eigenvectors of one basis size are freed on return, before
+    `spectrum` tries a larger one."""
+    t0 = time.perf_counter()
+    table = build_matrix(V, N)
+    t1 = time.perf_counter()
+    ritz = []
+    ev = eigensolve(table, ritz=ritz)
+    t2 = time.perf_counter()
+    bounds, band = _certify(V, N, ritz, nmax)
+    t3 = time.perf_counter()
+    seconds["assembly"] += t1 - t0
+    seconds["solve"] += t2 - t1
+    seconds["certificate"] += t3 - t2
+    return ev, table.entries.diagonal().real.copy(), bounds, band
 
-    Solves at N = basis_size(nmax) and again at 2N; every index 0..nmax must
-    agree within convergence_tol under the doubling, else TruncationError
-    names the first that does not.  Warns, naming the indices, where sorted
-    order may not be the perturbative labelling.
+
+def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
+    """Eigenvalues of H+V certified through index nmax.
+
+    Solves at N = nmax + ceil(8 sqrt(nmax)) + 64 with eigenvectors and
+    bounds |lambda_n(H+V) - theta_n| for every n <= nmax (`_certify`) by
+    the quadratic residual bound for Hermitian block matrices:
+    |lambda_j(A) - lambda_j(diag(M, C))| <= ||E||^2 / eta_j for
+    A = [[M, E*], [E, C]], with eta_j the distance from the j-th eigenvalue
+    of the diagonal part to the spectrum of the other block (R. Mathias,
+    "Quadratic residual bounds for the Hermitian eigenvalue problem", SIAM
+    J. Matrix Anal. Appl. 19 (1998); C.-K. Li and R.-C. Li, "A note on
+    eigenvalues of perturbed Hermitian matrices", Linear Algebra Appl. 395
+    (2005), in the Kato-Temple line of Parlett, "The Symmetric Eigenvalue
+    Problem").  It holds on every finite section of H+V past N + b and so
+    in the limit.  While some bound exceeds convergence_tol, N grows by
+    half up to BASIS_CAP; past it, TruncationError names the first index
+    that fails.  Warns, naming the indices, where sorted order may not be
+    the perturbative labelling.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     # the integer test first keeps huge nmax away from math.sqrt
-    if nmax > MAX_BASIS or 2 * basis_size(nmax) > MAX_BASIS:
+    if nmax > BASIS_CAP or _start_size(nmax) > BASIS_CAP:
         raise ValueError(
-            f"nmax {nmax} too large: the doubling solve needs basis size "
-            f"2 * basis_size(nmax) <= {MAX_BASIS}"
+            f"nmax {nmax} too large: the basis size "
+            f"nmax + ceil(8 sqrt(nmax)) + 64 must be at most {BASIS_CAP}"
         )
-    n_basis = basis_size(nmax)
-    ev, first_order = _solve_with_diagonal(V, n_basis)
-    ev_double = eigensolve(build_matrix(V, 2 * n_basis))
-
-    deltas = np.abs(ev[: nmax + 1] - ev_double[: nmax + 1])
-    failing = np.flatnonzero(~(deltas <= convergence_tol))
-    if failing.size:
-        first = int(failing[0])
-        raise TruncationError(
-            f"doubling check failed at index {first}: |delta| = "
-            f"{deltas[first]:.3e} > {convergence_tol:.3e} "
-            f"(requested {nmax} at basis size {n_basis})"
-        )
+    N = _start_size(nmax)
+    seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
+    while True:
+        ev, first_order, bounds, band = _solve_and_certify(V, N, nmax, seconds)
+        failing = np.flatnonzero(~(bounds <= convergence_tol))
+        if not failing.size:
+            break
+        # the rounding term grows with N: past the tolerance, no N can pass
+        if N == BASIS_CAP or _rounding(V, N) > convergence_tol:
+            first = int(failing[0])
+            raise TruncationError(
+                f"certificate failed at index {first}: bound "
+                f"{bounds[first]:.3e} > {convergence_tol:.3e} "
+                f"(requested {nmax} at basis size {N})"
+            )
+        N = min(BASIS_CAP, math.ceil(_GROWTH * N))
 
     if V.coefficient_sum() >= V.alpha:
         # Below this bound Weyl's inequality keeps lambda_n within half the
@@ -121,9 +276,11 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
             )
     return Spectrum(
         alpha=V.alpha,
-        basis_size=n_basis,
+        basis_size=N,
         trusted_max=nmax,
         eigenvalues=ev,
         convergence_tol=convergence_tol,
-        max_doubling_delta=float(np.max(deltas)),
+        bounds=bounds,
+        coupling_band=band,
+        stage_seconds=seconds,
     )

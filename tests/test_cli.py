@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscspec import resolvent
 from oscspec.cli import main, parse_config, run_compute
 from oscspec.model import ValidationError
 
@@ -172,7 +173,10 @@ class TestCompute:
         assert meta["config"] == GOOD_CONFIG
         assert meta["trusted_max"] >= 8
         assert meta["basis_size"] > 16
-        assert 0.0 <= meta["max_doubling_delta"] <= GOOD_CONFIG["tol"]
+        assert meta["coupling_band"] >= 1
+        assert 0.0 < meta["max_certified_bound"] <= GOOD_CONFIG["tol"]
+        assert set(meta["stage_seconds"]) == {"assembly", "solve", "certificate"}
+        assert all(t >= 0.0 for t in meta["stage_seconds"].values())
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = parse_config(json.dumps(GOOD_CONFIG))
@@ -249,6 +253,20 @@ class TestMain:
         assert main(["verify", "--config", str(cfg_path),
                      "--suite", "resolvent"]) == 0
         assert "PASS resolvent" in capsys.readouterr().out
+
+    def test_trace_refuses_oversized_basis(self, tmp_path, capsys,
+                                           monkeypatch):
+        # n = 8000 plans N = 16780, 22 GB of dense arrays: refused before
+        # any matrix is built
+        built = []
+        monkeypatch.setattr(resolvent, "v_matrix",
+                            lambda V, N: built.append(N))
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["trace", "--config", str(cfg_path), "--n", "8000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis size 16780 plans")
+        assert "budget" in err
+        assert built == []
 
     def test_trace_smoke(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from contour_oracle import contour_order_j, contour_traces
+from oscspec import resolvent
 from oscspec.matelem import parity_blocks, v_matrix
 from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
@@ -260,3 +261,21 @@ class TestTraceEigenvalue:
         V = cos_potential(amplitude=40.0)
         with pytest.raises(NeumannDivergence):
             trace_eigenvalue(V, n=4, epsilon=0.5, N=64, jmax=2)
+
+
+class TestDenseBudget:
+    @pytest.mark.parametrize("call", [rvr_norms, trace_eigenvalue])
+    def test_refused_before_assembly(self, call, monkeypatch):
+        # 80 bytes per entry: N = 7327 fits the 4 GiB budget, 7328 does not
+        class Built(Exception):
+            pass
+
+        def refuse(V, N):
+            raise Built(N)
+
+        monkeypatch.setattr(resolvent, "v_matrix", refuse)
+        V = cos_potential()
+        with pytest.raises(ValueError, match="7328 plans 4.0 GiB .* budget"):
+            call(V, 100, 0.5, N=7328)
+        with pytest.raises(Built):
+            call(V, 100, 0.5, N=7327)

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oscspec.matelem import MatrixElementTable, build_matrix, parity_blocks
+from doubling_oracle import doubling_eigenvalues
+from oscspec.matelem import (MAX_BASIS, MatrixElementTable, build_matrix,
+                             parity_blocks)
 from oscspec.model import PhasePoint, Potential
 from oscspec import spectral
 from oscspec.spectral import (
@@ -16,6 +18,14 @@ from oscspec.spectral import (
     eigensolve,
     spectrum,
 )
+
+# complex c_a, so one block; a_xi != 0 in two of the pairs
+COMPLEX_FOUR_PAIRS = Potential(alpha=1.0, c0=0.25, terms=(
+    (PhasePoint(1.0, 0.0), 0.3 + 0.2j), (PhasePoint(-1.0, 0.0), 0.3 - 0.2j),
+    (PhasePoint(2**0.5, 0.0), 0.1), (PhasePoint(-(2**0.5), 0.0), 0.1),
+    (PhasePoint(0.6, 0.8), 0.1 - 0.15j), (PhasePoint(-0.6, -0.8), 0.1 + 0.15j),
+    (PhasePoint(1.5, -1.2), 0.05j), (PhasePoint(-1.5, 1.2), -0.05j),
+))
 
 
 def table_from(entries, alpha=1.0):
@@ -79,6 +89,20 @@ class TestEigensolve:
         ev = eigensolve(table_from(m))
         oracle = charpoly_eigenvalues(m, ev.min() - 1.0, ev.max() + 1.0, 6)
         np.testing.assert_allclose(ev, oracle, atol=5e-9)
+
+    def test_ritz_pairs(self):
+        # one (slice, eigenvalues, eigenvectors) triple per parity block
+        for V in (Potential.cosine(alpha=1.0), COMPLEX_FOUR_PAIRS):
+            m = build_matrix(V, 60).entries
+            ritz = []
+            ev = eigensolve(table_from(m), ritz=ritz)
+            assert [s for s, _, _ in ritz] == list(parity_blocks(m))
+            np.testing.assert_array_equal(
+                ev, np.sort(np.concatenate([w for _, w, _ in ritz])))
+            for s, w, x in ritz:
+                np.testing.assert_allclose(m[s, s] @ x, x * w, atol=1e-12)
+                np.testing.assert_allclose(x.conj().T @ x, np.eye(len(w)),
+                                           atol=1e-12)
 
     def test_realness_routing_consistent(self):
         # a tiny imaginary dusting below tolerance must not change results
@@ -185,7 +209,8 @@ class TestSpectrum:
             spectrum(V, nmax=0)
 
     def test_basis_limit_checked_before_assembly(self, monkeypatch):
-        # 2 * basis_size(4694) = 20002 > MAX_BASIS; nothing may be built
+        # the start size 9170 + 767 + 64 = 10001 exceeds BASIS_CAP = 10000,
+        # half of MAX_BASIS; nothing may be built
         class Built(Exception):
             pass
 
@@ -194,31 +219,80 @@ class TestSpectrum:
 
         monkeypatch.setattr(spectral, "build_matrix", refuse)
         V = Potential.cosine(alpha=1.0)
-        for nmax in (4694, 10**400):
-            with pytest.raises(ValueError, match="20000"):
+        assert spectral.BASIS_CAP == MAX_BASIS // 2 == 10000
+        for nmax in (9170, 10**400):
+            with pytest.raises(ValueError, match="10000"):
                 spectrum(V, nmax=nmax)
-        with pytest.raises(Built):   # 2 * basis_size(4693) = 19998 passes
-            spectrum(V, nmax=4693)
+        with pytest.raises(Built):   # 9169 + 767 + 64 = 10000 passes
+            spectrum(V, nmax=9169)
 
-    def test_impossible_tolerance_raises(self):
-        # at frequency 8 the N and 2N solves differ by 3.1e-9 at n = 0:
-        # truncation, not roundoff (at frequency 1 they agree exactly)
+    @pytest.fixture
+    def built_sizes(self, monkeypatch):
+        """The basis sizes `spectrum` assembles, in order."""
+        sizes = []
+
+        def record(V, N):
+            sizes.append(N)
+            return build_matrix(V, N)
+
+        monkeypatch.setattr(spectral, "build_matrix", record)
+        return sizes
+
+    def test_impossible_tolerance_raises(self, built_sizes):
+        # the rounding term sqrt(N) eps ||A_N|| alone exceeds 1e-300 and
+        # grows with N, so every index fails at the start size and no
+        # larger basis is tried
         V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
-        with pytest.raises(TruncationError, match=r"failed at index 0:"):
+        with pytest.raises(TruncationError,
+                           match=r"failed at index 0: .* basis size 100\)"):
             spectrum(V, nmax=10, convergence_tol=1e-300)
+        assert built_sizes == [100]
 
-    def test_every_index_certified(self):
-        # at frequency 6 the deltas near n = 40 are truncation (about 1e-10)
+    def test_grows_past_start_size(self, built_sizes):
+        # at frequency 8 the Ritz vectors of n <= 10 reach the edge of the
+        # start basis (bound about 4e-6 at N = 100): N grows, then certifies
+        V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
+        spec = spectrum(V, nmax=10)
+        assert built_sizes[0] == spectral._start_size(10) == 100
+        assert len(built_sizes) > 1 and built_sizes == sorted(set(built_sizes))
+        assert spec.basis_size == built_sizes[-1]
+        assert spec.max_certified_bound <= spec.convergence_tol
+
+    def test_every_index_certified(self, monkeypatch):
+        # at frequency 6 the bound at the start size N = 155 rises from
+        # 2.6e-12 at n = 0 to 1.1e-6 at n = 40: truncation, index by index
         V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=6.0)
         spec = spectrum(V, nmax=40)
-        direct = eigensolve(build_matrix(V, 2 * spec.basis_size))
-        deltas = np.abs(spec.trusted() - direct[:41])
-        assert spec.max_doubling_delta == np.max(deltas)
-        # the error names the first index past the tolerance, sampled or not
-        tol = 0.5 * spec.max_doubling_delta
-        first = int(np.flatnonzero(deltas > tol)[0])
+        assert spec.bounds.shape == (41,)
+        assert np.all(spec.bounds <= spec.convergence_tol)
+        assert spec.max_certified_bound == np.max(spec.bounds)
+        # with growth capped at the start size, the error names the first
+        # index past the tolerance, sampled or not
+        monkeypatch.setattr(spectral, "BASIS_CAP", spectral._start_size(40))
+        at_start = spectrum(V, nmax=40, convergence_tol=1.0).bounds
+        tol = 1e-8
+        first = int(np.flatnonzero(at_start > tol)[0])
+        assert 0 < first < 40
         with pytest.raises(TruncationError, match=rf"at index {first}:"):
             spectrum(V, nmax=40, convergence_tol=tol)
+
+    @pytest.mark.parametrize("V, nmax", [
+        (Potential.cosine(alpha=1.0), 200),
+        (Potential.cosine(alpha=1.0, amplitude=0.4, frequency=6.0), 40),
+        (COMPLEX_FOUR_PAIRS, 100),
+    ], ids=["cos x", "cos 6x", "complex four pairs"])
+    def test_doubling_oracle_within_bound(self, V, nmax, monkeypatch):
+        # theta_n >= lambda_n(2N) >= lambda_n(H+V) by interlacing, so the
+        # 2N oracle may not sit further from theta_n than the bound plus
+        # the oracle's own rounding, neither at the certified N nor at the
+        # start size
+        _, oracle = doubling_eigenvalues(V, nmax)
+        slack = spectral._rounding(V, 2 * basis_size(nmax))
+        spec = spectrum(V, nmax=nmax)
+        assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
+        monkeypatch.setattr(spectral, "BASIS_CAP", spectral._start_size(nmax))
+        spec = spectrum(V, nmax=nmax, convergence_tol=1.0)
+        assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
 
     def test_large_coefficient_warns(self):
         V = Potential.cosine(alpha=1.0, amplitude=5.0, frequency=1.0)
