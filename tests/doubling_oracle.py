@@ -1,8 +1,8 @@
-"""Test oracle: the doubling solve that `spectrum` replaced.
+"""Test oracle: the 2N solve of the doubling check that `spectrum` replaced.
 
-Solves the truncation at N = basis_size(nmax) and again at 2N.  The two
-agreeing shows only that two truncations agree, not how far either is from
-H+V; tests use the 2N eigenvalues as an independent reference for the
+Solves the truncation at 2N, N = basis_size(nmax).  Its eigenvalues sit
+no further than `spectrum`'s from those of H+V (interlacing), but no bound
+says how far; tests use them as an independent reference for the
 certified bounds of `spectrum`.
 """
 
@@ -10,9 +10,6 @@ from oscspec.matelem import build_matrix
 from oscspec.spectral import basis_size, eigensolve
 
 
-def doubling_eigenvalues(V, nmax, N=None):
-    """Eigenvalues 0..nmax of the N and the 2N truncation."""
-    if N is None:
-        N = basis_size(nmax)
-    return (eigensolve(build_matrix(V, N))[: nmax + 1],
-            eigensolve(build_matrix(V, 2 * N))[: nmax + 1])
+def doubling_eigenvalues(V, nmax):
+    """Eigenvalues 0..nmax of the 2 basis_size(nmax) truncation."""
+    return eigensolve(build_matrix(V, 2 * basis_size(nmax)))[: nmax + 1]

@@ -286,7 +286,7 @@ class TestSpectrum:
         # 2N oracle may not sit further from theta_n than the bound plus
         # the oracle's own rounding, neither at the certified N nor at the
         # start size
-        _, oracle = doubling_eigenvalues(V, nmax)
+        oracle = doubling_eigenvalues(V, nmax)
         slack = spectral._rounding(V, 2 * basis_size(nmax))
         spec = spectrum(V, nmax=nmax)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
