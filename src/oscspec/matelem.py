@@ -42,8 +42,23 @@ __all__ = [
     "window_sup",
 ]
 
-MAX_BASIS = 20_000
 ORACLE_INDEX_MAX = 300
+# Dense bytes one call may plan, sized for a 7 GB host with room left for
+# the interpreter and another process.  Each dense entry point plans its
+# own measured peak bytes per entry of the N x N basis.
+DENSE_BYTE_BUDGET = 4 * 2**30
+
+
+def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
+    """Refuse, before anything is allocated, a basis whose dense arrays
+    would exceed DENSE_BYTE_BUDGET."""
+    planned = bytes_per_entry * N * N
+    if planned > DENSE_BYTE_BUDGET:
+        tenths = (10 * planned + 2**29) >> 30   # in integers: any N formats
+        raise ValueError(
+            f"basis size {N} plans {tenths // 10}.{tenths % 10} GiB of dense "
+            f"arrays, over the {DENSE_BYTE_BUDGET >> 30} GiB budget"
+        )
 
 
 def _omega(a: PhasePoint, alpha: float) -> complex:
@@ -219,8 +234,7 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
     """Dense N x N matrix of <V phi_k, phi_k'>, Hermitian by construction."""
     if N < 1:
         raise ValueError("N must be positive")
-    if N > MAX_BASIS:
-        raise ValueError(f"basis size {N} exceeds configured maximum {MAX_BASIS}")
+    _check_dense_budget(N, 16)    # the complex matrix itself
     upper = np.zeros((N, N), dtype=complex)
     for p, c in V.pairs():
         _accumulate_pair(upper, p, c, V.alpha, 0)
@@ -236,8 +250,6 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
 class MatrixElementTable:
     """Truncated matrix of H+V in the Hermite eigenbasis."""
 
-    alpha: float
-    dimension: int
     entries: np.ndarray
 
 
@@ -246,7 +258,7 @@ def build_matrix(V: Potential, N: int) -> MatrixElementTable:
     mat = v_matrix(V, N)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     mat[np.diag_indices(N)] += diag
-    return MatrixElementTable(alpha=V.alpha, dimension=N, entries=mat)
+    return MatrixElementTable(entries=mat)
 
 
 def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:

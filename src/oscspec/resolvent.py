@@ -17,12 +17,11 @@ VR and RVR; the dense norms are then taken block by block, exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import parity_blocks, v_matrix
+from .matelem import _check_dense_budget, parity_blocks, v_matrix
 from .model import Potential
 from .spectral import basis_size
 
@@ -41,28 +40,16 @@ __all__ = [
 
 DEFAULT_NODES = 128
 _SVD_NODE_STRIDE = 16
-# Dense bytes rvr_norms and trace_eigenvalue may plan, sized for a 7 GB
-# host with room left for the interpreter and another process.  They plan
-# 80 bytes per entry of the N x N basis: the complex V (16), |V|^2 (8) and
-# the dense temporaries of the norms.  Measured peaks with V in one block
-# (no parity split) were 58 and 66 bytes per entry at N = 2000.
-DENSE_BYTE_BUDGET = 4 * 2**30
+# Peak dense bytes per entry of the N x N basis planned by rvr_norms and
+# trace_eigenvalue: the complex V (16), |V|^2 (8) and the dense temporaries
+# of the norms.  Measured peaks with V in one block (no parity split) were
+# 58 and 66 bytes per entry at N = 2000.  trace_order_j, which holds V and
+# a few vectors, plans the same.
 _DENSE_BYTES_PER_ENTRY = 80
 
 
 class NeumannDivergence(RuntimeError):
     """The even-power contraction check failed; the series may diverge."""
-
-
-def _check_dense_budget(N: int) -> None:
-    """Refuse, before anything is allocated, a basis whose dense arrays
-    would exceed DENSE_BYTE_BUDGET."""
-    planned = _DENSE_BYTES_PER_ENTRY * N * N
-    if planned > DENSE_BYTE_BUDGET:
-        raise ValueError(
-            f"basis size {N} plans {planned / 2**30:.1f} GiB of dense "
-            f"arrays, over the {DENSE_BYTE_BUDGET / 2**30:.0f} GiB budget"
-        )
 
 
 @dataclass(frozen=True)
@@ -158,7 +145,7 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     coarser node sample (they need a full SVD each)."""
     if N is None:
         N = basis_size(n)
-    _check_dense_budget(N)
+    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     vm = v_matrix(V, N)
     v_abs2 = np.abs(vm) ** 2
@@ -170,16 +157,6 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
         w = np.abs(lam_k - lam) ** -2.0
         hs_best = max(hs_best, float(w @ (v_abs2 @ w)))
     hs_best = math.sqrt(hs_best)
-
-    # Truncation sanity: the neglected rows/columns contribute at most
-    # ||V||^2 * (full sum) * (tail sum) to the squared HS norm.
-    tail = _square_tail(n, V.alpha, epsilon, N)
-    full = float(np.max(np.sum(np.abs(lam_k[None, :] - nodes[:, None]) ** -2.0,
-                               axis=1))) + tail
-    tail_hs2 = 2.0 * V.coefficient_sum() ** 2 * full * tail
-    if hs_best > 0 and tail_hs2 > (0.01 * hs_best) ** 2:
-        warnings.warn("HS-norm truncation tail exceeds 1% of the computed value",
-                      stacklevel=2)
 
     # the singular values of RVR are those of its parity blocks together
     blocks = [(vm[s, s], lam_k[s]) for s in parity_blocks(vm)]
@@ -258,6 +235,7 @@ def trace_order_j(V: Potential, n: int, N: int | None = None,
         raise ValueError("j must be at least 1")
     if N is None:
         N = basis_size(n)
+    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     return float(_rs_orders(v_matrix(V, N), n, V.alpha, j)[j - 1])
 
 
@@ -286,7 +264,7 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
         raise ValueError("jmax must be at least 1")
     if N is None:
         N = basis_size(n)
-    _check_dense_budget(N)
+    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     vm = v_matrix(V, N)
     contraction = _neumann_contraction(vm, contour)

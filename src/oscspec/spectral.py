@@ -8,7 +8,8 @@ super-exponentially past a band b, so their residuals cost one small
 block, and the rest of the spectrum is bounded below a priori.  That part
 of the bound is rigorous in exact arithmetic; the eigensolver's rounding
 is added by a probabilistic model (`_rounding`), not a worst-case bound.
-When the bound misses the tolerance, N grows geometrically up to a cap.
+When the bound misses the tolerance, N grows geometrically up to the
+largest size whose dense arrays fit `matelem.DENSE_BYTE_BUDGET`.
 When V commutes with parity (every c_a real, e.g. multiplication by an even
 function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which `eigensolve` diagonalizes apart: two solves of
@@ -24,19 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import (MAX_BASIS, MatrixElementTable, _accumulate_pair,
-                      build_matrix, parity_blocks)
+from .matelem import (DENSE_BYTE_BUDGET, MatrixElementTable, _accumulate_pair,
+                      _check_dense_budget, build_matrix, parity_blocks)
 from .model import Potential, rho
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
 
 _REAL_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
-# The basis grows by this factor while the certificate fails, up to
-# BASIS_CAP, half of MAX_BASIS, so no matrix exceeds the largest one the
-# earlier doubling solve built.
 _GROWTH = 1.5
-BASIS_CAP = MAX_BASIS // 2
 
 
 class TruncationError(RuntimeError):
@@ -80,6 +77,11 @@ def _start_size(nmax: int) -> int:
     """First basis size `spectrum` tries: nmax plus the padding of
     `basis_size`."""
     return basis_size(nmax) - nmax
+
+
+def _basis_cap(bytes_per_entry: int) -> int:
+    """Largest basis size whose dense arrays fit DENSE_BYTE_BUDGET."""
+    return math.isqrt(DENSE_BYTE_BUDGET // bytes_per_entry)
 
 
 def _rounding(V: Potential, N: int) -> float:
@@ -243,19 +245,24 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     the eigensolver's rounding by the probabilistic model sqrt(N) eps
     ||A_N|| of `_rounding`, so the bound is rigorous for the truncation
     and modelled for the rounding.  While some bound exceeds
-    convergence_tol, N grows by half up to BASIS_CAP; past it,
-    TruncationError names the first index that fails.  Warns, naming the
-    indices, where sorted order may not be the perturbative labelling.
+    convergence_tol, N grows by half up to the largest size the dense
+    byte budget admits; past it, TruncationError names the first index
+    that fails.  A start size over the budget is refused before assembly.
+    Warns, naming the indices, where sorted order may not be the
+    perturbative labelling.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    # the integer test first keeps huge nmax away from math.sqrt
-    if nmax > BASIS_CAP or _start_size(nmax) > BASIS_CAP:
-        raise ValueError(
-            f"nmax {nmax} too large: the basis size "
-            f"nmax + ceil(8 sqrt(nmax)) + 64 must be at most {BASIS_CAP}"
-        )
-    N = _start_size(nmax)
+    # Peak bytes per entry of the N x N basis in one attempt (matrix, parity
+    # blocks, eigenvectors), measured at N = 1500-6000: 26-29 for real c_a
+    # and real blocks (cos x), 36-39 for real c_a and a_xi != 0, and at
+    # N = 1500-4500, 81-91 for complex c_a (one complex block).
+    per_entry = 40 if all(c.imag == 0 for _, c in V.terms) else 96
+    cap = _basis_cap(per_entry)
+    # the integer test first keeps huge nmax away from math.sqrt; past the
+    # cap the refusal names nmax, a lower bound on the start size
+    N = _start_size(nmax) if nmax <= cap else nmax
+    _check_dense_budget(N, per_entry)
     seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
     while True:
         ev, first_order, bounds, band = _solve_and_certify(V, N, nmax, seconds)
@@ -263,14 +270,14 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
         if not failing.size:
             break
         # the rounding term grows with N: past the tolerance, no N can pass
-        if N == BASIS_CAP or _rounding(V, N) > convergence_tol:
+        if N == cap or _rounding(V, N) > convergence_tol:
             first = int(failing[0])
             raise TruncationError(
                 f"certificate failed at index {first}: bound "
                 f"{bounds[first]:.3e} > {convergence_tol:.3e} "
                 f"(requested {nmax} at basis size {N})"
             )
-        N = min(BASIS_CAP, math.ceil(_GROWTH * N))
+        N = min(cap, math.ceil(_GROWTH * N))
 
     if V.coefficient_sum() >= V.alpha:
         # Below this bound Weyl's inequality keeps lambda_n within half the

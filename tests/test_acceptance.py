@@ -227,10 +227,8 @@ def test_cross_method_eigenvalues(cosx, cosx_spectrum):
 
 @pytest.fixture(scope="module")
 def cosx_rvr_norms(cosx):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return {n: rvr_norms(cosx, n, epsilon=0.5, node_count=32)
-                for n in (64, 256, 1024)}
+    return {n: rvr_norms(cosx, n, epsilon=0.5, node_count=32)
+            for n in (64, 256, 1024)}
 
 
 def _w_peak_index(model, n_near):
@@ -245,10 +243,8 @@ def _w_peak_index(model, n_near):
 @pytest.fixture(scope="module")
 def cosx_rvr_norms_at_w_peaks(cosx):
     model = AsymptoticModel.from_potential(cosx)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return {n: rvr_norms(cosx, n, epsilon=0.5, node_count=32)
-                for n in (_w_peak_index(model, m) for m in (64, 256, 1024))}
+    return {n: rvr_norms(cosx, n, epsilon=0.5, node_count=32)
+            for n in (_w_peak_index(model, m) for m in (64, 256, 1024))}
 
 
 def test_resolvent_hs_norm_scaling(cosx, cosx_rvr_norms_at_w_peaks,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscspec import resolvent
+from oscspec import resolvent, spectral
 from oscspec.cli import main, parse_config, run_compute
 from oscspec.model import ValidationError
 
@@ -253,6 +253,25 @@ class TestMain:
         assert main(["verify", "--config", str(cfg_path),
                      "--suite", "resolvent"]) == 0
         assert "PASS resolvent" in capsys.readouterr().out
+
+    def test_compute_refuses_oversized_basis(self, tmp_path, capsys,
+                                             monkeypatch):
+        # complex c_a plan 96 bytes per entry: the 4 GiB budget admits
+        # nmax <= 6004, so 6005 is refused before any matrix is built
+        built = []
+        monkeypatch.setattr(spectral, "build_matrix",
+                            lambda V, N: built.append(N))
+        complex_terms = [[1.0, 0.0, 0.3, 0.2], [-1.0, 0.0, 0.3, -0.2]]
+        cfg_path = write_config(tmp_path, {**GOOD_CONFIG,
+                                           "terms": complex_terms})
+        out = tmp_path / "run.csv"
+        assert main(["compute", "--config", str(cfg_path), "--out", str(out),
+                     "--nmax", "6005"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis size 6689 plans")
+        assert "budget" in err
+        assert built == []
+        assert not out.exists()
 
     def test_trace_refuses_oversized_basis(self, tmp_path, capsys,
                                            monkeypatch):

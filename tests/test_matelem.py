@@ -277,8 +277,11 @@ class TestBuildMatrix:
         assert np.max(np.abs(off)) <= cosx().coefficient_sum() + 1e-12
 
     def test_resource_guard(self):
-        with pytest.raises(ValueError, match="maximum"):
+        # 16 bytes per entry: N <= 16384 fits the 4 GiB budget
+        with pytest.raises(ValueError, match="30000 plans 13.4 GiB .* 4 GiB budget"):
             build_matrix(cosx(), 30_000)
+        with pytest.raises(ValueError, match="16385 plans 4.0 GiB"):
+            build_matrix(cosx(), 16385)
         with pytest.raises(ValueError):
             build_matrix(cosx(), 0)
 

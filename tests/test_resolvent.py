@@ -150,6 +150,20 @@ class TestRvrNorms:
         assert _neumann_contraction(vm, contour) == pytest.approx(
             contraction, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [10, 72])
+    @pytest.mark.parametrize("potential", ["cos", "quasi"])
+    def test_basis_size_converged(self, potential, n):
+        # doubling the default basis moves neither norm: the truncation
+        # tail is negligible even at small n
+        V = cos_potential() if potential == "cos" else quasi_potential()
+        N = basis_size(n)
+        at_n, at_2n = (rvr_norms(V, n, 0.5, N=size, node_count=32)
+                       for size in (N, 2 * N))
+        assert at_n.hilbert_schmidt == pytest.approx(at_2n.hilbert_schmidt,
+                                                     rel=1e-6)
+        assert at_n.operator_norm == pytest.approx(at_2n.operator_norm,
+                                                   rel=1e-6)
+
 
 class TestTraceOrders:
     def test_first_order_is_diagonal_element(self):
@@ -264,7 +278,11 @@ class TestTraceEigenvalue:
 
 
 class TestDenseBudget:
-    @pytest.mark.parametrize("call", [rvr_norms, trace_eigenvalue])
+    @pytest.mark.parametrize("call", [
+        lambda V, N: rvr_norms(V, 100, 0.5, N=N),
+        lambda V, N: trace_eigenvalue(V, 100, 0.5, N=N),
+        lambda V, N: trace_order_j(V, 100, N=N),
+    ], ids=["rvr_norms", "trace_eigenvalue", "trace_order_j"])
     def test_refused_before_assembly(self, call, monkeypatch):
         # 80 bytes per entry: N = 7327 fits the 4 GiB budget, 7328 does not
         class Built(Exception):
@@ -276,6 +294,6 @@ class TestDenseBudget:
         monkeypatch.setattr(resolvent, "v_matrix", refuse)
         V = cos_potential()
         with pytest.raises(ValueError, match="7328 plans 4.0 GiB .* budget"):
-            call(V, 100, 0.5, N=7328)
+            call(V, 7328)
         with pytest.raises(Built):
-            call(V, 100, 0.5, N=7327)
+            call(V, 7327)

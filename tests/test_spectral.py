@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from doubling_oracle import doubling_eigenvalues
-from oscspec.matelem import (MAX_BASIS, MatrixElementTable, build_matrix,
-                             parity_blocks)
+from oscspec.matelem import MatrixElementTable, build_matrix, parity_blocks
 from oscspec.model import PhasePoint, Potential
 from oscspec import spectral
 from oscspec.spectral import (
@@ -28,9 +27,8 @@ COMPLEX_FOUR_PAIRS = Potential(alpha=1.0, c0=0.25, terms=(
 ))
 
 
-def table_from(entries, alpha=1.0):
-    m = np.asarray(entries, dtype=complex)
-    return MatrixElementTable(alpha=alpha, dimension=m.shape[0], entries=m)
+def table_from(entries):
+    return MatrixElementTable(entries=np.asarray(entries, dtype=complex))
 
 
 def charpoly_eigenvalues(m, lo, hi, count, tol=1e-9):
@@ -209,8 +207,9 @@ class TestSpectrum:
             spectrum(V, nmax=0)
 
     def test_basis_limit_checked_before_assembly(self, monkeypatch):
-        # the start size 9170 + 767 + 64 = 10001 exceeds BASIS_CAP = 10000,
-        # half of MAX_BASIS; nothing may be built
+        # at 40 bytes per entry (real c_a) the 4 GiB budget admits
+        # N <= 10362 = 9517 + 781 + 64; at 96 (complex c_a) N <= 6688 =
+        # 6004 + 620 + 64.  Past it nothing may be built
         class Built(Exception):
             pass
 
@@ -218,13 +217,13 @@ class TestSpectrum:
             raise Built(N)
 
         monkeypatch.setattr(spectral, "build_matrix", refuse)
-        V = Potential.cosine(alpha=1.0)
-        assert spectral.BASIS_CAP == MAX_BASIS // 2 == 10000
-        for nmax in (9170, 10**400):
-            with pytest.raises(ValueError, match="10000"):
-                spectrum(V, nmax=nmax)
-        with pytest.raises(Built):   # 9169 + 767 + 64 = 10000 passes
-            spectrum(V, nmax=9169)
+        for V, fits, N in ((Potential.cosine(alpha=1.0), 9517, "10362"),
+                           (COMPLEX_FOUR_PAIRS, 6004, "6688")):
+            for nmax in (fits + 1, 10**400):
+                with pytest.raises(ValueError, match="budget"):
+                    spectrum(V, nmax=nmax)
+            with pytest.raises(Built, match=N):
+                spectrum(V, nmax=fits)
 
     @pytest.fixture
     def built_sizes(self, monkeypatch):
@@ -268,7 +267,8 @@ class TestSpectrum:
         assert spec.max_certified_bound == np.max(spec.bounds)
         # with growth capped at the start size, the error names the first
         # index past the tolerance, sampled or not
-        monkeypatch.setattr(spectral, "BASIS_CAP", spectral._start_size(40))
+        monkeypatch.setattr(spectral, "_basis_cap",
+                            lambda per_entry: spectral._start_size(40))
         at_start = spectrum(V, nmax=40, convergence_tol=1.0).bounds
         tol = 1e-8
         first = int(np.flatnonzero(at_start > tol)[0])
@@ -290,7 +290,8 @@ class TestSpectrum:
         slack = spectral._rounding(V, 2 * basis_size(nmax))
         spec = spectrum(V, nmax=nmax)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
-        monkeypatch.setattr(spectral, "BASIS_CAP", spectral._start_size(nmax))
+        monkeypatch.setattr(spectral, "_basis_cap",
+                            lambda per_entry: spectral._start_size(nmax))
         spec = spectrum(V, nmax=nmax, convergence_tol=1.0)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
 
