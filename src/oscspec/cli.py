@@ -280,7 +280,7 @@ def main(argv=None) -> int:
             print(f"quadrature  : {oracle!r}")
             if k <= kp:
                 series = u_element_bessel(p, args.alpha, k, kp, args.jmax)
-                print(f"bessel serie: {series!r}")
+                print(f"bessel series: {series!r}")
             print(f"|closed - quadrature| = {abs(closed - oracle):.3e}")
             return 0
         if args.command == "trace":

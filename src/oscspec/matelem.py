@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import gammaln, roots_hermite
 
 from .model import PhasePoint, Potential, rho as rho_of
+from .specialfn import a_coefficients, bessel_j_grid, f_factor
 
 __all__ = [
     "MatrixElementTable",
@@ -177,9 +178,9 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     """Partial Bessel-series sum for <U_a phi_k, phi_k'> (k <= k').
 
     Converges to the closed form in the regime 2 rho <= (k'+k+1)^(1/6).
+    The orders k'-k .. k'-k+jmax share the argument 2 rho sqrt(k'+k+1) and
+    come from one `bessel_j_grid` call.
     """
-    from .specialfn import a_coefficients, bessel_j, f_factor
-
     if k > k_prime:
         raise ValueError("bessel route requires k <= k'")
     w = _omega(a, alpha)
@@ -188,13 +189,10 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
         return 1.0 + 0.0j if k == k_prime else 0.0j
     m = k_prime - k
     s = k_prime + k + 1
-    arg = 2.0 * r * math.sqrt(s)
-    coeffs = a_coefficients(k, k_prime, jmax).values
-    ratio = r / math.sqrt(s)
-    total = 0.0
-    for j, aj in enumerate(coeffs):
-        if aj != 0.0:
-            total += aj * ratio**j * bessel_j(m + j, arg)
+    j = np.arange(jmax + 1)
+    coeffs = np.array(a_coefficients(k, k_prime, jmax).values)
+    terms = bessel_j_grid(m + j, 2.0 * r * math.sqrt(s))
+    total = float(coeffs * (r / math.sqrt(s)) ** j @ terms)
     sqrt_f = math.sqrt(f_factor(k, k_prime))
     theta = cmath.phase(-w)
     return cmath.exp(1j * m * theta) * sqrt_f * total

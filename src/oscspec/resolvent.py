@@ -142,7 +142,14 @@ class RvrNorms:
 def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
               node_count: int = DEFAULT_NODES) -> RvrNorms:
     """Hilbert-Schmidt norm at every node; operator and trace norms at a
-    coarser node sample (they need a full SVD each)."""
+    coarser node sample (they need a full SVD each).
+
+    At the default N = basis_size(n) the trace norm is converged only to
+    about 1e-3 relative: it moves by 2.4e-4 to 8.0e-4 between N and 2N
+    (cos x and a complex potential, n = 10, 72, 256), while the
+    Hilbert-Schmidt norm moves by at most 1.5e-8 and the operator norm by
+    4.4e-16.
+    """
     if N is None:
         N = basis_size(n)
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)

@@ -1,9 +1,18 @@
 """Validated special-function kernels.
 
-Bessel functions of the first kind (via the cosine integral
-representation), the factorial prefactor F and the recurrence
-coefficients A_j used in the Bessel-series representation of oscillator
-matrix elements.  All operations are pure functions.
+Bessel functions of the first kind, the factorial prefactor F and the
+recurrence coefficients A_j used in the Bessel-series representation of
+oscillator matrix elements.  All operations are pure functions.
+
+`bessel_j_grid` is the one Bessel kernel, for one order or an integer
+array of orders that broadcasts against the arguments.  It evaluates
+J_n(x) = (1/2pi) int_0^2pi cos(x sin t - n t) dt by the M-point
+trapezoidal rule.  The integrand is periodic and entire, so by
+Jacobi-Anger (DLMF 10.12.1) the rule returns, in exact arithmetic, the
+sum of J_{n+lM}(x) over all integers l: its only error is the aliased
+orders l != 0, and it converges exponentially in M (Trefethen and
+Weideman, SIAM Review 56, 2014).  M is sized by DLMF 10.14.4,
+|J_nu(x)| <= (x/2)^nu / nu!, so that the aliases sum to at most 4 * 2^-60.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "AjSequence",
-    "bessel_j",
     "bessel_j_grid",
     "f_factor",
     "a_coefficients",
@@ -23,38 +31,66 @@ __all__ = [
 
 # Largest Bessel order supported by the quadrature path.
 BESSEL_ORDER_MAX = 10**6
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer n >= 0, x >= 0."""
-    return float(bessel_j_grid(n, np.array([x]))[0])
+# log of 2^-60, the bound on each aliased |J_nu(x)|; together <= 4 * 2^-60
+_ALIAS_LOG_BOUND = -60.0 * math.log(2.0)
+_TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
 
 
-def bessel_j_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    """J_n over a batch of arguments x >= 0 sharing one quadrature grid.
+def _alias_order(x: float) -> int:
+    """The smallest integer nu >= x with (x/2)^nu / nu! <= 2^-60.
 
-    Composite Gauss-Legendre quadrature of (1/pi) * int_0^pi
-    cos(x sin(t) - n t) dt, with the panel count growing with the largest
-    x plus n so each panel sees a bounded amount of phase.  J_n(0) is exact.
+    (x/2)^nu / nu! bounds |J_nu(x)| (DLMF 10.14.4), so every order from nu
+    up is below 2^-60 at every argument in [0, x], and from nu >= x on the
+    bound at least halves with each further order.
     """
-    if n < 0:
+    if x <= 2.0**-59:          # nu = 1 already gives x/2 <= 2^-60
+        return 1
+    nu = math.ceil(x)
+    log_half = math.log(0.5 * x)
+    while nu * log_half - math.lgamma(nu + 1) > _ALIAS_LOG_BOUND:
+        nu += 1
+    return nu
+
+
+def bessel_j_grid(n, xs) -> np.ndarray:
+    """J_n(x) for integer orders n >= 0 and arguments x >= 0.
+
+    `n` is an integer or an integer array and broadcasts against `xs`; the
+    result has the broadcast shape.  All values share one trapezoidal rule
+    of M points on [0, 2pi], folded by the symmetry t -> 2pi - t onto its
+    M/2 + 1 nodes in [0, pi].  M is the smallest even number with
+    M - max(n) >= `_alias_order(max(x))`, so every aliased order
+    |n + lM|, l != 0, is at least that order and, summed over l, the
+    aliases stay below 4 * 2^-60 at every point; only rounding is left.
+    J_n(0) is exact.
+    """
+    orders = np.asarray(n)
+    if np.any(orders < 0):
         raise ValueError("order must be nonnegative")
-    if n > BESSEL_ORDER_MAX:
-        raise ValueError(f"order {n} beyond supported range {BESSEL_ORDER_MAX}")
+    if np.any(orders > BESSEL_ORDER_MAX):
+        raise ValueError(f"order {np.max(orders)} beyond supported range "
+                         f"{BESSEL_ORDER_MAX}")
+    if orders.dtype.kind not in "iu":
+        raise ValueError("order must be an integer")
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0):
-        raise ValueError("arguments must be nonnegative")
-    x_max = float(np.max(xs, initial=0.0))
-    panels = int(math.ceil(x_max)) + n + 16
-    h = math.pi / panels
-    # All panel nodes at once: centers[p] + (h/2) * gl_node
-    centers = (np.arange(panels) + 0.5) * h
-    theta = (centers[:, None] + (0.5 * h) * _GL_NODES[None, :]).ravel()
-    w = np.broadcast_to((0.5 * h) * _GL_WEIGHTS, (panels, 10)).ravel()
-    vals = np.cos(xs[:, None] * np.sin(theta)[None, :] - n * theta[None, :])
-    return np.where(xs == 0, float(n == 0), vals @ w / math.pi)
+    if not np.all((xs >= 0) & (xs < math.inf)):
+        raise ValueError("arguments must be finite and nonnegative")
+    M = (int(np.max(orders, initial=0))
+         + _alias_order(float(np.max(xs, initial=0.0))))
+    M += M % 2
+    j = np.arange(M // 2 + 1)
+    weights = np.full(j.size, 2.0 / M)
+    weights[[0, -1]] = 1.0 / M
+    # The phase in turns, x sin(t_j) / 2pi - (n j mod M) / M, with n t_j
+    # reduced in integers and the rest formed and reduced modulo one turn in
+    # extended precision, so that its rounding does not grow with x (where
+    # long double is no wider than double, it grows as eps * x again).
+    turns = (xs.astype(np.longdouble)[..., None]
+             * (np.sin((_TWO_PI_EXT / M) * j) / _TWO_PI_EXT)
+             - ((orders.astype(np.int64)[..., None] * j) % M) / np.longdouble(M))
+    turns -= np.rint(turns)
+    vals = np.cos((2.0 * math.pi) * turns.astype(float)) @ weights
+    return np.where(xs == 0, (orders == 0).astype(float), vals)
 
 
 def f_factor(k: int, k_prime: int) -> float:

@@ -241,6 +241,17 @@ class TestMain:
         assert "closed form" in out
         assert "quadrature" in out
 
+    def test_matelem_route_labels(self, capsys):
+        assert main(["matelem", "--ax", "1.0", "--axi", "0.5",
+                     "--k", "3", "--kprime", "7"]) == 0
+        labels = [line.split(":")[0]
+                  for line in capsys.readouterr().out.splitlines()[:3]]
+        assert labels == ["closed form ", "quadrature  ", "bessel series"]
+        # the series route needs k <= k'
+        assert main(["matelem", "--ax", "1.0", "--axi", "0.5",
+                     "--k", "7", "--kprime", "3"]) == 0
+        assert "bessel series" not in capsys.readouterr().out
+
     def test_verify_window_suite(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["verify", "--config", str(cfg_path),

@@ -128,15 +128,37 @@ class TestUElement:
 
 class TestBesselRoute:
     def test_leading_term_only(self):
-        from oscspec.specialfn import bessel_j, f_factor
+        from oscspec.specialfn import bessel_j_grid, f_factor
         a = PhasePoint(0.8, 0.3)
         k, kp = 30, 34
         got = u_element_bessel(a, 1.0, k, kp, jmax=0)
         rho = metric_norm(a, 1.0) / 2.0
         s = k + kp + 1
-        want_mag = math.sqrt(f_factor(k, kp)) * bessel_j(
-            kp - k, 2.0 * rho * math.sqrt(s))
+        want_mag = math.sqrt(f_factor(k, kp)) * float(bessel_j_grid(
+            kp - k, 2.0 * rho * math.sqrt(s)))
         assert abs(got) == pytest.approx(abs(want_mag), abs=1e-13)
+
+    def test_one_kernel_call_per_element(self, monkeypatch):
+        from oscspec import matelem
+        from oscspec.specialfn import a_coefficients, bessel_j_grid, f_factor
+        calls = []
+
+        def counted(n, xs):
+            calls.append(n)
+            return bessel_j_grid(n, xs)
+
+        monkeypatch.setattr(matelem, "bessel_j_grid", counted)
+        a = PhasePoint(0.8, 0.3)
+        k, kp, jmax = 30, 34, 48
+        got = u_element_bessel(a, 1.0, k, kp, jmax=jmax)
+        assert len(calls) == 1
+        # the sum over one-order kernel calls that the batch replaces
+        rho = metric_norm(a, 1.0) / 2.0
+        s = k + kp + 1
+        total = sum(aj * (rho / math.sqrt(s)) ** j
+                    * float(bessel_j_grid(kp - k + j, 2.0 * rho * math.sqrt(s)))
+                    for j, aj in enumerate(a_coefficients(k, kp, jmax).values))
+        assert abs(abs(got) - math.sqrt(f_factor(k, kp)) * abs(total)) <= 1e-14
 
     def test_diagonal_prefactor_is_one(self):
         from oscspec.specialfn import f_factor
