@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -114,8 +115,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def run_compute(config: RunConfig, out_path: Path) -> None:
-    """Spectrum -> residual report -> CSV (+ metadata sidecar)."""
-    spec = spectrum(config.potential, config.nmax, config.convergence_tol)
+    """Spectrum -> residual report -> CSV (+ metadata sidecar).
+
+    Warnings raised by `spectrum` are listed in the sidecar and emitted
+    again, so they still reach stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = spectrum(config.potential, config.nmax, config.convergence_tol)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     model = AsymptoticModel.from_potential(config.potential)
     pairs = [(n, float(spec.eigenvalues[n])) for n in range(spec.trusted_max + 1)]
     report = residual_report(model, pairs)
@@ -139,6 +147,7 @@ def run_compute(config: RunConfig, out_path: Path) -> None:
         "stage_seconds": spec.stage_seconds,
         "convergence_tol": config.convergence_tol,
         "version": __version__,
+        "warnings": [str(w.message) for w in caught],
     }
     sidecar = out_path.with_suffix(out_path.suffix + ".meta.json")
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",

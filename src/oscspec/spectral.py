@@ -13,7 +13,10 @@ largest size whose dense arrays fit `matelem.DENSE_BYTE_BUDGET`.
 When V commutes with parity (every c_a real, e.g. multiplication by an even
 function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which `eigensolve` diagonalizes apart: two solves of
-half the order cost about a quarter of one full solve.
+half the order cost about a quarter of one full solve.  The residuals need
+only the last b rows of the Ritz vectors; a complex block keeps its
+eigenvectors factored through its Householder tridiagonal, and only those
+rows are formed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"
 _REAL_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
 _GROWTH = 1.5
+_WY_BLOCK = 32      # reflectors per compact WY update in `_reflected_rows`
 
 
 class TruncationError(RuntimeError):
@@ -44,28 +48,100 @@ def eigensolve(table: MatrixElementTable, *,
                ritz: list | None = None) -> np.ndarray:
     """All eigenvalues of the Hermitian table, ascending.
 
-    Backed by LAPACK's Hermitian solver, one call per parity block; a
-    purely real block (common for even potentials) is routed through the
-    cheaper symmetric path.  Given a list `ritz`, the blocks are solved
-    with eigenvectors, and one (slice, eigenvalues, eigenvectors) triple
-    per block is appended to it.  The out-parameter keeps the solve with
-    eigenvectors inside this function, where perfbench's tracer observes
-    it (the `eigensolve_N` span); a private helper would hide it.
+    Backed by LAPACK, one call per parity block; a purely real block
+    (common for even potentials) is routed through the cheaper symmetric
+    path.  Given a list `ritz`, the blocks are solved with eigenvectors,
+    and one (slice, eigenvalues, rows) triple per block is appended to it:
+    `rows(start)` returns rows start.. of the block's eigenvector matrix.
+    A real block is solved by `np.linalg.eigh` and `rows` slices its
+    eigenvectors; a complex block keeps them factored (`_factored_eigh`)
+    and `rows` forms only the rows asked for.  The out-parameter keeps the
+    solve with eigenvectors inside this function, where perfbench's tracer
+    observes it (the `eigensolve_N` span); a private helper would hide it.
     """
     m = table.entries
     parts = []
     for s in parity_blocks(m):
         block = m[s, s]
-        if np.max(np.abs(block.imag)) <= _REAL_TOL * max(
-                1.0, np.max(np.abs(block.real))):
+        real = np.max(np.abs(block.imag)) <= _REAL_TOL * max(
+            1.0, np.max(np.abs(block.real)))
+        if real:
             block = block.real
         if ritz is None:
-            parts.append(np.linalg.eigvalsh(block))
-        else:
+            w = np.linalg.eigvalsh(block)
+        elif real:
             w, x = np.linalg.eigh(block)
-            ritz.append((s, w, x))
-            parts.append(w)
+            ritz.append((s, w, lambda start, x=x: x[start:]))
+        else:
+            w, rows = _factored_eigh(block)
+            ritz.append((s, w, rows))
+        parts.append(w)
     return np.sort(np.concatenate(parts))
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+
+
+def _factored_eigh(a: np.ndarray):
+    """Eigenvalues of the complex Hermitian matrix `a`, ascending, and a
+    function `rows(start)` returning rows start.. of its eigenvectors.
+
+    zhetrd reduces a = Q T Q^H with T real tridiagonal and Q = H(0) ..
+    H(N-2) kept as Householder reflectors, and dstevd gives
+    T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed whole:
+    `rows` applies the reflectors to the unit rows start.. only
+    (`_reflected_rows`) and multiplies by Z, O(N^2 (N - start)) work in
+    place of the O(N^3) back-transform of `np.linalg.eigh`.  On real
+    blocks `np.linalg.eigh` measured faster up to N of about 2.3k, so
+    `eigensolve` sends only complex blocks here.
+    """
+    from scipy.linalg import lapack   # lazily: not needed on the real path
+    n = a.shape[0]
+    lwork, info = lapack.zhetrd_lwork(n, lower=1)
+    _check_info("zhetrd_lwork", info)
+    c, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=int(lwork.real))
+    _check_info("zhetrd", info)
+    # dstevd takes an off-diagonal of length max(n - 1, 1)
+    w, z, info = lapack.dstevd(d, e if n > 1 else [0.0])
+    _check_info("dstevd", info)
+
+    def rows(start: int) -> np.ndarray:
+        q = _reflected_rows(c, tau, start)
+        x = np.empty_like(q)
+        x.real = q.real @ z
+        x.imag = q.imag @ z
+        return x
+
+    return w, rows
+
+
+def _reflected_rows(c: np.ndarray, tau: np.ndarray, start: int) -> np.ndarray:
+    """Rows start.. of Q = H(0) .. H(N-2), the reflectors as zhetrd
+    (lower) stores them: H(i) = I - tau_i v_i v_i^H with v_i zero above
+    index i+1, one at i+1 and c[i+2:, i] below.
+
+    The unit rows are multiplied by the reflectors _WY_BLOCK at a time,
+    each group in the compact WY form I - V T V^H (Schreiber and Van Loan,
+    SIAM J. Sci. Stat. Comput. 10, 1989), T upper triangular as LAPACK's
+    zlarft builds it; a reflector with tau_i = 0 gives a zero column of T.
+    """
+    n = c.shape[0]
+    q = np.zeros((n - start, n), dtype=complex)
+    q[np.arange(n - start), np.arange(start, n)] = 1.0
+    for j in range(0, n - 1, _WY_BLOCK):
+        k = min(_WY_BLOCK, n - 1 - j)
+        v = np.tril(c[j + 1:, j:j + k], -1)
+        v[np.arange(k), np.arange(k)] = 1.0
+        vh = v.conj().T
+        g = vh @ v
+        t = np.zeros((k, k), dtype=complex)
+        for i in range(k):
+            t[:i, i] = -tau[j + i] * (t[:i, :i] @ g[:i, i])
+            t[i, i] = tau[j + i]
+        q[:, j + 1:] -= (q[:, j + 1:] @ v) @ t @ vh
+    return q
 
 
 def basis_size(nmax: int) -> int:
@@ -164,11 +240,12 @@ def _certify(V: Potential, N: int, ritz: list, nmax: int) -> tuple[np.ndarray, i
     b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
     E, lo = _coupling_block(V, N, b)
     thetas, res2 = [], []
-    for s, w, x in ritz:
-        rows = np.arange(N)[s]
-        keep = rows >= lo
+    for s, w, rows in ritz:
+        index = np.arange(N)[s]
+        start = int(np.searchsorted(index, lo))   # the block's rows >= lo
         thetas.append(w)
-        res2.append(np.sum(np.abs(E[:, rows[keep] - lo] @ x[keep]) ** 2, axis=0))
+        res2.append(np.sum(np.abs(E[:, index[start:] - lo] @ rows(start)) ** 2,
+                           axis=0))
     theta = np.concatenate(thetas)
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
@@ -211,8 +288,8 @@ class Spectrum:
 def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk, the bounds for
     n <= nmax and the band; stage times are added to `seconds`.  The
-    matrix and eigenvectors of one basis size are freed on return, before
-    `spectrum` tries a larger one."""
+    matrix and the eigenvectors (or reflectors) of one basis size are freed
+    on return, before `spectrum` tries a larger one."""
     t0 = time.perf_counter()
     table = build_matrix(V, N)
     t1 = time.perf_counter()
@@ -230,9 +307,10 @@ def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
 def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
     """Eigenvalues of H+V certified through index nmax.
 
-    Solves at N = nmax + ceil(8 sqrt(nmax)) + 64 with eigenvectors and
-    bounds |lambda_n(H+V) - theta_n| for every n <= nmax (`_certify`) by
-    the quadratic residual bound for Hermitian block matrices:
+    Solves at N = nmax + ceil(8 sqrt(nmax)) + 64, forms the last rows of
+    the eigenvectors (those the coupling block reaches), and bounds
+    |lambda_n(H+V) - theta_n| for every n <= nmax (`_certify`) by the
+    quadratic residual bound for Hermitian block matrices:
     |lambda_j(A) - lambda_j(diag(M, C))| <= ||E||^2 / eta_j for
     A = [[M, E*], [E, C]], with eta_j the distance from the j-th eigenvalue
     of the diagonal part to the spectrum of the other block (R. Mathias,
@@ -254,10 +332,11 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     # Peak bytes per entry of the N x N basis in one attempt (matrix, parity
-    # blocks, eigenvectors), measured at N = 1500-6000: 26-29 for real c_a
-    # and real blocks (cos x), 36-39 for real c_a and a_xi != 0, and at
-    # N = 1500-4500, 81-91 for complex c_a (one complex block).
-    per_entry = 40 if all(c.imag == 0 for _, c in V.terms) else 96
+    # blocks, eigenvectors or reflectors), measured at N = 1500-6000: 26-29
+    # for real c_a and real blocks (cos x), 36-39 for real c_a and
+    # a_xi != 0, and at N = 1500-4500, 49 for complex c_a (one complex
+    # block: matrix, reflectors, Z and dstevd's workspace).
+    per_entry = 40 if all(c.imag == 0 for _, c in V.terms) else 56
     cap = _basis_cap(per_entry)
     # the integer test first keeps huge nmax away from math.sqrt; past the
     # cap the refusal names nmax, a lower bound on the start size

@@ -1,0 +1,45 @@
+"""Test oracle: the certificate of `spectrum` from full eigenvectors.
+
+`spectral.eigensolve` forms only the rows of a complex block's Ritz vectors
+that the residuals E X read, from the block's Householder reflectors.  This
+oracle is the certificate as it stood before: every parity block solved by
+`np.linalg.eigh` with all N x N eigenvectors, and E X taken from the rows
+of those at or past lo.  Band, coupling block and rounding term come from
+`spectral`; the residuals and the quadratic bound are computed here.
+"""
+
+import math
+
+import numpy as np
+
+from oscspec import spectral
+from oscspec.matelem import build_matrix, parity_blocks
+
+
+def full_eigenvector_bounds(V, N, nmax):
+    """The bounds for n <= nmax and the band at basis size N."""
+    m = build_matrix(V, N).entries
+    sigma = V.coefficient_sum()
+    rounding = spectral._rounding(V, N)
+    b, dropped = spectral._coupling_band(V, N, rounding / math.sqrt(N))
+    E, lo = spectral._coupling_block(V, N, b)
+    thetas, res2 = [], []
+    for s in parity_blocks(m):
+        w, x = np.linalg.eigh(m[s, s])
+        rows = np.arange(N)[s]
+        keep = rows >= lo
+        thetas.append(w)
+        res2.append(np.sum(np.abs(E[:, rows[keep] - lo] @ x[keep]) ** 2, axis=0))
+    theta = np.concatenate(thetas)
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    cum = np.cumsum(np.concatenate(res2)[order])
+    n = np.arange(nmax + 1)
+    past = np.searchsorted(theta, theta[n] + sigma, side="right")
+    nearest = np.minimum(np.append(theta, np.inf)[past],
+                         V.alpha * (2 * N + 1) + V.c0.real - sigma)
+    eta = nearest - sigma - theta[n]
+    quadratic = np.full(nmax + 1, np.inf)
+    ok = eta > 0
+    quadratic[ok] = cum[past[ok] - 1] / eta[ok]
+    return quadratic + dropped + rounding, b

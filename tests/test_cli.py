@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,20 @@ class TestCompute:
         assert 0.0 < meta["max_certified_bound"] <= GOOD_CONFIG["tol"]
         assert set(meta["stage_seconds"]) == {"assembly", "solve", "certificate"}
         assert all(t >= 0.0 for t in meta["stage_seconds"].values())
+        assert meta["warnings"] == []
+
+    def test_warnings_in_sidecar(self, tmp_path):
+        # 5 cos x, the potential of test_large_coefficient_warns: the
+        # labelling warning is listed in the sidecar and still raised
+        doc = {**GOOD_CONFIG, "nmax": 5, "tol": 1e-8,
+               "terms": [[1.0, 0.0, 2.5, 0.0], [-1.0, 0.0, 2.5, 0.0]]}
+        out = tmp_path / "run.csv"
+        message = r"at n = \[0, 1\]: .*labelling"
+        with pytest.warns(UserWarning, match=message):
+            run_compute(parse_config(json.dumps(doc)), out)
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert len(meta["warnings"]) == 1
+        assert re.search(message, meta["warnings"][0])
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = parse_config(json.dumps(GOOD_CONFIG))
@@ -267,8 +282,8 @@ class TestMain:
 
     def test_compute_refuses_oversized_basis(self, tmp_path, capsys,
                                              monkeypatch):
-        # complex c_a plan 96 bytes per entry: the 4 GiB budget admits
-        # nmax <= 6004, so 6005 is refused before any matrix is built
+        # complex c_a plan 56 bytes per entry: the 4 GiB budget admits
+        # nmax <= 7978, so 7979 is refused before any matrix is built
         built = []
         monkeypatch.setattr(spectral, "build_matrix",
                             lambda V, N: built.append(N))
@@ -277,9 +292,9 @@ class TestMain:
                                            "terms": complex_terms})
         out = tmp_path / "run.csv"
         assert main(["compute", "--config", str(cfg_path), "--out", str(out),
-                     "--nmax", "6005"]) == 2
+                     "--nmax", "7979"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: basis size 6689 plans")
+        assert err.startswith("error: basis size 8758 plans")
         assert "budget" in err
         assert built == []
         assert not out.exists()

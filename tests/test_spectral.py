@@ -1,11 +1,16 @@
 """Tests for diagonalization and the certified eigenvalue window."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from certificate_oracle import full_eigenvector_bounds
 from doubling_oracle import doubling_eigenvalues
 from oscspec.matelem import MatrixElementTable, build_matrix, parity_blocks
 from oscspec.model import PhasePoint, Potential
@@ -25,6 +30,20 @@ COMPLEX_FOUR_PAIRS = Potential(alpha=1.0, c0=0.25, terms=(
     (PhasePoint(0.6, 0.8), 0.1 - 0.15j), (PhasePoint(-0.6, -0.8), 0.1 + 0.15j),
     (PhasePoint(1.5, -1.2), 0.05j), (PhasePoint(-1.5, 1.2), -0.05j),
 ))
+
+
+def quasi_potential(seed):
+    """The potential of perfbench's `compute_quasi` workload, seeds 0..15:
+    four pairs, two with a_xi != 0, and seeded coefficient phases."""
+    pairs = (((1.0, 0.0), 0.5), ((2**0.5, 0.0), 0.15), ((0.6, 0.8), 0.2),
+             ((1.5, -1.2), 0.1))
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=4)
+    terms = []
+    for ((ax, axi), amp), phi in zip(pairs, phases):
+        c = complex(amp * math.cos(phi), amp * math.sin(phi))
+        terms += [(PhasePoint(ax, axi), c),
+                  (PhasePoint(-ax, -axi), c.conjugate())]
+    return Potential(alpha=1.0, terms=tuple(terms), c0=0.25)
 
 
 def table_from(entries):
@@ -89,7 +108,8 @@ class TestEigensolve:
         np.testing.assert_allclose(ev, oracle, atol=5e-9)
 
     def test_ritz_pairs(self):
-        # one (slice, eigenvalues, eigenvectors) triple per parity block
+        # one (slice, eigenvalues, rows) triple per parity block: two real
+        # blocks for cos x, one complex (factored) block for four pairs
         for V in (Potential.cosine(alpha=1.0), COMPLEX_FOUR_PAIRS):
             m = build_matrix(V, 60).entries
             ritz = []
@@ -97,10 +117,13 @@ class TestEigensolve:
             assert [s for s, _, _ in ritz] == list(parity_blocks(m))
             np.testing.assert_array_equal(
                 ev, np.sort(np.concatenate([w for _, w, _ in ritz])))
-            for s, w, x in ritz:
+            for s, w, rows in ritz:
+                x = rows(0)
                 np.testing.assert_allclose(m[s, s] @ x, x * w, atol=1e-12)
                 np.testing.assert_allclose(x.conj().T @ x, np.eye(len(w)),
                                            atol=1e-12)
+                np.testing.assert_array_equal(rows(len(w) // 3),
+                                              x[len(w) // 3:])
 
     def test_realness_routing_consistent(self):
         # a tiny imaginary dusting below tolerance must not change results
@@ -110,6 +133,71 @@ class TestEigensolve:
         dusted = m + 1e-16j * np.eye(8)
         np.testing.assert_allclose(eigensolve(table_from(m)),
                                    eigensolve(table_from(dusted)), atol=1e-12)
+
+
+def tridiagonal_with_real_steps(n):
+    """Complex Hermitian tridiagonal matrix whose even subdiagonal entries
+    are real: zhetrd's reflector is the identity (tau = 0) there."""
+    sub = np.array([0.5 + 0.3j if i % 2 else 0.7 - 0.1 * i
+                    for i in range(n - 1)])
+    return (np.diag(np.arange(n, dtype=float) ** 1.5).astype(complex)
+            + np.diag(sub, -1) + np.diag(sub.conj(), 1))
+
+
+class TestFactoredEigh:
+    """The complex route: zhetrd, dstevd and the Ritz-vector rows formed
+    from the Householder reflectors, against `np.linalg.eigh`."""
+
+    @pytest.mark.parametrize("a", [
+        build_matrix(COMPLEX_FOUR_PAIRS, 60).entries,
+        build_matrix(quasi_potential(3), 300).entries,
+        np.array([[2.5 + 0j]]),
+        np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -1.0]]),
+        tridiagonal_with_real_steps(40),
+    ], ids=["four pairs N=60", "quasi N=300", "1x1", "2x2", "tau=0"])
+    def test_rows_match_full_solve(self, a):
+        w, rows = spectral._factored_eigh(a)
+        w_full, x_full = np.linalg.eigh(a)
+        scale = max(1.0, np.max(np.abs(w_full)))
+        np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12 * scale)
+        x = rows(0)
+        # eigenvectors are unique up to one unit phase per column
+        overlap = np.sum(x_full.conj() * x, axis=0)
+        np.testing.assert_allclose(np.abs(overlap), 1.0, atol=1e-12)
+        x_full = x_full * (overlap / np.abs(overlap))
+        n = len(w)
+        for start in sorted({0, n // 2, n - 1}):
+            np.testing.assert_allclose(rows(start), x_full[start:],
+                                       rtol=0, atol=1e-12)
+
+    def test_tau_zero_case_is_exercised(self):
+        from scipy.linalg import lapack
+        tau = lapack.zhetrd(tridiagonal_with_real_steps(40), lower=1)[3]
+        assert np.any(tau == 0) and np.any(tau != 0)
+
+    @pytest.mark.parametrize("routine", ["zhetrd_lwork", "zhetrd", "dstevd"])
+    def test_lapack_failure_raises(self, routine, monkeypatch):
+        from scipy.linalg import lapack
+        call = getattr(lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*call(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(lapack, routine, failing)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"LAPACK {routine} failed \(info=1\)"):
+            eigensolve(build_matrix(COMPLEX_FOUR_PAIRS, 20), ritz=[])
+
+    def test_real_path_does_not_import_scipy_linalg(self):
+        # scipy.linalg is imported only for complex blocks
+        code = ("import sys, oscspec.cli\n"
+                "from oscspec.model import Potential\n"
+                "from oscspec.spectral import spectrum\n"
+                "spectrum(Potential.cosine(alpha=1.0), nmax=20)\n"
+                "assert 'scipy.linalg' not in sys.modules\n")
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestParityBlocks:
@@ -208,8 +296,8 @@ class TestSpectrum:
 
     def test_basis_limit_checked_before_assembly(self, monkeypatch):
         # at 40 bytes per entry (real c_a) the 4 GiB budget admits
-        # N <= 10362 = 9517 + 781 + 64; at 96 (complex c_a) N <= 6688 =
-        # 6004 + 620 + 64.  Past it nothing may be built
+        # N <= 10362 = 9517 + 781 + 64; at 56 (complex c_a) N <= 8757 =
+        # 7978 + 715 + 64.  Past it nothing may be built
         class Built(Exception):
             pass
 
@@ -218,7 +306,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(spectral, "build_matrix", refuse)
         for V, fits, N in ((Potential.cosine(alpha=1.0), 9517, "10362"),
-                           (COMPLEX_FOUR_PAIRS, 6004, "6688")):
+                           (COMPLEX_FOUR_PAIRS, 7978, "8757")):
             for nmax in (fits + 1, 10**400):
                 with pytest.raises(ValueError, match="budget"):
                     spectrum(V, nmax=nmax)
@@ -307,6 +395,29 @@ class TestSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             spectrum(V, nmax=200)
+
+    @pytest.mark.parametrize("V, nmax", [
+        (COMPLEX_FOUR_PAIRS, 100), (quasi_potential(3), 200),
+    ], ids=["complex four pairs", "quasi seed 3"])
+    def test_certificate_matches_full_eigenvectors(self, V, nmax):
+        # the bounds from the factored rows of X match those from the full
+        # eigenvectors of np.linalg.eigh, and so do the eigenvalues
+        spec = spectrum(V, nmax=nmax)
+        bounds, band = full_eigenvector_bounds(V, spec.basis_size, nmax)
+        assert band == spec.coupling_band
+        np.testing.assert_allclose(spec.bounds, bounds, rtol=1e-12, atol=0)
+        full = np.linalg.eigvalsh(build_matrix(V, spec.basis_size).entries)
+        np.testing.assert_allclose(spec.eigenvalues, full, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(full)))
+        # there the rounding term dominates the bound; at N = nmax + 24 the
+        # residuals E X do.  Rows agree to about 1e-15, and the bound squares
+        # residuals down to about 1e-6 where they still count, so 1e-9
+        N = nmax + 24
+        seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
+        bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
+        oracle = full_eigenvector_bounds(V, N, nmax)[0]
+        assert np.max(oracle[np.isfinite(oracle)]) > 1e6 * spectral._rounding(V, N)
+        np.testing.assert_allclose(bounds, oracle, rtol=1e-9, atol=0)
 
     def test_matches_direct_solve(self):
         V = Potential.cosine(alpha=0.5, amplitude=0.3, frequency=1.2)
