@@ -282,6 +282,9 @@ def main(argv=None) -> int:
             return 0 if run_verify(config, args.suite, args.seed) else 1
         if args.command == "matelem":
             p = PhasePoint(args.ax, args.axi)
+            # the checks a config's alpha and terms get
+            validate(Potential(alpha=args.alpha, terms=() if p.is_zero()
+                               else ((p, 1.0), (-p, 1.0))))
             k, kp = args.k, args.kprime
             closed = u_element(p, args.alpha, k, kp)
             oracle = u_element_oracle(p, args.alpha, k, kp)

@@ -89,8 +89,8 @@ def _magnitudes(r: float, m, kmax: int):
 
 def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
     """Closed-form matrix element <U_a phi_k, phi_k'>."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if k < 0 or k_prime < 0:
         raise ValueError("indices must be nonnegative")
     if k > k_prime:
@@ -110,7 +110,9 @@ def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
     return cmath.exp(1j * m * theta) * mag
 
 
-@lru_cache(maxsize=64)
+# u_element_oracle asks for n_nodes = 4(k + k') + 200, k, k' <=
+# ORACLE_INDEX_MAX: 2 ORACLE_INDEX_MAX + 1 sizes, all kept (at most 13.5 MB)
+@lru_cache(maxsize=2 * ORACLE_INDEX_MAX + 1)
 def _gh_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes with weight-free ('total') weights.
 
@@ -156,8 +158,8 @@ def _hermite_factor(n: int, u: np.ndarray, shift: float) -> np.ndarray:
 
 def u_element_oracle(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
     """<U_a phi_k, phi_k'> by direct Gauss-Hermite quadrature of the integral."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if k > ORACLE_INDEX_MAX or k_prime > ORACLE_INDEX_MAX:
         raise ValueError(f"oracle quadrature capped at index {ORACLE_INDEX_MAX}")
     n_nodes = 4 * (k + k_prime) + 200
@@ -190,7 +192,7 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     m = k_prime - k
     s = k_prime + k + 1
     j = np.arange(jmax + 1)
-    coeffs = np.array(a_coefficients(k, k_prime, jmax).values)
+    coeffs = np.array(a_coefficients(k, k_prime, jmax))
     terms = bessel_j_grid(m + j, 2.0 * r * math.sqrt(s))
     total = float(coeffs * (r / math.sqrt(s)) ** j @ terms)
     sqrt_f = math.sqrt(f_factor(k, k_prime))

@@ -18,18 +18,17 @@ Weideman, SIAM Review 56, 2014).  M is sized by DLMF 10.14.4,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AjSequence",
     "bessel_j_grid",
     "f_factor",
     "a_coefficients",
 ]
 
-# Largest Bessel order supported by the quadrature path.
+# Largest Bessel order, and largest argument, supported by the quadrature
+# path: the rule has more than max(x) points, so the cap bounds it too.
 BESSEL_ORDER_MAX = 10**6
 # log of 2^-60, the bound on each aliased |J_nu(x)|; together <= 4 * 2^-60
 _ALIAS_LOG_BOUND = -60.0 * math.log(2.0)
@@ -62,7 +61,8 @@ def bessel_j_grid(n, xs) -> np.ndarray:
     M - max(n) >= `_alias_order(max(x))`, so every aliased order
     |n + lM|, l != 0, is at least that order and, summed over l, the
     aliases stay below 4 * 2^-60 at every point; only rounding is left.
-    J_n(0) is exact.
+    J_n(0) is exact.  Orders and arguments past BESSEL_ORDER_MAX are
+    refused before the rule is sized.
     """
     orders = np.asarray(n)
     if np.any(orders < 0):
@@ -75,6 +75,9 @@ def bessel_j_grid(n, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0) & (xs < math.inf)):
         raise ValueError("arguments must be finite and nonnegative")
+    if np.any(xs > BESSEL_ORDER_MAX):
+        raise ValueError(f"argument {float(np.max(xs))!r} beyond supported "
+                         f"range {BESSEL_ORDER_MAX}")
     M = (int(np.max(orders, initial=0))
          + _alias_order(float(np.max(xs, initial=0.0))))
     M += M % 2
@@ -112,21 +115,11 @@ def f_factor(k: int, k_prime: int) -> float:
     return math.exp(log_f)
 
 
-@dataclass(frozen=True)
-class AjSequence:
-    """Coefficients A_0..A_jmax of the Bessel-series expansion.
-
-    A_0 = 1, A_1 = 0, A_2 = (k'-k+1)/2 and, for j >= 2,
-    (j+1) A_{j+1} = (j + k'-k) A_{j-1} - (k'+k+1) A_{j-2}.
+def a_coefficients(k: int, k_prime: int, jmax: int) -> tuple[float, ...]:
+    """Coefficients A_0..A_jmax of the Bessel-series expansion for the pair
+    (k, k'), by the exact recurrence A_0 = 1, A_1 = 0, A_2 = (k'-k+1)/2
+    and, for j >= 2, (j+1) A_{j+1} = (j + k'-k) A_{j-1} - (k'+k+1) A_{j-2}.
     """
-
-    k: int
-    k_prime: int
-    values: tuple[float, ...]
-
-
-def a_coefficients(k: int, k_prime: int, jmax: int) -> AjSequence:
-    """Compute A_0..A_jmax for the pair (k, k') by the exact recurrence."""
     if k < 0 or jmax < 0:
         raise ValueError("k and jmax must be nonnegative")
     if k > k_prime:
@@ -136,4 +129,4 @@ def a_coefficients(k: int, k_prime: int, jmax: int) -> AjSequence:
     a = [1.0, 0.0, 0.5 * (m + 1)]
     for j in range(2, jmax):
         a.append(((j + m) * a[j - 1] - s * a[j - 2]) / (j + 1))
-    return AjSequence(k=k, k_prime=k_prime, values=tuple(a[: jmax + 1]))
+    return tuple(a[: jmax + 1])

@@ -15,8 +15,8 @@ function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which `eigensolve` diagonalizes apart: two solves of
 half the order cost about a quarter of one full solve.  The residuals need
 only the last b rows of the Ritz vectors; a complex block keeps its
-eigenvectors factored through its Householder tridiagonal, and only those
-rows are formed.
+eigenvectors factored through its Householder tridiagonal, and LAPACK
+zunmqr forms only those rows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"
 _REAL_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
 _GROWTH = 1.5
-_WY_BLOCK = 32      # reflectors per compact WY update in `_reflected_rows`
 
 
 class TruncationError(RuntimeError):
@@ -55,9 +54,10 @@ def eigensolve(table: MatrixElementTable, *,
     `rows(start)` returns rows start.. of the block's eigenvector matrix.
     A real block is solved by `np.linalg.eigh` and `rows` slices its
     eigenvectors; a complex block keeps them factored (`_factored_eigh`)
-    and `rows` forms only the rows asked for.  The out-parameter keeps the
-    solve with eigenvectors inside this function, where perfbench's tracer
-    observes it (the `eigensolve_N` span); a private helper would hide it.
+    and `rows` has zunmqr form only the rows asked for.  The out-parameter
+    keeps the solve with eigenvectors inside this function, where
+    perfbench's tracer observes it (the `eigensolve_N` span); a private
+    helper would hide it.
     """
     m = table.entries
     parts = []
@@ -91,11 +91,11 @@ def _factored_eigh(a: np.ndarray):
     zhetrd reduces a = Q T Q^H with T real tridiagonal and Q = H(0) ..
     H(N-2) kept as Householder reflectors, and dstevd gives
     T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed whole:
-    `rows` applies the reflectors to the unit rows start.. only
-    (`_reflected_rows`) and multiplies by Z, O(N^2 (N - start)) work in
-    place of the O(N^3) back-transform of `np.linalg.eigh`.  On real
-    blocks `np.linalg.eigh` measured faster up to N of about 2.3k, so
-    `eigensolve` sends only complex blocks here.
+    `rows` has zunmqr apply the reflectors to the unit rows start.. only
+    and multiplies by Z, O(N^2 (N - start)) work in place of the O(N^3)
+    back-transform of `np.linalg.eigh`.  The same route for real blocks
+    (dsytrd, dstevd, dormqr) solved no faster than `np.linalg.eigh` and
+    certified slower, so `eigensolve` sends only complex blocks here.
     """
     from scipy.linalg import lapack   # lazily: not needed on the real path
     n = a.shape[0]
@@ -106,42 +106,29 @@ def _factored_eigh(a: np.ndarray):
     # dstevd takes an off-diagonal of length max(n - 1, 1)
     w, z, info = lapack.dstevd(d, e if n > 1 else [0.0])
     _check_info("dstevd", info)
+    # Q = diag(1, Q'), and Q' is in QR storage at c[1:, :n-1]: reflector i
+    # is one at row i+1 and c[i+2:, i] below.  Moved up one row in place,
+    # Q' sits in the Fortran-contiguous c[:, :n-1], which reaches zunmqr
+    # uncopied (the slice c[1:, :n-1] would be copied whole).
+    for i in range(n - 2):
+        c[i + 1:n - 1, i] = c[i + 2:, i]
 
     def rows(start: int) -> np.ndarray:
-        q = _reflected_rows(c, tau, start)
+        q = np.zeros((n - start, n), dtype=complex, order="F")
+        q[np.arange(n - start), np.arange(start, n)] = 1.0
+        if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
+            _, work, info = lapack.zunmqr("R", "N", c[:, :-1], tau,
+                                          q[:, 1:], -1)
+            _check_info("zunmqr", info)
+            _, _, info = lapack.zunmqr("R", "N", c[:, :-1], tau, q[:, 1:],
+                                       int(work[0].real), overwrite_c=1)
+            _check_info("zunmqr", info)
         x = np.empty_like(q)
         x.real = q.real @ z
         x.imag = q.imag @ z
         return x
 
     return w, rows
-
-
-def _reflected_rows(c: np.ndarray, tau: np.ndarray, start: int) -> np.ndarray:
-    """Rows start.. of Q = H(0) .. H(N-2), the reflectors as zhetrd
-    (lower) stores them: H(i) = I - tau_i v_i v_i^H with v_i zero above
-    index i+1, one at i+1 and c[i+2:, i] below.
-
-    The unit rows are multiplied by the reflectors _WY_BLOCK at a time,
-    each group in the compact WY form I - V T V^H (Schreiber and Van Loan,
-    SIAM J. Sci. Stat. Comput. 10, 1989), T upper triangular as LAPACK's
-    zlarft builds it; a reflector with tau_i = 0 gives a zero column of T.
-    """
-    n = c.shape[0]
-    q = np.zeros((n - start, n), dtype=complex)
-    q[np.arange(n - start), np.arange(start, n)] = 1.0
-    for j in range(0, n - 1, _WY_BLOCK):
-        k = min(_WY_BLOCK, n - 1 - j)
-        v = np.tril(c[j + 1:, j:j + k], -1)
-        v[np.arange(k), np.arange(k)] = 1.0
-        vh = v.conj().T
-        g = vh @ v
-        t = np.zeros((k, k), dtype=complex)
-        for i in range(k):
-            t[:i, i] = -tau[j + i] * (t[:i, :i] @ g[:i, i])
-            t[i, i] = tau[j + i]
-        q[:, j + 1:] -= (q[:, j + 1:] @ v) @ t @ vh
-    return q
 
 
 def basis_size(nmax: int) -> int:

@@ -180,9 +180,8 @@ def test_special_function_bounds():
         # the growth bound needs k' >= 2 and k' - k <= k'^(2/3)
         kp = int(rng.integers(2, 501))
         k = kp - int(rng.integers(0, int(kp ** (2.0 / 3.0)) + 1))
-        seq = a_coefficients(k, kp, 60)
         s = k + kp + 1
-        for j, val in enumerate(seq.values):
+        for j, val in enumerate(a_coefficients(k, kp, 60)):
             if abs(val) > s ** (j / 3.0) * (1 + 1e-12):
                 a_ok = False
 

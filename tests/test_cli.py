@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscspec import resolvent, spectral
-from oscspec.cli import main, parse_config, run_compute
+from oscspec import matelem, resolvent, spectral
+from oscspec.cli import main, parse_config, run_compute, run_verify
 from oscspec.model import ValidationError
 
 GOOD_CONFIG = {
@@ -267,6 +271,38 @@ class TestMain:
                      "--k", "7", "--kprime", "3"]) == 0
         assert "bessel series" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "nan"], "alpha must be a positive finite real"),
+        (["--alpha", "inf"], "alpha must be a positive finite real"),
+        (["--alpha", "-1"], "alpha must be a positive finite real"),
+        # |||a||| = 1e150, whose cube overflows
+        (["--alpha", "1e-300"], "outside the float range at alpha = 1e-300"),
+        (["--ax", "1e300"], "outside the float range at alpha = 1.0"),
+    ], ids=["alpha nan", "alpha inf", "alpha -1", "alpha 1e-300", "ax 1e300"])
+    def test_matelem_bad_input_exit_two(self, capsys, flags, message):
+        # k > k' skips the series route, so nothing here can hang
+        assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "1",
+                     "--kprime", "0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+
+    def test_matelem_huge_bessel_argument_exit_two(self):
+        # the series argument 2 rho sqrt(k'+k+1) is 1.4e17, past 2^53: the
+        # Bessel kernel refuses it instead of sizing a rule for it, and the
+        # timeout turns a regression into a failure rather than a hang
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from oscspec.cli import main; sys.exit(main())",
+             "matelem", "--ax", "1e17", "--axi", "0", "--k", "0",
+             "--kprime", "1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2
+        assert "beyond supported range" in run.stderr
+
     def test_verify_window_suite(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["verify", "--config", str(cfg_path),
@@ -279,6 +315,16 @@ class TestMain:
         assert main(["verify", "--config", str(cfg_path),
                      "--suite", "resolvent"]) == 0
         assert "PASS resolvent" in capsys.readouterr().out
+
+    def test_matelem_suite_rerun_builds_no_quadrature_rule(self, capsys):
+        # the suite asks the oracle for 101 Gauss-Hermite sizes, and the
+        # cache keeps every size the oracle can ask for
+        matelem._gh_rule.cache_clear()
+        config = parse_config(json.dumps(GOOD_CONFIG))
+        assert run_verify(config, "matelem", seed=3)
+        misses = matelem._gh_rule.cache_info().misses
+        assert run_verify(config, "matelem", seed=3)
+        assert matelem._gh_rule.cache_info().misses == misses
 
     def test_compute_refuses_oversized_basis(self, tmp_path, capsys,
                                              monkeypatch):

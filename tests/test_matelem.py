@@ -43,6 +43,12 @@ def random_phase_point(rng, norm_cap, alpha):
 
 
 class TestUElement:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        for route in (u_element, u_element_oracle):
+            with pytest.raises(ValueError, match="positive and finite"):
+                route(PhasePoint(1.0, 0.0), alpha, 0, 1)
+
     def test_identity_at_zero(self):
         a = PhasePoint(0, 0)
         assert u_element(a, 1.0, 4, 4) == 1.0
@@ -157,7 +163,7 @@ class TestBesselRoute:
         s = k + kp + 1
         total = sum(aj * (rho / math.sqrt(s)) ** j
                     * float(bessel_j_grid(kp - k + j, 2.0 * rho * math.sqrt(s)))
-                    for j, aj in enumerate(a_coefficients(k, kp, jmax).values))
+                    for j, aj in enumerate(a_coefficients(k, kp, jmax)))
         assert abs(abs(got) - math.sqrt(f_factor(k, kp)) * abs(total)) <= 1e-14
 
     def test_diagonal_prefactor_is_one(self):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from laguerre_oracle import laguerre
-from oscspec.specialfn import (BESSEL_ORDER_MAX, AjSequence, _alias_order,
-                               a_coefficients, bessel_j_grid, f_factor)
+from oscspec.specialfn import (BESSEL_ORDER_MAX, _alias_order, a_coefficients,
+                               bessel_j_grid, f_factor)
 
 
 def laguerre_exact(k: int, m: int, x: Fraction) -> Fraction:
@@ -205,6 +205,15 @@ class TestBessel:
             with pytest.raises(ValueError):
                 bessel_j_grid(0, np.array([1.0, x]))
 
+    def test_rejects_arguments_past_the_cap(self):
+        # the rule has more than max(x) points: the cap is checked before
+        # sizing it (tests/test_cli.py runs an argument past 2^53, where the
+        # sizing loop would never end, under a timeout)
+        past = float(np.nextafter(BESSEL_ORDER_MAX, math.inf))
+        for xs in (past, np.array([1.0, past])):
+            with pytest.raises(ValueError, match="argument .* beyond"):
+                bessel_j_grid(np.arange(3), xs)
+
 
 class TestFFactor:
     def test_known_values(self):
@@ -228,23 +237,22 @@ class TestFFactor:
 class TestAjCoefficients:
     def test_leading_values(self):
         for k, kp in ((0, 0), (3, 9), (5, 5)):
-            seq = a_coefficients(k, kp, 2)
-            assert seq.values[0] == 1.0
-            assert seq.values[1] == 0.0
-            assert seq.values[2] == pytest.approx(0.5 * (kp - k + 1))
+            a = a_coefficients(k, kp, 2)
+            assert a[0] == 1.0
+            assert a[1] == 0.0
+            assert a[2] == pytest.approx(0.5 * (kp - k + 1))
 
     def test_a3_for_equal_indices(self):
         # j=2: 3 A_3 = (2 + 0) A_1 - 11 A_0 = -11
-        seq = a_coefficients(5, 5, 3)
-        assert seq.values[3] == pytest.approx(-11.0 / 3.0, rel=1e-15)
+        assert a_coefficients(5, 5, 3)[3] == pytest.approx(-11.0 / 3.0,
+                                                           rel=1e-15)
 
     @given(k=st.integers(0, 60), dm=st.integers(0, 40), jmax=st.integers(3, 40))
     @settings(max_examples=60, deadline=None)
     def test_recurrence_invariant(self, k, dm, jmax):
         kp = k + dm
-        seq = a_coefficients(k, kp, jmax)
-        assert isinstance(seq, AjSequence)
-        a = seq.values
+        a = a_coefficients(k, kp, jmax)
+        assert isinstance(a, tuple) and len(a) == jmax + 1
         for j in range(2, jmax):
             lhs = (j + 1) * a[j + 1]
             rhs = (j + kp - k) * a[j - 1] - (kp + k + 1) * a[j - 2]
@@ -259,7 +267,6 @@ class TestAjCoefficients:
             k = kp - dm
             if k < 0:
                 continue
-            seq = a_coefficients(k, kp, 60)
             s = kp + k + 1
-            for j, aj in enumerate(seq.values):
+            for j, aj in enumerate(a_coefficients(k, kp, 60)):
                 assert abs(aj) <= s ** (j / 3.0) * (1 + 1e-12)

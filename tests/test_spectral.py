@@ -175,7 +175,8 @@ class TestFactoredEigh:
         tau = lapack.zhetrd(tridiagonal_with_real_steps(40), lower=1)[3]
         assert np.any(tau == 0) and np.any(tau != 0)
 
-    @pytest.mark.parametrize("routine", ["zhetrd_lwork", "zhetrd", "dstevd"])
+    @pytest.mark.parametrize("routine", ["zhetrd_lwork", "zhetrd", "dstevd",
+                                         "zunmqr"])
     def test_lapack_failure_raises(self, routine, monkeypatch):
         from scipy.linalg import lapack
         call = getattr(lapack, routine)
@@ -184,9 +185,12 @@ class TestFactoredEigh:
             return (*call(*args, **kwargs)[:-1], 1)
 
         monkeypatch.setattr(lapack, routine, failing)
+        ritz = []
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"LAPACK {routine} failed \(info=1\)"):
-            eigensolve(build_matrix(COMPLEX_FOUR_PAIRS, 20), ritz=[])
+            eigensolve(build_matrix(COMPLEX_FOUR_PAIRS, 20), ritz=ritz)
+            for _, _, rows in ritz:   # zunmqr runs when rows are asked for
+                rows(0)
 
     def test_real_path_does_not_import_scipy_linalg(self):
         # scipy.linalg is imported only for complex blocks
