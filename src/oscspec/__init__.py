@@ -12,7 +12,7 @@ from .model import PhasePoint, Potential, ValidationError, metric_norm, rho, val
 from .matelem import (MatrixElementTable, build_matrix, u_element,
                       u_element_bessel, u_element_oracle, v_element, v_matrix)
 from .asymptotics import (AsymptoticModel, ResidualReport, first_order_diagonal,
-                          predict, residual_report, w_value)
+                          residual_report, w_value)
 from .spectral import Spectrum, TruncationError, eigensolve, spectrum
 from .resolvent import (Contour, NeumannDivergence, WindowPartition,
                         resolvent_sums, rvr_norms, trace_eigenvalue,
@@ -24,7 +24,7 @@ __all__ = [
     "validate",
     "MatrixElementTable", "build_matrix", "u_element", "u_element_bessel",
     "u_element_oracle", "v_element", "v_matrix",
-    "AsymptoticModel", "ResidualReport", "first_order_diagonal", "predict",
+    "AsymptoticModel", "ResidualReport", "first_order_diagonal",
     "residual_report", "w_value",
     "Spectrum", "TruncationError", "eigensolve", "spectrum",
     "Contour", "NeumannDivergence", "WindowPartition", "resolvent_sums",

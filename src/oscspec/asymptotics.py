@@ -19,7 +19,6 @@ __all__ = [
     "ResidualRow",
     "ResidualReport",
     "w_value",
-    "predict",
     "first_order_diagonal",
     "residual_report",
 ]
@@ -60,14 +59,6 @@ def w_value(model: AsymptoticModel, lam: float) -> float:
     return _W_PREFACTOR * total
 
 
-def predict(model: AsymptoticModel, n: int) -> float:
-    """First-order eigenvalue prediction alpha(2n+1) + c0 + W(sqrt n) n^(-1/4)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return (model.alpha * (2 * n + 1) + model.c0
-            + w_value(model, math.sqrt(n)) * n**-0.25)
-
-
 def first_order_diagonal(V: Potential, n: int) -> float:
     """The diagonal element <V phi_n, phi_n>, asserted real."""
     if n < 0:
@@ -94,13 +85,16 @@ class ResidualRow:
 class ResidualReport:
     rows: tuple[ResidualRow, ...]
 
-    def max_scaled(self, n_lo: int, n_hi: int) -> float:
-        return max(abs(r.scaled_residual) for r in self.rows
-                   if r.scaled_residual is not None and n_lo <= r.n <= n_hi)
+    # max |column| over n_lo <= n <= n_hi, None if no n >= 3 is in range
+    def max_scaled(self, n_lo: int, n_hi: int) -> Optional[float]:
+        return max((abs(r.scaled_residual) for r in self.rows
+                    if r.scaled_residual is not None and n_lo <= r.n <= n_hi),
+                   default=None)
 
-    def max_alt_scaled(self, n_lo: int, n_hi: int) -> float:
-        return max(abs(r.alt_scaled) for r in self.rows
-                   if r.alt_scaled is not None and n_lo <= r.n <= n_hi)
+    def max_alt_scaled(self, n_lo: int, n_hi: int) -> Optional[float]:
+        return max((abs(r.alt_scaled) for r in self.rows
+                    if r.alt_scaled is not None and n_lo <= r.n <= n_hi),
+                   default=None)
 
 
 def residual_report(model: AsymptoticModel,

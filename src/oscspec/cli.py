@@ -138,12 +138,19 @@ def run_compute(config: RunConfig, out_path: Path) -> None:
         ]))
     out_path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
 
+    # disjoint ranges: a growing scaled remainder shows as a larger upper one
+    nmax = spec.trusted_max
+    maxima = [{"n_lo": lo, "n_hi": hi,
+               "scaled_residual": report.max_scaled(lo, hi),
+               "alt_scaled": report.max_alt_scaled(lo, hi)}
+              for lo, hi in ((nmax // 10, nmax // 2 - 1), (nmax // 2, nmax))]
     meta = {
         "config": config.raw,
         "basis_size": spec.basis_size,
         "coupling_band": spec.coupling_band,
         "trusted_max": spec.trusted_max,
         "max_certified_bound": spec.max_certified_bound,
+        "residual_maxima": maxima,
         "stage_seconds": spec.stage_seconds,
         "convergence_tol": config.convergence_tol,
         "version": __version__,
@@ -286,12 +293,14 @@ def main(argv=None) -> int:
             validate(Potential(alpha=args.alpha, terms=() if p.is_zero()
                                else ((p, 1.0), (-p, 1.0))))
             k, kp = args.k, args.kprime
+            # every route before any output, so a refusal prints only the error
             closed = u_element(p, args.alpha, k, kp)
+            series = (u_element_bessel(p, args.alpha, k, kp, args.jmax)
+                      if k <= kp else None)
             oracle = u_element_oracle(p, args.alpha, k, kp)
             print(f"closed form : {closed!r}")
             print(f"quadrature  : {oracle!r}")
-            if k <= kp:
-                series = u_element_bessel(p, args.alpha, k, kp, args.jmax)
+            if series is not None:
                 print(f"bessel series: {series!r}")
             print(f"|closed - quadrature| = {abs(closed - oracle):.3e}")
             return 0

@@ -10,13 +10,12 @@ constants gamma (minimal lattice norm) and kappa (index-window factor).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PhasePoint",
     "Potential",
     "ValidationError",
-    "ValidationReport",
     "metric_norm",
     "rho",
     "validate",
@@ -62,16 +61,6 @@ class ValidationError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(problems))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Derived constants of a structurally valid potential."""
-
-    gamma: float            # min |||a||| over nonzero terms (inf if none)
-    kappa: float            # min{1/3, gamma/(2 sqrt 3)}
-    norms: dict             # p -> sum |||a|||^p |c_a| for p in {-3/2, 0, 3}
-    operator_bound: float   # sum |c_a| over nonzero terms
 
 
 @dataclass(frozen=True)
@@ -133,8 +122,9 @@ def _in_float_range(a: PhasePoint, c: complex, alpha: float) -> bool:
         return False
 
 
-def validate(potential: Potential) -> ValidationReport:
-    """Check every structural condition; return derived constants.
+def validate(potential: Potential) -> None:
+    """Check every structural condition, and that the sums of
+    |||a|||^p |c_a|, p in _NORM_POWERS, are finite.
 
     Raises ValidationError listing all violated conditions.
     """
@@ -176,17 +166,9 @@ def validate(potential: Potential) -> ValidationReport:
     if problems:
         raise ValidationError(problems)
 
-    norms = {
-        p: sum(metric_norm(a, alpha) ** p * abs(c) for a, c in potential.terms)
-        for p in _NORM_POWERS
-    }
-    operator_bound = potential.coefficient_sum()
-    if not all(math.isfinite(v) for v in (operator_bound, *norms.values())):
+    # p = 0 is sum |c_a|, the operator bound `coefficient_sum`
+    sums = (sum(metric_norm(a, alpha) ** p * abs(c) for a, c in potential.terms)
+            for p in _NORM_POWERS)
+    if not all(math.isfinite(v) for v in sums):
         raise ValidationError(
             ["the sums over terms of |||a|||^p |c_a| overflow the float range"])
-    return ValidationReport(
-        gamma=potential.gamma(),
-        kappa=potential.kappa(),
-        norms=norms,
-        operator_bound=operator_bound,
-    )

@@ -5,7 +5,9 @@ every Ritz value theta_n, n <= nmax, from the eigenvalue lambda_n of the
 full operator by a quadratic residual bound.  The Ritz vectors reach the
 rest of the basis only through a corner block of V whose entries decay
 super-exponentially past a band b, so their residuals cost one small
-block, and the rest of the spectrum is bounded below a priori.  That part
+block, and the rest of the spectrum is bounded below a priori.  One
+assembly of A_{N+b} serves both: its leading N x N block is solved, and
+the coupling block is read from its rows N..N+b-1.  That part
 of the bound is rigorous in exact arithmetic; the eigensolver's rounding
 is added by a probabilistic model (`_rounding`), not a worst-case bound.
 When the bound misses the tolerance, N grows geometrically up to the
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import (DENSE_BYTE_BUDGET, MatrixElementTable, _accumulate_pair,
+from .matelem import (DENSE_BYTE_BUDGET, MatrixElementTable,
                       _check_dense_budget, build_matrix, parity_blocks)
 from .model import Potential, rho
 
@@ -173,8 +175,9 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
     (7.21.3)).  The ratio T_a(m+1)/T_a(m) is at most
     q = sqrt2 r_a sqrt(e (N+m+1)) / (m+1), which falls with m, so the
     offsets m > b sum to at most T_a(b+1) / (1 - q).  That sum bounds every
-    row and column sum of the entries outside the block E that
-    `_coupling_block` keeps, hence (Schur test) their operator norm.
+    row and column sum of the entries outside the block
+    E = V[N:N+b, N-b:N] that `_certify` keeps, hence (Schur test) their
+    operator norm.
     """
     terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c)) for p, c in V.terms]
     if not terms:
@@ -195,22 +198,12 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
         b += 1
 
 
-def _coupling_block(V: Potential, N: int, b: int) -> tuple[np.ndarray, int]:
-    """E = V[N:N+b, lo:N] with lo = max(0, N - b), and lo.
+def _certify(V: Potential, N: int, E: np.ndarray, dropped: float,
+             ritz: list, nmax: int) -> np.ndarray:
+    """Bounds on |lambda_n(H+V) - theta_n| for n = 0..nmax.
 
-    One `_accumulate_pair` pass per pair on the block of indices
-    lo .. N+b-1; E is the conjugate transpose of its upper-right corner.
-    """
-    lo = max(0, N - b)
-    upper = np.zeros((N + b - lo,) * 2, dtype=complex)
-    for p, c in V.pairs():
-        _accumulate_pair(upper, p, c, V.alpha, lo)
-    return upper[: N - lo, N - lo:].conj().T, lo
-
-
-def _certify(V: Potential, N: int, ritz: list, nmax: int) -> tuple[np.ndarray, int]:
-    """Bounds on |lambda_n(H+V) - theta_n| for n = 0..nmax, and the band b.
-
+    E = V[N:N+b, lo:N], lo = max(0, N - b), is the coupling block of the
+    band b of `_coupling_band`, whose dropped coupling is `dropped`.
     For the Ritz vectors X = x_0..x_m of A_N the coupling to everything
     else is F = [0; E X]: zero towards the other Ritz vectors, the
     residuals E x_i towards the rest of the basis.  The complement is
@@ -223,9 +216,7 @@ def _certify(V: Potential, N: int, ritz: list, nmax: int) -> tuple[np.ndarray, i
     coupling (Weyl) and the eigensolver's rounding (`_rounding`).
     """
     sigma = V.coefficient_sum()
-    # the dropped coupling kept to eps ||A_N||, a sqrt(N)-th of the rounding
-    b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
-    E, lo = _coupling_block(V, N, b)
+    lo = N - E.shape[1]
     thetas, res2 = [], []
     for s, w, rows in ritz:
         index = np.arange(N)[s]
@@ -246,7 +237,7 @@ def _certify(V: Potential, N: int, ritz: list, nmax: int) -> tuple[np.ndarray, i
     quadratic = np.full(nmax + 1, np.inf)
     ok = eta > 0
     quadratic[ok] = cum[past[ok] - 1] / eta[ok]
-    return quadratic + dropped + _rounding(V, N), b
+    return quadratic + dropped + _rounding(V, N)
 
 
 @dataclass(frozen=True)
@@ -274,28 +265,32 @@ class Spectrum:
 
 def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk, the bounds for
-    n <= nmax and the band; stage times are added to `seconds`.  The
+    n <= nmax and the band; stage times are added to `seconds`.  A_N and
+    the coupling block E are both read from one assembly of A_{N+b}.  The
     matrix and the eigenvectors (or reflectors) of one basis size are freed
     on return, before `spectrum` tries a larger one."""
+    # the dropped coupling kept to eps ||A_N||, a sqrt(N)-th of the rounding
+    b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
     t0 = time.perf_counter()
-    table = build_matrix(V, N)
+    entries = build_matrix(V, N + b).entries
     t1 = time.perf_counter()
     ritz = []
-    ev = eigensolve(table, ritz=ritz)
+    ev = eigensolve(MatrixElementTable(entries[:N, :N]), ritz=ritz)
     t2 = time.perf_counter()
-    bounds, band = _certify(V, N, ritz, nmax)
+    bounds = _certify(V, N, entries[N:, max(0, N - b):N], dropped, ritz, nmax)
     t3 = time.perf_counter()
     seconds["assembly"] += t1 - t0
     seconds["solve"] += t2 - t1
     seconds["certificate"] += t3 - t2
-    return ev, table.entries.diagonal().real.copy(), bounds, band
+    return ev, entries.diagonal()[:N].real.copy(), bounds, b
 
 
 def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
     """Eigenvalues of H+V certified through index nmax.
 
-    Solves at N = nmax + ceil(8 sqrt(nmax)) + 64, forms the last rows of
-    the eigenvectors (those the coupling block reaches), and bounds
+    Solves A_N, the leading block of A_{N+b}, at N = nmax + ceil(8
+    sqrt(nmax)) + 64, forms the last rows of the eigenvectors (those the
+    coupling block reaches), and bounds
     |lambda_n(H+V) - theta_n| for every n <= nmax (`_certify`) by the
     quadratic residual bound for Hermitian block matrices:
     |lambda_j(A) - lambda_j(diag(M, C))| <= ||E||^2 / eta_j for
@@ -318,11 +313,11 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    # Peak bytes per entry of the N x N basis in one attempt (matrix, parity
-    # blocks, eigenvectors or reflectors), measured at N = 1500-6000: 26-29
-    # for real c_a and real blocks (cos x), 36-39 for real c_a and
-    # a_xi != 0, and at N = 1500-4500, 49 for complex c_a (one complex
-    # block: matrix, reflectors, Z and dstevd's workspace).
+    # Peak bytes per entry of the N x N basis in one attempt (the matrix of
+    # order N + b, parity blocks, eigenvectors or reflectors), measured at
+    # N = 1500-4500: 27.5-29.6 for real c_a and real blocks (cos x),
+    # 31.5-35.8 for real c_a and a_xi != 0, and 50.7-53.7 for complex c_a
+    # (one complex block: matrix, reflectors, Z and dstevd's workspace).
     per_entry = 40 if all(c.imag == 0 for _, c in V.terms) else 56
     cap = _basis_cap(per_entry)
     # the integer test first keeps huge nmax away from math.sqrt; past the

@@ -4,8 +4,9 @@
 that the residuals E X read, from the block's Householder reflectors.  This
 oracle is the certificate as it stood before: every parity block solved by
 `np.linalg.eigh` with all N x N eigenvectors, and E X taken from the rows
-of those at or past lo.  Band, coupling block and rounding term come from
-`spectral`; the residuals and the quadratic bound are computed here.
+of those at or past lo.  Band and rounding term come from `spectral`; the
+coupling block E is read from an independent `v_matrix` of order N + b, and
+the residuals and the quadratic bound are computed here.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from oscspec import spectral
-from oscspec.matelem import build_matrix, parity_blocks
+from oscspec.matelem import build_matrix, parity_blocks, v_matrix
 
 
 def full_eigenvector_bounds(V, N, nmax):
@@ -22,7 +23,8 @@ def full_eigenvector_bounds(V, N, nmax):
     sigma = V.coefficient_sum()
     rounding = spectral._rounding(V, N)
     b, dropped = spectral._coupling_band(V, N, rounding / math.sqrt(N))
-    E, lo = spectral._coupling_block(V, N, b)
+    lo = max(0, N - b)
+    E = v_matrix(V, N + b)[N:, lo:N]
     thetas, res2 = [], []
     for s in parity_blocks(m):
         w, x = np.linalg.eigh(m[s, s])

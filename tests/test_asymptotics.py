@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oscspec.asymptotics import (
     AsymptoticModel,
     first_order_diagonal,
-    predict,
     residual_report,
     w_value,
 )
@@ -88,24 +87,27 @@ class TestWValue:
 
 
 class TestPredict:
+    """The first-order prediction that `residual_report` subtracts."""
+
     def test_matches_pieces(self):
         model = cos_model(alpha=0.5, amplitude=0.3, frequency=2.0)
-        n = 17
-        want = (0.5 * 35 + model.c0
-                + w_value(model, math.sqrt(n)) * n**-0.25)
-        assert predict(model, n) == pytest.approx(want, rel=1e-15)
+        n, lam = 17, 17.6
+        w_term = w_value(model, math.sqrt(n)) * n**-0.25
+        row = residual_report(model, [(n, lam)]).rows[0]
+        assert row.lambda_unperturbed == 0.5 * 35
+        assert row.c0 == model.c0
+        assert row.w_term == pytest.approx(w_term, rel=1e-15)
+        assert row.residual == pytest.approx(
+            lam - (0.5 * 35 + model.c0 + w_term), abs=1e-14)
 
     def test_c0_shift(self):
         base = cos_model()
         shifted = AsymptoticModel(alpha=base.alpha, c0=0.25,
                                   wave_terms=base.wave_terms)
-        for n in (1, 5, 40):
-            assert predict(shifted, n) == pytest.approx(predict(base, n) + 0.25,
-                                                        rel=1e-14)
-
-    def test_rejects_n_zero(self):
-        with pytest.raises(ValueError):
-            predict(cos_model(), 0)
+        spectrum = [(n, 2.0 * n + 1.0) for n in (1, 5, 40)]
+        for b, s in zip(residual_report(base, spectrum).rows,
+                        residual_report(shifted, spectrum).rows):
+            assert s.residual == pytest.approx(b.residual - 0.25, rel=1e-14)
 
 
 class TestFirstOrderDiagonal:
@@ -136,6 +138,9 @@ class TestResidualReport:
         assert all(r.residual == 0.0 for r in report.rows)
         assert report.max_scaled(3, 9) == 0.0
         assert report.max_alt_scaled(3, 9) == 0.0
+        # no n >= 3 in the range: no maximum
+        assert report.max_scaled(0, 2) is None
+        assert report.max_alt_scaled(10, 20) is None
 
     def test_small_n_columns_blank(self):
         model = cos_model()

@@ -184,6 +184,27 @@ class TestCompute:
         assert all(t >= 0.0 for t in meta["stage_seconds"].values())
         assert meta["warnings"] == []
 
+    @pytest.mark.parametrize("nmax, ranges", [
+        (5, [(0, 1), (2, 5)]), (40, [(4, 19), (20, 40)]),
+    ])
+    def test_residual_maxima_in_sidecar(self, tmp_path, nmax, ranges):
+        # the maxima of the CSV's scaled columns over [nmax//10, nmax//2-1]
+        # and [nmax//2, nmax]; null where a range has no n >= 3
+        out = tmp_path / "run.csv"
+        run_compute(parse_config(json.dumps({**GOOD_CONFIG, "nmax": nmax})),
+                    out)
+        rows = [ln.split(",") for ln in
+                out.read_bytes().decode("utf-8").split("\r\n")[1:] if ln]
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        maxima = meta["residual_maxima"]
+        assert [(m["n_lo"], m["n_hi"]) for m in maxima] == ranges
+        for m in maxima:
+            for key, col in (("scaled_residual", 6), ("alt_scaled", 7)):
+                vals = [abs(float(r[col])) for r in rows
+                        if r[col] and m["n_lo"] <= int(r[0]) <= m["n_hi"]]
+                assert m[key] == (max(vals) if vals else None)
+        assert (maxima[0]["scaled_residual"] is None) == (nmax == 5)
+
     def test_warnings_in_sidecar(self, tmp_path):
         # 5 cos x, the potential of test_large_coefficient_warns: the
         # labelling warning is listed in the sidecar and still raised
@@ -287,6 +308,16 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert message in captured.err
+
+    def test_matelem_oracle_out_of_range_exit_two(self, capsys):
+        # |||a||| = 40 is past sqrt(2 * 204) = 20.2, the span of the
+        # oracle's 204 nodes, where it read |closed - quadrature| = 2.9e-01
+        assert main(["matelem", "--ax", "40", "--axi", "0", "--k", "0",
+                     "--kprime", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: oracle quadrature")
+        assert "sqrt(2 * 204) = 20.2" in captured.err
 
     def test_matelem_huge_bessel_argument_exit_two(self):
         # the series argument 2 rho sqrt(k'+k+1) is 1.4e17, past 2^53: the

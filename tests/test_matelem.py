@@ -79,6 +79,20 @@ class TestUElement:
             oracle = u_element_oracle(a, alpha, k, kp)
             assert abs(closed - oracle) < 1e-10
 
+    def test_oracle_shift_limit(self):
+        # the 2600-node rule at k = k' = 300 holds up to |||a||| =
+        # sqrt(2 * 2600) on every direction (along a_xi its Hermite factors
+        # overflowed from 0.78 of that while they carried e^{-u^2/2} in
+        # place of e^{-(u + shift)^2/2}), and refuses larger shifts
+        limit = math.sqrt(2 * 2600)
+        for phi in (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi):
+            a = PhasePoint(0.99 * limit * math.cos(phi),
+                           0.99 * limit * math.sin(phi))
+            assert abs(u_element(a, 1.0, 300, 300)
+                       - u_element_oracle(a, 1.0, 300, 300)) < 1e-10
+        with pytest.raises(ValueError, match=r"sqrt\(2 \* 2600\) = 72.11"):
+            u_element_oracle(PhasePoint(0.0, 1.01 * limit), 1.0, 300, 300)
+
     def test_oracle_orthonormality(self):
         assert abs(u_element_oracle(PhasePoint(0, 0), 1.0, 3, 7)) < 1e-12
         assert u_element_oracle(PhasePoint(0, 0), 1.0, 5, 5).real == \

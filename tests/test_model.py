@@ -66,13 +66,12 @@ class TestMetricNorm:
 
 class TestValidate:
     def test_cosine_potential(self):
-        report = validate(cosx())
-        assert report.gamma == pytest.approx(1.0)
-        assert report.kappa == pytest.approx(1.0 / (2 * math.sqrt(3)))
-        assert report.kappa < 1.0 / 3.0
-        assert report.operator_bound == pytest.approx(1.0)
-        assert report.norms[0.0] == pytest.approx(1.0)
-        assert report.norms[3.0] == pytest.approx(1.0)
+        pot = cosx()
+        assert validate(pot) is None
+        assert pot.gamma() == pytest.approx(1.0)
+        assert pot.kappa() == pytest.approx(1.0 / (2 * math.sqrt(3)))
+        assert pot.kappa() < 1.0 / 3.0
+        assert pot.coefficient_sum() == pytest.approx(1.0)
 
     def test_missing_mirror(self):
         pot = Potential(alpha=1.0, terms=((PhasePoint(1, 0), 0.5),))
@@ -88,10 +87,11 @@ class TestValidate:
             validate(pot)
 
     def test_empty_potential(self):
-        report = validate(Potential(alpha=2.0))
-        assert report.kappa == pytest.approx(1.0 / 3.0)
-        assert report.operator_bound == 0.0
-        assert math.isinf(report.gamma)
+        pot = Potential(alpha=2.0)
+        assert validate(pot) is None
+        assert pot.kappa() == pytest.approx(1.0 / 3.0)
+        assert pot.coefficient_sum() == 0.0
+        assert math.isinf(pot.gamma())
 
     def test_negative_alpha(self):
         with pytest.raises(ValidationError, match="alpha"):
@@ -160,7 +160,8 @@ class TestOperatorBound:
             (PhasePoint(0.6, 0.7), 0.2 + 0.1j),
             (PhasePoint(-0.6, -0.7), 0.2 - 0.1j),
         ))
-        bound = validate(pot).operator_bound
+        validate(pot)
+        bound = pot.coefficient_sum()
         worst = max(abs(v_element(pot, k, kp))
                     for k in range(30) for kp in range(30))
         assert worst <= bound + 1e-12

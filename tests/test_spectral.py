@@ -298,7 +298,22 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(V, nmax=0)
 
-    def test_basis_limit_checked_before_assembly(self, monkeypatch):
+    @pytest.fixture
+    def bands(self, monkeypatch):
+        """The bands b of `_coupling_band`, in order: `spectrum` solves
+        basis size N by assembling N + b."""
+        found = []
+        band = spectral._coupling_band
+
+        def record(V, N, target):
+            b, dropped = band(V, N, target)
+            found.append(b)
+            return b, dropped
+
+        monkeypatch.setattr(spectral, "_coupling_band", record)
+        return found
+
+    def test_basis_limit_checked_before_assembly(self, bands, monkeypatch):
         # at 40 bytes per entry (real c_a) the 4 GiB budget admits
         # N <= 10362 = 9517 + 781 + 64; at 56 (complex c_a) N <= 8757 =
         # 7978 + 715 + 64.  Past it nothing may be built
@@ -306,7 +321,7 @@ class TestSpectrum:
             pass
 
         def refuse(V, N):
-            raise Built(N)
+            raise Built(N - bands[-1])
 
         monkeypatch.setattr(spectral, "build_matrix", refuse)
         for V, fits, N in ((Potential.cosine(alpha=1.0), 9517, "10362"),
@@ -318,12 +333,13 @@ class TestSpectrum:
                 spectrum(V, nmax=fits)
 
     @pytest.fixture
-    def built_sizes(self, monkeypatch):
-        """The basis sizes `spectrum` assembles, in order."""
+    def built_sizes(self, bands, monkeypatch):
+        """The basis sizes `spectrum` solves, in order: each assembled size
+        less its band."""
         sizes = []
 
         def record(V, N):
-            sizes.append(N)
+            sizes.append(N - bands[-1])
             return build_matrix(V, N)
 
         monkeypatch.setattr(spectral, "build_matrix", record)
@@ -339,13 +355,14 @@ class TestSpectrum:
             spectrum(V, nmax=10, convergence_tol=1e-300)
         assert built_sizes == [100]
 
-    def test_grows_past_start_size(self, built_sizes):
+    def test_grows_past_start_size(self, built_sizes, bands):
         # at frequency 8 the Ritz vectors of n <= 10 reach the edge of the
         # start basis (bound about 4e-6 at N = 100): N grows, then certifies
         V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
         spec = spectrum(V, nmax=10)
         assert built_sizes[0] == spectral._start_size(10) == 100
         assert len(built_sizes) > 1 and built_sizes == sorted(set(built_sizes))
+        assert len(bands) == len(built_sizes)   # one assembly per size
         assert spec.basis_size == built_sizes[-1]
         assert spec.max_certified_bound <= spec.convergence_tol
 
