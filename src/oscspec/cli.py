@@ -317,7 +317,8 @@ def main(argv=None) -> int:
                   f"||RVR||_2={norms.hilbert_schmidt:.3e} "
                   f"||RVR||_1={norms.trace_norm:.3e}")
             te = trace_eigenvalue(V, args.n, eps, jmax=args.jmax)
-            print(f"Neumann contraction max ||(VR)^2|| = {te.contraction:.6f}")
+            print(f"Neumann contraction max ||(VR)^2|| = {te.contraction:.6f}"
+                  " (Frobenius upper bound)")
             print(f"orders: {te.orders}")
             print(f"partial sums: {te.partial_sums}")
             print(f"eigenvalue estimate: {te.value:.12f}")

@@ -48,6 +48,8 @@ ORACLE_INDEX_MAX = 300
 # the interpreter and another process.  Each dense entry point plans its
 # own measured peak bytes per entry of the N x N basis.
 DENSE_BYTE_BUDGET = 4 * 2**30
+# Relative size of the imaginary parts below which a block counts as real.
+_REAL_TOL = 1e-13
 
 
 def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
@@ -285,6 +287,19 @@ def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:
     if m.shape[0] > 1 and not np.any(m[0::2, 1::2]):
         return (slice(0, None, 2), slice(1, None, 2))
     return (slice(None),)
+
+
+def _real_if_real(block: np.ndarray) -> np.ndarray:
+    """block.real when the imaginary parts of the Hermitian block are below
+    _REAL_TOL relative to max(1, its largest real entry), else block.
+
+    The parity blocks of an even potential are real up to the rounding of
+    the complex assembly; LAPACK's real symmetric path is cheaper for them.
+    """
+    if np.max(np.abs(block.imag)) <= _REAL_TOL * max(
+            1.0, np.max(np.abs(block.real))):
+        return block.real
+    return block
 
 
 def window_sup(V: Potential, n: int) -> float:

@@ -9,9 +9,13 @@ Rayleigh-Schroedinger corrections of lambda_n up to sign, so they are
 computed by the RS recursion, one matrix-vector product per order, with
 the diagonal reduced resolvent of the Hermite basis; contour quadrature of
 the same integrals serves only as a test oracle.  The Neumann contraction
-||(VR)^2|| that licenses the series is checked on sampled contour nodes.
-R is diagonal, so when V splits into parity blocks (`parity_blocks`) so do
-VR and RVR; the dense norms are then taken block by block, exactly.
+||(VR)^2|| that licenses the series is bounded from above by its Frobenius
+norm on sampled contour nodes.  R is diagonal, so when V splits into
+parity blocks (`parity_blocks`) so do VR and RVR, and the dense norms are
+taken block by block, exactly.  No norm needs a general SVD: with
+R = P |R| and P a diagonal of phases, RVR = P (|R| V |R|) P, so the
+singular values of RVR are the absolute eigenvalues of the Hermitian
+|R| V |R|.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import _check_dense_budget, parity_blocks, v_matrix
+from .matelem import (_check_dense_budget, _real_if_real, parity_blocks,
+                      v_matrix)
 from .model import Potential
 from .spectral import basis_size
 
@@ -39,12 +44,14 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 128
-_SVD_NODE_STRIDE = 16
+_DENSE_NODE_STRIDE = 16
 # Peak dense bytes per entry of the N x N basis planned by rvr_norms and
 # trace_eigenvalue: the complex V (16), |V|^2 (8) and the dense temporaries
-# of the norms.  Measured peaks with V in one block (no parity split) were
-# 58 and 66 bytes per entry at N = 2000.  trace_order_j, which holds V and
-# a few vectors, plans the same.
+# of the norms.  Measured peaks at N = 2000 (max RSS over the resident size
+# before the call, in a child process warmed at N = 600): rvr_norms 25.0
+# and trace_eigenvalue 26.6 bytes per entry for cos x (two real blocks),
+# 56.7 and 56.8 for a potential in one complex block.  trace_order_j, which
+# holds V and a few vectors, plans the same.
 _DENSE_BYTES_PER_ENTRY = 80
 
 
@@ -141,8 +148,9 @@ class RvrNorms:
 
 def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
               node_count: int = DEFAULT_NODES) -> RvrNorms:
-    """Hilbert-Schmidt norm at every node; operator and trace norms at a
-    coarser node sample (they need a full SVD each).
+    """Hilbert-Schmidt norm at every node; operator and trace norms at
+    every _DENSE_NODE_STRIDE-th node, from the eigenvalues of |R| V |R|
+    (one symmetric eigensolve per parity block, real when the block is).
 
     At the default N = basis_size(n) the trace norm is converged only to
     about 1e-3 relative: it moves by 2.4e-4 to 8.0e-4 between N and 2N
@@ -155,26 +163,23 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     vm = v_matrix(V, N)
-    v_abs2 = np.abs(vm) ** 2
     lam_k = V.alpha * (2.0 * np.arange(N) + 1.0)
     nodes = contour.nodes()
 
-    hs_best = 0.0
-    for lam in nodes:
-        w = np.abs(lam_k - lam) ** -2.0
-        hs_best = max(hs_best, float(w @ (v_abs2 @ w)))
-    hs_best = math.sqrt(hs_best)
+    # ||RVR||_2^2 = sum_kl w_k |V_kl|^2 w_l with w = |R|^2, all nodes at once
+    w = np.abs(lam_k[None, :] - nodes[:, None]) ** -2.0
+    hs_best = math.sqrt(float(np.max(np.sum((w @ np.abs(vm) ** 2) * w,
+                                            axis=1))))
 
     # the singular values of RVR are those of its parity blocks together
-    blocks = [(vm[s, s], lam_k[s]) for s in parity_blocks(vm)]
+    blocks = [(_real_if_real(vm[s, s]), lam_k[s]) for s in parity_blocks(vm)]
     op_best = tr_best = 0.0
-    for lam in nodes[::_SVD_NODE_STRIDE]:
+    for lam in nodes[::_DENSE_NODE_STRIDE]:
         parts = []
         for v, lk in blocks:
-            d = 1.0 / (lk - lam)
-            parts.append(np.linalg.svd(d[:, None] * v * d[None, :],
-                                       compute_uv=False))
-        sv = np.concatenate(parts)
+            r = 1.0 / np.abs(lk - lam)
+            parts.append(np.linalg.eigvalsh(r[:, None] * v * r[None, :]))
+        sv = np.abs(np.concatenate(parts))
         op_best = max(op_best, float(np.max(sv)))
         tr_best = max(tr_best, float(np.sum(sv)))
     return RvrNorms(operator_norm=op_best, hilbert_schmidt=hs_best,
@@ -214,20 +219,32 @@ def _rs_orders(vm: np.ndarray, n: int, alpha: float, jmax: int) -> np.ndarray:
 
 
 def _neumann_contraction(vm: np.ndarray, contour: Contour) -> float:
-    """max ||(VR)^2|| (spectral norm) over every _SVD_NODE_STRIDE-th contour
-    node; raises NeumannDivergence if it reaches 1.  (VR)^2 is block
-    diagonal with V, so its norm is the largest over the parity blocks."""
+    """max ||(VR)^2||_F over every _DENSE_NODE_STRIDE-th contour node;
+    raises NeumannDivergence if it reaches 1.
+
+    The Frobenius norm bounds the spectral norm from above, so the gate can
+    only reject more; it is tight here, as (VR)^2 is close to rank one.
+    (VR)^2 = V (RVR) is block diagonal with V, so its norm is the largest
+    over the parity blocks.  For a real block the complex RVR is read as a
+    real matrix of interleaved (re, im) columns: the product is then one
+    real matrix product holding the same entries.
+    """
     lam_k = contour.alpha * (2.0 * np.arange(vm.shape[0]) + 1.0)
-    blocks = [(vm[s, s], lam_k[s]) for s in parity_blocks(vm)]
+    blocks = [(_real_if_real(vm[s, s]), lam_k[s]) for s in parity_blocks(vm)]
     contraction = 0.0
-    for lam in contour.nodes()[::_SVD_NODE_STRIDE]:
+    for lam in contour.nodes()[::_DENSE_NODE_STRIDE]:
         for v, lk in blocks:
-            vr = v * (1.0 / (lk - lam))[None, :]
-            contraction = max(contraction, float(np.linalg.norm(vr @ vr, 2)))
+            d = 1.0 / (lk - lam)
+            rvr = d[:, None] * v
+            rvr *= d[None, :]
+            if np.isrealobj(v):
+                rvr = rvr.view(np.float64)
+            contraction = max(contraction, float(np.linalg.norm(v @ rvr)))
     if contraction >= 1.0:
         raise NeumannDivergence(
-            f"||(VR)^2|| reaches {contraction:.3f} >= 1 on the contour; "
-            "the eigenvalue series is not guaranteed to converge"
+            f"||(VR)^2|| reaches {contraction:.3f} >= 1 on the contour "
+            "(Frobenius upper bound); the eigenvalue series is not "
+            "guaranteed to converge"
         )
     return contraction
 
@@ -248,13 +265,17 @@ def trace_order_j(V: Potential, n: int, N: int | None = None,
 
 @dataclass(frozen=True)
 class TraceEigenvalue:
-    """Eigenvalue reconstructed from contour traces, with its partial sums."""
+    """Eigenvalue reconstructed from contour traces, with its partial sums.
+
+    `contraction` is a Frobenius upper bound on the Neumann contraction
+    ||(VR)^2||, not its exact 2-norm.
+    """
 
     value: float
     unperturbed: float
     orders: tuple[float, ...]          # t_1 .. t_jmax
     partial_sums: tuple[float, ...]    # prediction after including each order
-    contraction: float = math.nan      # largest ||(VR)^2|| checked (nan: none)
+    contraction: float = math.nan      # largest ||(VR)^2||_F (nan: none)
 
 
 def trace_eigenvalue(V: Potential, n: int, epsilon: float,
@@ -264,8 +285,8 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
 
     value = alpha(2n+1) + sum_{j=1}^{jmax} (-1)^(j+1) t_j, with the t_j
     from the RS recursion.  The even-power contraction ||(VR)^2|| is
-    computed on sampled contour nodes; the series is rejected if it
-    reaches 1.
+    bounded by its Frobenius norm on sampled contour nodes; the series is
+    rejected if the bound reaches 1.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matelem import (DENSE_BYTE_BUDGET, MatrixElementTable,
-                      _check_dense_budget, build_matrix, parity_blocks)
+                      _check_dense_budget, _real_if_real, build_matrix,
+                      parity_blocks)
 from .model import Potential, rho
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
 
-_REAL_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
 _GROWTH = 1.5
 
@@ -64,14 +64,10 @@ def eigensolve(table: MatrixElementTable, *,
     m = table.entries
     parts = []
     for s in parity_blocks(m):
-        block = m[s, s]
-        real = np.max(np.abs(block.imag)) <= _REAL_TOL * max(
-            1.0, np.max(np.abs(block.real)))
-        if real:
-            block = block.real
+        block = _real_if_real(m[s, s])
         if ritz is None:
             w = np.linalg.eigvalsh(block)
-        elif real:
+        elif np.isrealobj(block):
             w, x = np.linalg.eigh(block)
             ritz.append((s, w, lambda start, x=x: x[start:]))
         else:

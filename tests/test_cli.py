@@ -397,5 +397,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert "eigenvalue estimate" in out
         assert "Neumann contraction max ||(VR)^2|| = " in out
+        gate = next(l for l in out.splitlines() if l.startswith("Neumann"))
+        assert gate.endswith(" (Frobenius upper bound)")
         est = float(out.strip().split()[-1])
         assert est == pytest.approx(21.0, abs=1.0)

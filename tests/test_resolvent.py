@@ -15,7 +15,7 @@ from oscspec import resolvent
 from oscspec.matelem import parity_blocks, v_matrix
 from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
-    _SVD_NODE_STRIDE,
+    _DENSE_NODE_STRIDE,
     Contour,
     NeumannDivergence,
     TraceEigenvalue,
@@ -129,26 +129,35 @@ class TestRvrNorms:
                                                  rel=1e-10)
 
     def test_parity_split_matches_unsplit(self):
-        # cos x commutes with parity, so the SVDs and the contraction are
-        # taken on two blocks; compare with the whole matrix
+        # cos x commutes with parity, so the norms and the contraction are
+        # taken on two real blocks; compare with SVDs of the whole matrix
         V, n, eps = cos_potential(), 32, 0.5
-        N = basis_size(n)
-        vm = v_matrix(V, N)
+        vm = v_matrix(V, basis_size(n))
         assert len(parity_blocks(vm)) == 2
-        contour = Contour(n=n, alpha=V.alpha, epsilon=eps)
-        lam_k = V.alpha * (2.0 * np.arange(N) + 1.0)
-        op = tr = contraction = 0.0
-        for lam in contour.nodes()[::_SVD_NODE_STRIDE]:
-            d = 1.0 / (lam_k - lam)
-            sv = np.linalg.svd(d[:, None] * vm * d[None, :], compute_uv=False)
-            op, tr = max(op, sv[0]), max(tr, np.sum(sv))
-            vr = vm * d[None, :]
-            contraction = max(contraction, np.linalg.norm(vr @ vr, 2))
+        op, tr, exact, frobenius = unsplit_reference(V, n, eps)
         norms = rvr_norms(V, n, eps)
         assert norms.operator_norm == pytest.approx(op, rel=1e-13)
         assert norms.trace_norm == pytest.approx(tr, rel=1e-13)
-        assert _neumann_contraction(vm, contour) == pytest.approx(
-            contraction, rel=1e-13)
+        contraction = _neumann_contraction(
+            vm, Contour(n=n, alpha=V.alpha, epsilon=eps))
+        assert contraction == pytest.approx(frobenius, rel=1e-13)
+        assert exact <= contraction
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_complex_block_matches_svd(self, n):
+        # a_xi != 0 keeps V in one complex block: the norms come from the
+        # complex Hermitian eigenvalues of |R| V |R|
+        V, eps = quasi_potential(), 0.5
+        vm = v_matrix(V, basis_size(n))
+        assert len(parity_blocks(vm)) == 1
+        op, tr, exact, frobenius = unsplit_reference(V, n, eps)
+        norms = rvr_norms(V, n, eps)
+        assert norms.operator_norm == pytest.approx(op, rel=1e-13)
+        assert norms.trace_norm == pytest.approx(tr, rel=1e-13)
+        contraction = _neumann_contraction(
+            vm, Contour(n=n, alpha=V.alpha, epsilon=eps))
+        assert contraction == pytest.approx(frobenius, rel=1e-13)
+        assert exact <= contraction
 
     @pytest.mark.parametrize("n", [10, 72])
     @pytest.mark.parametrize("potential", ["cos", "quasi"])
@@ -205,6 +214,28 @@ def quasi_potential():
     return Potential(alpha=1.0, terms=tuple(terms), c0=0.25)
 
 
+def unsplit_reference(V, n, eps):
+    """Maxima over the dense contour nodes, from the whole matrices by full
+    SVDs: ||RVR||, ||RVR||_1, ||(VR)^2||_2, and ||(VR)^2||_F taken over
+    each parity block."""
+    N = basis_size(n)
+    vm = v_matrix(V, N)
+    blocks = parity_blocks(vm)
+    lam_k = V.alpha * (2.0 * np.arange(N) + 1.0)
+    op = tr = exact = frobenius = 0.0
+    for lam in Contour(n=n, alpha=V.alpha,
+                       epsilon=eps).nodes()[::_DENSE_NODE_STRIDE]:
+        d = 1.0 / (lam_k - lam)
+        sv = np.linalg.svd(d[:, None] * vm * d[None, :], compute_uv=False)
+        op, tr = max(op, sv[0]), max(tr, np.sum(sv))
+        vr = vm * d[None, :]
+        p = vr @ vr
+        exact = max(exact, np.linalg.norm(p, 2))
+        frobenius = max(frobenius,
+                        *(np.linalg.norm(p[s, s]) for s in blocks))
+    return op, tr, exact, frobenius
+
+
 class TestRsMatchesContour:
     """Every RS order equals the contour quadrature of the same trace."""
 
@@ -256,7 +287,8 @@ class TestTraceEigenvalue:
         result = trace_eigenvalue(V, n=n, epsilon=0.5, jmax=6)
         spec = spectrum(V, nmax=n)
         assert result.value == pytest.approx(spec.trusted()[n], abs=1e-7)
-        assert 0.0 < result.contraction < 1.0
+        exact = unsplit_reference(V, n, 0.5)[2]
+        assert 0.0 < exact <= result.contraction < 1.0
 
     def test_default_contraction_unset(self):
         te = TraceEigenvalue(value=1.0, unperturbed=1.0, orders=(),
@@ -269,6 +301,21 @@ class TestTraceEigenvalue:
         mags = [abs(t) for t in result.orders]
         assert mags[2] < mags[0]
         assert mags[4] < mags[2]
+
+    def test_complex_potential(self):
+        # the Frobenius gate bounds the exact 2-norm of (VR)^2 from above
+        V, n, eps = quasi_potential(), 40, 0.5
+        result = trace_eigenvalue(V, n=n, epsilon=eps)
+        assert result.value == pytest.approx(
+            spectrum(V, nmax=n).trusted()[n], abs=1e-7)
+        assert unsplit_reference(V, n, eps)[2] <= result.contraction < 1.0
+
+    def test_complex_potential_gate_trips(self):
+        # at n = 72 the exact ||(VR)^2|| is already 1.004
+        V, n, eps = quasi_potential(), 72, 0.5
+        assert unsplit_reference(V, n, eps)[2] >= 1.0
+        with pytest.raises(NeumannDivergence, match="Frobenius upper bound"):
+            trace_eigenvalue(V, n=n, epsilon=eps, jmax=2)
 
     def test_divergent_series_rejected(self):
         # amplitude far above the level spacing defeats the contraction
