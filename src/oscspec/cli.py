@@ -4,7 +4,8 @@ Subcommands:
   compute  -- spectrum + residual report as CSV with a .meta.json sidecar
   verify   -- property suites with recorded empirical constants
   matelem  -- one matrix element by all three routes
-  trace    -- resolvent diagnostics and the RS trace series for one index
+  trace    -- resolvent diagnostics and the RS trace series for one index,
+              checked against the dense eigenvalue
 
 Config schema (JSON): {"alpha": >0, "c0": optional, "terms": [[a_x, a_xi,
 re, im], ...], "nmax": >=1, "tol": optional, "epsilon": optional}.
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
             print(f"orders: {te.orders}")
             print(f"partial sums: {te.partial_sums}")
             print(f"eigenvalue estimate: {te.value:.12f}")
+            dense = float(spectrum(V, nmax=args.n).eigenvalues[args.n])
+            print(f"dense lambda_n = {dense:.12f} "
+                  f"|trace - dense| = {abs(te.value - dense):.3e}")
             return 0
     except (ValidationError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Three independent routes are provided for <U_a phi_k, phi_k'>:
 
 * `u_element`     -- closed form: Laguerre polynomial times a log-space
-                     factorial prefactor and an explicit phase.
+                     factorial prefactor (log m! by `math.lgamma`) and an
+                     explicit phase.
 * `u_element_oracle` -- the defining inner-product integral by high-order
                      Gauss-Hermite quadrature (the test oracle).
 * `u_element_bessel` -- partial sums of the Bessel-series expansion.
@@ -15,7 +16,8 @@ closed-form magnitude comes from one prefactored Laguerre recurrence,
 `_magnitudes`, run on one offset for a single element and on a vector of
 offsets for a matrix or a window block.  Its iterates are exactly the
 (signed) element magnitudes, so every intermediate stays bounded by 1 and
-basis sizes of 10^4 never overflow.
+basis sizes of 10^4 never overflow.  Only the oracle needs scipy
+(`scipy.special.roots_hermite`), and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_hermite
 
 from .model import PhasePoint, Potential, rho as rho_of
 from .specialfn import a_coefficients, bessel_j_grid, f_factor
@@ -70,6 +71,13 @@ def _omega(a: PhasePoint, alpha: float) -> complex:
     return complex(0.5 * sa * a.a_xi, -0.5 * a.a_x / sa)
 
 
+def _log_factorial(m):
+    """log m! by math.lgamma, for a float m >= 0 or each entry of an ndarray."""
+    if isinstance(m, np.ndarray):
+        return np.array([math.lgamma(v + 1.0) for v in m.tolist()])
+    return math.lgamma(m + 1.0)
+
+
 def _magnitudes(r: float, m, kmax: int):
     """Yield g_k = sqrt(k!/k'!) (sqrt2 r)^m e^{-r^2} L_k^{(m)}(2 r^2), k = 0..kmax.
 
@@ -79,7 +87,7 @@ def _magnitudes(r: float, m, kmax: int):
     """
     x = 2.0 * r * r
     g = np.exp(m * math.log(math.sqrt(2.0) * r) - r * r
-               - 0.5 * gammaln(m + 1.0))
+               - 0.5 * _log_factorial(m))
     prev = 0.0
     yield g
     for j in range(kmax):
@@ -122,6 +130,7 @@ def _gh_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     w_i e^{u_i^2} = 1/(n psi_{n-1}(u_i)^2) with psi the normalized Hermite
     function, which the bounded recurrence evaluates directly.
     """
+    from scipy.special import roots_hermite   # lazily: the oracle only
     u, _ = roots_hermite(n_nodes)
     # psi_{n-1}(u) at extreme nodes passes through the classically
     # forbidden region where it underflows; carry value * e^scale instead.

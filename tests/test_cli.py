@@ -392,12 +392,20 @@ class TestMain:
 
     def test_trace_smoke(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        # six orders: at three the series is 1.4e-5 from the dense value
         assert main(["trace", "--config", str(cfg_path), "--n", "10",
-                     "--jmax", "3"]) == 0
+                     "--jmax", "6"]) == 0
         out = capsys.readouterr().out
-        assert "eigenvalue estimate" in out
         assert "Neumann contraction max ||(VR)^2|| = " in out
         gate = next(l for l in out.splitlines() if l.startswith("Neumann"))
         assert gate.endswith(" (Frobenius upper bound)")
-        est = float(out.strip().split()[-1])
+        lines = out.splitlines()
+        est = float(next(l for l in lines
+                         if l.startswith("eigenvalue estimate: ")).split()[-1])
         assert est == pytest.approx(21.0, abs=1.0)
+        # the dense self-check, within the cross-method threshold for cos x
+        check = lines[-1].split()
+        assert check[:3] == ["dense", "lambda_n", "="]
+        assert check[4:7] == ["|trace", "-", "dense|"]
+        assert abs(est - float(check[3])) <= 1e-6
+        assert float(check[-1]) <= 1e-6

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_oracle import laguerre
-from oscspec.matelem import (build_matrix, u_element, u_element_bessel,
-                             u_element_oracle, v_element, v_matrix, window_sup)
+from oscspec.matelem import (_magnitudes, build_matrix, u_element,
+                             u_element_bessel, u_element_oracle, v_element,
+                             v_matrix, window_sup)
 from oscspec.model import PhasePoint, Potential, metric_norm
 
 
@@ -258,6 +259,47 @@ class TestHermiteIdentity:
             want = (2.0**kp * math.sqrt(math.pi) * math.factorial(k)
                     * z**(kp - k) * laguerre(k, kp - k, -2.0 * y * z))
             assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+
+class TestMagnitudePrefactor:
+    """The first iterate of `_magnitudes`, exp(m log(sqrt2 r) - r^2 -
+    log(m!)/2), carries the log-factorial every closed-form magnitude
+    starts from."""
+
+    RADII = (1e-3, 0.5, 2.0, 10.0, 70.0)
+
+    @staticmethod
+    def offsets():
+        rng = np.random.default_rng(13)
+        return np.unique(np.concatenate(
+            [[0, 1, 2, 10**4], rng.integers(0, 10**4 + 1, 120)])).astype(float)
+
+    def test_matches_mpmath(self):
+        # The exponent's terms reach ~4e4 at m = 1e4, so its rounding is a
+        # few ulp of their sum: measured <= 0.84 eps * scale on this grid.
+        import mpmath
+
+        eps = np.finfo(float).eps
+        ms = self.offsets()
+        for r in self.RADII:
+            g = next(_magnitudes(r, ms, 0))
+            with mpmath.workprec(128):
+                rm = mpmath.mpf(r)
+                for m, got in zip(ms.tolist(), g.tolist()):
+                    want = mpmath.exp(m * mpmath.log(mpmath.sqrt(2) * rm)
+                                      - rm * rm - mpmath.loggamma(m + 1) / 2)
+                    scale = (abs(m * math.log(math.sqrt(2.0) * r)) + r * r
+                             + 0.5 * math.lgamma(m + 1.0) + 1.0)
+                    err = float(abs(got - want))
+                    assert err <= 2 * eps * scale * float(want) + 2.0**-1022, \
+                        (r, m, got)
+
+    def test_scalar_and_array_paths_identical(self):
+        ms = self.offsets()
+        for r in self.RADII:
+            g = next(_magnitudes(r, ms, 0))
+            scalar = [next(_magnitudes(r, m, 0)) for m in ms.tolist()]
+            assert g.tolist() == [float(s) for s in scalar]
 
 
 class TestVElement:

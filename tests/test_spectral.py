@@ -203,6 +203,29 @@ class TestFactoredEigh:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
+    def test_real_path_imports_no_scipy(self):
+        # no scipy module on the real solve, trace and window routes; the
+        # Gauss-Hermite oracle loads scipy.special on its first call
+        code = ("import math, sys, oscspec.cli\n"
+                "from oscspec.matelem import u_element_oracle, window_sup\n"
+                "from oscspec.model import PhasePoint, Potential\n"
+                "from oscspec.resolvent import rvr_norms, trace_eigenvalue\n"
+                "from oscspec.spectral import spectrum\n"
+                "V = Potential.cosine(alpha=1.0)\n"
+                "spectrum(V, nmax=20)\n"
+                "rvr_norms(V, 10, 0.5)\n"
+                "trace_eigenvalue(V, 10, 0.5, jmax=3)\n"
+                "window_sup(V, 10)\n"
+                "loaded = [m for m in sys.modules\n"
+                "          if m == 'scipy' or m.startswith('scipy.')]\n"
+                "assert not loaded, loaded\n"
+                "u = u_element_oracle(PhasePoint(1.0, 0.0), 1.0, 0, 1)\n"
+                "assert abs(u - 1j * math.exp(-0.25) / math.sqrt(2)) < 1e-12\n"
+                "assert 'scipy.special' in sys.modules\n")
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
 
 class TestParityBlocks:
     """V commutes with parity when every c_a is real; eigensolve then
