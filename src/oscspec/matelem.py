@@ -30,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .model import PhasePoint, Potential, rho as rho_of
-from .specialfn import a_coefficients, bessel_j_grid, f_factor
+from .specialfn import (_check_byte_budget, a_coefficients, bessel_j_grid,
+                        f_factor)
 
 __all__ = [
     "MatrixElementTable",
@@ -45,24 +46,14 @@ __all__ = [
 ]
 
 ORACLE_INDEX_MAX = 300
-# Dense bytes one call may plan, sized for a 7 GB host with room left for
-# the interpreter and another process.  Each dense entry point plans its
-# own measured peak bytes per entry of the N x N basis.
-DENSE_BYTE_BUDGET = 4 * 2**30
 # Relative size of the imaginary parts below which a block counts as real.
 _REAL_TOL = 1e-13
 
 
 def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
     """Refuse, before anything is allocated, a basis whose dense arrays
-    would exceed DENSE_BYTE_BUDGET."""
-    planned = bytes_per_entry * N * N
-    if planned > DENSE_BYTE_BUDGET:
-        tenths = (10 * planned + 2**29) >> 30   # in integers: any N formats
-        raise ValueError(
-            f"basis size {N} plans {tenths // 10}.{tenths % 10} GiB of dense "
-            f"arrays, over the {DENSE_BYTE_BUDGET >> 30} GiB budget"
-        )
+    would exceed DENSE_BYTE_BUDGET at `bytes_per_entry` of the N x N basis."""
+    _check_byte_budget(bytes_per_entry * N * N, f"basis size {N}")
 
 
 def _omega(a: PhasePoint, alpha: float) -> complex:
@@ -213,8 +204,9 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     m = k_prime - k
     s = k_prime + k + 1
     j = np.arange(jmax + 1)
-    coeffs = np.array(a_coefficients(k, k_prime, jmax))
+    # the kernel first: it refuses a rule past the byte budget
     terms = bessel_j_grid(m + j, 2.0 * r * math.sqrt(s))
+    coeffs = np.array(a_coefficients(k, k_prime, jmax))
     total = float(coeffs * (r / math.sqrt(s)) ** j @ terms)
     sqrt_f = math.sqrt(f_factor(k, k_prime))
     theta = cmath.phase(-w)

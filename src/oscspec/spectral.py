@@ -11,7 +11,7 @@ the coupling block is read from its rows N..N+b-1.  That part
 of the bound is rigorous in exact arithmetic; the eigensolver's rounding
 is added by a probabilistic model (`_rounding`), not a worst-case bound.
 When the bound misses the tolerance, N grows geometrically up to the
-largest size whose dense arrays fit `matelem.DENSE_BYTE_BUDGET`.
+largest size whose dense arrays fit `specialfn.DENSE_BYTE_BUDGET`.
 When V commutes with parity (every c_a real, e.g. multiplication by an even
 function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which `eigensolve` diagonalizes apart: two solves of
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import (DENSE_BYTE_BUDGET, MatrixElementTable,
-                      _check_dense_budget, _real_if_real, build_matrix,
-                      parity_blocks)
+from .matelem import (MatrixElementTable, _check_dense_budget, _real_if_real,
+                      build_matrix, parity_blocks)
 from .model import Potential, rho
+from .specialfn import DENSE_BYTE_BUDGET
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
 

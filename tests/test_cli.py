@@ -334,6 +334,16 @@ class TestMain:
         assert run.returncode == 2
         assert "beyond supported range" in run.stderr
 
+    def test_matelem_bessel_rule_over_budget_exit_two(self, capsys):
+        # k = k' and jmax = 10^6 ask for orders 0..10^6 at one argument:
+        # about 250000 nodes each, refused before the rule is allocated
+        assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "0",
+                     "--kprime", "0", "--jmax", str(10**6)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a Bessel rule of")
+        assert "over the 4 GiB budget" in captured.err
+
     def test_verify_window_suite(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["verify", "--config", str(cfg_path),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from laguerre_oracle import laguerre
+from oscspec import specialfn
 from oscspec.specialfn import (BESSEL_ORDER_MAX, _alias_order, a_coefficients,
                                bessel_j_grid, f_factor)
 
@@ -154,8 +155,8 @@ class TestBessel:
             assert np.max(np.abs(bessel_j_grid(n, xs) - jv(n, xs))) <= 1e-13
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                        reason="the phase is extended-precision only where "
-                               "long double is wider than double")
+                        reason="the node table sin(t_j)/2pi is accurate past "
+                               "double only where long double is wider")
     def test_matches_mpmath_to_rounding(self):
         rng = np.random.default_rng(12)
         with mpmath.workdps(30):
@@ -164,6 +165,42 @@ class TestBessel:
                 want = [float(mpmath.besselj(int(n), x)) for x in xs]
                 err = np.abs(bessel_j_grid(int(n), xs) - want)
                 assert np.max(err) <= 1e-15
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the node table sin(t_j)/2pi is accurate past "
+                               "double only where long double is wider")
+    @pytest.mark.parametrize("top, x_max", [(12, 20.0), (301, 400.0),
+                                            (1999, 3000.0)])
+    def test_mixed_parity_orders_match_mpmath(self, top, x_max):
+        # one call for orders of both parities, every n mod 4: at the
+        # self-paired node j = K = M/4 the order phase n K mod M is
+        # (n mod 4) K, so each of its four quarter turns is taken
+        rng = np.random.default_rng(top)
+        orders = np.array([*range(top - 3, top + 1),
+                           *rng.integers(0, top, 4)])[:, None]
+        assert set(orders[:, 0] % 4) == {0, 1, 2, 3}
+        xs = np.array([0.0, *rng.uniform(0, x_max, 3), x_max])
+        vals = bessel_j_grid(orders, xs)
+        with mpmath.workdps(30):
+            want = [[float(mpmath.besselj(int(n), x)) for x in xs]
+                    for n in orders[:, 0]]
+        assert np.max(np.abs(vals - want)) <= 1e-15
+
+    def test_broadcast_matches_per_order_calls(self):
+        rng = np.random.default_rng(20)
+        orders = np.array([*range(8), *rng.integers(8, 2000, 12)])[:, None]
+        xs = np.array([0.0, 3.5, 250.0, 1999.25, 3000.0])
+        vals = bessel_j_grid(orders, xs)
+        assert vals.shape == (20, 5)
+        for row, n in zip(vals, orders[:, 0]):
+            assert np.max(np.abs(row - bessel_j_grid(int(n), xs))) <= 1e-15
+        # the same orders and arguments on the other axes
+        assert np.max(np.abs(bessel_j_grid(orders.T, xs[:, None]) - vals.T)) \
+            <= 1e-15
+        # J_n(0) stays exact in the broadcast call and in a one-point call
+        assert np.array_equal(vals[:, 0], (orders[:, 0] == 0).astype(float))
+        assert np.array_equal(bessel_j_grid(orders, 0.0),
+                              (orders == 0).astype(float))
 
     def test_order_array_matches_scalar_orders(self):
         orders = np.arange(0, 60, 3)[:, None]
@@ -182,19 +219,46 @@ class TestBessel:
                               [1.0, 0.0, 0.0, 0.0])
 
     def test_alias_order_is_minimal(self):
-        # the smallest nu >= x with (x/2)^nu / nu! <= 2^-60, in exact
-        # rational arithmetic
-        def holds(x, nu):
+        # the smallest nu >= x at which DLMF 10.14.4, (x/2)^nu / nu!, in
+        # exact rational arithmetic, or Kapteyn's inequality DLMF 10.14.5,
+        # (z e^s / (1 + s))^nu with z = x/nu and s = sqrt(1 - z^2), at 60
+        # digits, is <= 2^-60
+        def dlmf(x, nu):
             return (Fraction(x) / 2) ** nu / math.factorial(nu) \
                 <= Fraction(1, 2**60)
 
-        for x in [*np.linspace(0.0, 3.0, 13), *np.geomspace(3.5, 3000.0, 40)]:
+        def kapteyn(x, nu):
+            if nu <= x:
+                return False
+            with mpmath.workdps(60):
+                z = mpmath.mpf(x) / nu
+                s = mpmath.sqrt(1 - z**2)
+                return nu * (mpmath.log(z) + s - mpmath.log1p(s)) \
+                    <= -60 * mpmath.log(2)
+
+        for x in [*np.linspace(0.0, 3.0, 13), *np.geomspace(3.5, 3000.0, 40),
+                  20.0, 200.0]:
             x = float(x)
             nu = _alias_order(x)
             assert nu >= x
-            assert holds(x, nu)
+            assert dlmf(x, nu) or kapteyn(x, nu)
             if nu > math.ceil(x):
-                assert not holds(x, nu - 1)
+                assert not dlmf(x, nu - 1)
+                assert not kapteyn(x, nu - 1)
+        # Kapteyn's bound is the smaller past a few tens; 10.14.4 at x = 20
+        assert [_alias_order(x) for x in (20.0, 200.0, 3000.0)] \
+            == [55, 274, 3181]
+        assert not kapteyn(20.0, 55) and kapteyn(200.0, 274)
+
+    def test_rule_past_the_byte_budget_is_refused(self, monkeypatch):
+        # 10^6 + 1 orders at one argument plan terabytes: refused before
+        # the node table, the first array of the rule, is split
+        split = []
+        monkeypatch.setattr(specialfn, "_split", split.append)
+        with pytest.raises(ValueError, match="Bessel rule of 250006 nodes"
+                                             ".* over the 4 GiB budget"):
+            bessel_j_grid(np.arange(BESSEL_ORDER_MAX + 1), 2.0)
+        assert split == []
 
     def test_order_array_rejects_bad_orders(self):
         xs = np.array([1.0, 2.0])
