@@ -11,13 +11,17 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 
 `v_matrix`/`build_matrix` assemble the dense truncated matrix of V and
 of H+V; `parity_blocks` finds its even/odd split when V commutes with
-parity; `window_sup` bounds the elements near the diagonal.  Every
-closed-form magnitude comes from one prefactored Laguerre recurrence,
-`_magnitudes`, run on one offset for a single element and on a vector of
-offsets for a matrix or a window block.  Its iterates are exactly the
-(signed) element magnitudes, so every intermediate stays bounded by 1 and
-basis sizes of 10^4 never overflow.  Only the oracle needs scipy
-(`scipy.special.roots_hermite`), and imports it on its first call.
+parity; `solver_blocks` assembles the truncation of H+V straight into the
+parity blocks and LAPACK storage of `spectral`'s eigensolver, with the
+coupling block of its certificate; `window_sup` bounds the elements near
+the diagonal.  Every closed-form magnitude comes from one prefactored
+Laguerre recurrence, `_magnitudes`, run on one offset for a single element
+and, for a matrix or a window block, on a vector of offsets for all
+{a, -a} pairs at once, cut at each step to the offsets still written.  Its
+iterates are exactly the (signed) element magnitudes, so every
+intermediate stays bounded by 1 and basis sizes of 10^4 never overflow.
+Only the oracle needs scipy (`scipy.special.roots_hermite`), and imports
+it on its first call.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ __all__ = [
     "v_element",
     "v_matrix",
     "build_matrix",
+    "SolverBlocks",
+    "solver_blocks",
     "parity_blocks",
     "window_sup",
 ]
@@ -62,29 +68,53 @@ def _omega(a: PhasePoint, alpha: float) -> complex:
     return complex(0.5 * sa * a.a_xi, -0.5 * a.a_x / sa)
 
 
+def _elementwise(f, v):
+    """f(v) by `math` for a float v, or for each entry of an ndarray v, so
+    that both give the same bits."""
+    if isinstance(v, np.ndarray):
+        return np.array([f(e) for e in v.ravel().tolist()]).reshape(v.shape)
+    return f(v)
+
+
 def _log_factorial(m):
     """log m! by math.lgamma, for a float m >= 0 or each entry of an ndarray."""
-    if isinstance(m, np.ndarray):
-        return np.array([math.lgamma(v + 1.0) for v in m.tolist()])
-    return math.lgamma(m + 1.0)
+    return _elementwise(lambda v: math.lgamma(v + 1.0), m)
 
 
-def _magnitudes(r: float, m, kmax: int):
+def _magnitudes(r, m, kmax: int, widths=None):
     """Yield g_k = sqrt(k!/k'!) (sqrt2 r)^m e^{-r^2} L_k^{(m)}(2 r^2), k = 0..kmax.
 
-    m = k' - k is a float offset or an ndarray of offsets.  The recurrence
-    runs on the prefactored quantity itself, so every iterate is bounded by
-    1; its body uses only arithmetic and ** 0.5 so one loop serves both.
+    m = k' - k is a float offset or an ndarray of offsets, and r a float or
+    a (P, 1) ndarray of P pairs' radii, whose iterates are then P rows of
+    offsets.  The recurrence runs on the prefactored quantity itself, so
+    every iterate is bounded by 1; its body uses only arithmetic and ** 0.5
+    so one loop serves floats and arrays, and each step's denominator
+    sqrt((j+1)(j+1+m)) is the next step's sqrt(j(j+m)).  Given `widths`,
+    row k of the caller writes the first widths[k] offsets, and each
+    iterate is cut to the offsets a row from it on still writes.  An
+    offset whose start value underflows to 0 for every pair stays exactly
+    0, so those past the last nonzero one are cut from the start.
     """
     x = 2.0 * r * r
-    g = np.exp(m * math.log(math.sqrt(2.0) * r) - r * r
+    g = np.exp(m * _elementwise(math.log, math.sqrt(2.0) * r) - r * r
                - 0.5 * _log_factorial(m))
-    prev = 0.0
+    if widths is not None:
+        nonzero = np.flatnonzero(np.any(np.atleast_2d(g) != 0.0, axis=0))
+        last = int(nonzero[-1]) + 1 if nonzero.size else 0
+        keep = np.minimum(np.maximum.accumulate(widths[::-1])[::-1],
+                          last).tolist()
+        g, m = g[..., :keep[0]], m[:keep[0]]
+    prev = root = 0.0   # g_{-1} and sqrt(j (j + m)) at j = 0
     yield g
     for j in range(kmax):
-        prev, g = g, (
-            (2 * j + 1 + m - x) * g - (j * (j + m)) ** 0.5 * prev
-        ) / ((j + 1) * (j + 1 + m)) ** 0.5
+        if widths is not None and keep[j + 1] < len(m):
+            w = keep[j + 1]
+            g, m = g[..., :w], m[:w]
+            if j:
+                prev, root = prev[..., :w], root[:w]
+        denominator = ((j + 1) * (j + 1 + m)) ** 0.5
+        prev, g = g, ((2 * j + 1 + m - x) * g - root * prev) / denominator
+        root = denominator
         yield g
 
 
@@ -221,26 +251,52 @@ def v_element(V: Potential, k: int, k_prime: int) -> complex:
     return complex(total)
 
 
-def _accumulate_pair(out: np.ndarray, p: PhasePoint, c: complex,
-                     alpha: float, lo: int) -> None:
-    """Add the {a, -a} pair contribution to the upper triangle of `out`,
-    the block of rows and columns lo .. lo + len(out) - 1.
+def _pair_terms(pairs, alpha: float, m: np.ndarray):
+    """Radii and coefficients of the {a, -a} pairs (a, c_a) at offsets m.
 
-    One pass of the magnitude recurrence, shared across all diagonal
-    offsets m = k' - k; row k is emitted as the recurrence reaches degree k.
+    Returns r as a (P, 1) array of |omega_a| and coeff[p, i] = c_a e^{i m_i
+    theta} + conj(c_a) e^{i m_i (theta + pi)}, theta = arg(-omega_a): row
+    k of the upper triangle gets sum_p coeff[p, i] g_p,k(m_i) at column
+    k + m_i, with g the magnitudes of `_magnitudes`.
     """
+    radii, coeffs = [], []
+    for p, c in pairs:
+        w = _omega(p, alpha)
+        theta = cmath.phase(-w)
+        phase = np.exp(1j * m * theta)
+        coeffs.append(phase * (c + np.where(m % 2 == 0, c.conjugate(),
+                                            -c.conjugate())))
+        radii.append(abs(w))
+    return np.array(radii).reshape(-1, 1), np.array(coeffs)
+
+
+def _add_rows(out: np.ndarray, terms: np.ndarray) -> None:
+    """out += terms[0], terms[1], ... in order: the pairs' sum rounds as
+    when each pair is added on its own (np.sum may pair them up)."""
+    for t in terms:
+        out += t
+
+
+def _accumulate_pairs(out: np.ndarray, V: Potential, lo: int) -> None:
+    """Add the contribution of every {a, -a} pair of V to the upper
+    triangle of `out`, the block of rows and columns lo .. lo + len(out) - 1.
+
+    One pass of the magnitude recurrence, stacked over the pairs and shared
+    across all diagonal offsets m = k' - k; row k is emitted as the
+    recurrence reaches degree k.
+    """
+    pairs = V.pairs()
     n = out.shape[0]
-    w = _omega(p, alpha)
-    theta = cmath.phase(-w)
-    marr = np.arange(n, dtype=float)
-    # c_a e^{i m theta} + conj(c_a) e^{i m (theta+pi)}
-    phase = np.exp(1j * marr * theta)
-    coeff = phase * (c + np.where(np.arange(n) % 2 == 0, c.conjugate(),
-                                  -c.conjugate()))
-    for k, g in enumerate(_magnitudes(abs(w), marr, lo + n - 1)):
+    if not pairs or n == 0:
+        return
+    m = np.arange(n, dtype=float)
+    r, coeff = _pair_terms(pairs, V.alpha, m)
+    rows = np.arange(lo + n)
+    widths = np.where(rows >= lo, lo + n - rows, 0)
+    for k, g in enumerate(_magnitudes(r, m, lo + n - 1, widths)):
         if k >= lo:
-            width = n - (k - lo)
-            out[k - lo, k - lo:] += coeff[:width] * g[:width]
+            w = min(lo + n - k, g.shape[1])
+            _add_rows(out[k - lo, k - lo:k - lo + w], coeff[:, :w] * g[:, :w])
 
 
 def v_matrix(V: Potential, N: int) -> np.ndarray:
@@ -249,8 +305,7 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
         raise ValueError("N must be positive")
     _check_dense_budget(N, 16)    # the complex matrix itself
     upper = np.zeros((N, N), dtype=complex)
-    for p, c in V.pairs():
-        _accumulate_pair(upper, p, c, V.alpha, 0)
+    _accumulate_pairs(upper, V, 0)
     if V.c0 != 0:
         upper[np.diag_indices(N)] += V.c0
     # mirror the strict upper triangle row by row (no index-array blowup)
@@ -274,12 +329,102 @@ def build_matrix(V: Potential, N: int) -> MatrixElementTable:
     return MatrixElementTable(entries=mat)
 
 
+def _block_kinds(V: Potential) -> tuple[bool, bool]:
+    """(split, real) of the truncated matrix of H + V, decided from V alone.
+
+    It splits into its even- and odd-index blocks when every c_a is real:
+    odd offsets then carry c_a - conj(c_a) = 0 exactly (see
+    `parity_blocks`).  Its blocks are real when every pair's coefficients
+    e^{i m theta}(c_a + (-1)^m conj(c_a)) are: theta = pi/2 when a_xi = 0,
+    and theta = pi when a_x = 0, real for real c_a.  Real up to the rounding
+    of e^{i m theta}, which the real blocks drop.
+    """
+    pairs = V.pairs()
+    split = all(c.imag == 0 for _, c in pairs)
+    real = all(p.a_xi == 0 or (p.a_x == 0 and c.imag == 0) for p, c in pairs)
+    return split, real
+
+
+@dataclass(frozen=True)
+class SolverBlocks:
+    """The N x N truncation A_N of H + V in the storage its eigensolver
+    reads, and its coupling block in A_{N+b}.
+
+    `blocks` holds one (slice, matrix) pair per parity block (`_block_kinds`):
+    the block A_N[s, s] as a Fortran-ordered array, float64 when real,
+    with only its lower triangle filled (LAPACK's UPLO = 'L').  `coupling`
+    is E = A_{N+b}[N:N+b, max(0, N-b):N], complex, and `diagonal` holds
+    alpha(2k+1) + V_kk, k < N.
+    """
+
+    blocks: tuple[tuple[slice, np.ndarray], ...]
+    coupling: np.ndarray
+    diagonal: np.ndarray
+
+
+def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
+    """A_N and the coupling block E of A_{N + band}, from one stacked pass of
+    the magnitude recurrence over rows k < N.
+
+    Entry (k + m, k) of the lower triangle is conj(V_{k, k+m}), so row k of
+    the recurrence fills column k of its parity block (contiguous in
+    Fortran order) and, for k >= N - band, column k of E.  A split matrix
+    runs the recurrence on the even offsets only.  The blocks, E and the
+    diagonal are bitwise those of `build_matrix` read through
+    `parity_blocks` and `_real_if_real`, without its complex N x N matrix
+    and Hermitian mirror.
+    """
+    if N < 1 or band < 0:
+        raise ValueError("N must be positive and band nonnegative")
+    split, real = _block_kinds(V)
+    dtype = float if real else complex
+    _check_dense_budget(N, np.dtype(dtype).itemsize)
+    step = 2 if split else 1
+    slices = ((slice(0, None, 2), slice(1, None, 2)) if split and N > 1
+              else (slice(None),))
+    blocks = [np.zeros((len(range(N)[s]),) * 2, dtype=dtype, order="F")
+              for s in slices]
+    lo = max(0, N - band)
+    coupling = np.zeros((band, N - lo), dtype=complex)
+    pairs = V.pairs()
+    if pairs:
+        rows = np.arange(N)
+        # row k writes offsets m < N - k, and the band past N from lo on
+        widths = -(-(N - rows + np.where(rows >= lo, band, 0)) // step)
+        m = step * np.arange(widths.max(), dtype=float)
+        r, coeff = _pair_terms(pairs, V.alpha, m)
+        lower = coeff.conjugate()
+        in_block = lower.real if real else lower
+        for k, g in enumerate(_magnitudes(r, m, N - 1, widths)):
+            block, c = blocks[k % step], k // step
+            w = min(len(block) - c, g.shape[1])
+            _add_rows(block[c:c + w, c], in_block[:, :w] * g[:, :w])
+            if k >= lo:
+                # offsets N - k .. N - k + band - 1 reach rows N .. N+band-1
+                i0 = -(-(N - k) // step)
+                i1 = min(widths[k], g.shape[1])
+                if i1 > i0:
+                    e0 = i0 * step - (N - k)
+                    _add_rows(coupling[e0:e0 + step * (i1 - i0):step, k - lo],
+                              lower[:, i0:i1] * g[:, i0:i1])
+    diag = V.alpha * (2.0 * np.arange(N) + 1.0)
+    diagonal = np.empty(N)
+    for s, block in zip(slices, blocks):
+        i = np.arange(len(block))
+        if V.c0 != 0:
+            block[i, i] += V.c0.real if real else V.c0
+        block[i, i] += diag[s]
+        diagonal[s] = block[i, i].real
+    return SolverBlocks(blocks=tuple(zip(slices, blocks)), coupling=coupling,
+                        diagonal=diagonal)
+
+
 def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:
     """Index slices of the diagonal blocks that together hold every entry of m.
 
     Parity P phi_k = (-1)^k phi_k satisfies P U_a P = U_{-a}, so V commutes
     with P when every c_a is real, and then every entry between an even and
-    an odd index is exactly 0.0 (`_accumulate_pair` multiplies odd offsets
+    an odd index is exactly 0.0 (`_pair_terms` multiplies odd offsets
     by c_a - conj(c_a)).  Returns (even, odd) slices when m[0::2, 1::2] is
     all zero, else one slice over everything.  m must be Hermitian, so the
     other off-block vanishes with it.  Exact: a single nonzero entry keeps
@@ -308,8 +453,7 @@ def window_sup(V: Potential, n: int) -> float:
     half = int(math.floor(V.kappa() * math.sqrt(n)))
     lo = max(0, n - half)
     block = np.zeros((n + half - lo + 1,) * 2, dtype=complex)
-    for p, c in V.pairs():
-        _accumulate_pair(block, p, c, V.alpha, lo)
+    _accumulate_pairs(block, V, lo)
     block[np.diag_indices(len(block))] += V.c0
     # the upper triangle holds every magnitude, since V is Hermitian
     return float(np.max(np.abs(block)))

@@ -5,20 +5,24 @@ every Ritz value theta_n, n <= nmax, from the eigenvalue lambda_n of the
 full operator by a quadratic residual bound.  The Ritz vectors reach the
 rest of the basis only through a corner block of V whose entries decay
 super-exponentially past a band b, so their residuals cost one small
-block, and the rest of the spectrum is bounded below a priori.  One
-assembly of A_{N+b} serves both: its leading N x N block is solved, and
-the coupling block is read from its rows N..N+b-1.  That part
-of the bound is rigorous in exact arithmetic; the eigensolver's rounding
+block, and the rest of the spectrum is bounded below a priori.  One pass
+of `matelem.solver_blocks` assembles both, straight into the storage the
+eigensolver reads: the parity blocks of A_N, their lower triangle only, in
+Fortran order, float64 when real; and the coupling block, rows N..N+b-1 of
+A_{N+b}.  No complex N x N matrix and no Hermitian mirror is built.  That
+part of the bound is rigorous in exact arithmetic; the eigensolver's rounding
 is added by a probabilistic model (`_rounding`), not a worst-case bound.
 When the bound misses the tolerance, N grows geometrically up to the
 largest size whose dense arrays fit `specialfn.DENSE_BYTE_BUDGET`.
 When V commutes with parity (every c_a real, e.g. multiplication by an even
 function such as cos x) the matrix splits exactly into its even- and
-odd-index blocks, which `eigensolve` diagonalizes apart: two solves of
-half the order cost about a quarter of one full solve.  The residuals need
-only the last b rows of the Ritz vectors; a complex block keeps its
-eigenvectors factored through its Householder tridiagonal, and LAPACK
-zunmqr forms only those rows.
+odd-index blocks, which are assembled and diagonalized apart: two solves of
+half the order cost about a quarter of one full solve.  Which blocks there
+are, and whether they are real, is decided from V before assembly.  The
+residuals need only the last b rows of the Ritz vectors; a complex block,
+or a real one of order `_FACTORED_REAL_ORDER` and up, is reduced in place
+and keeps its eigenvectors factored through its Householder tridiagonal,
+and LAPACK forms only those rows.
 """
 
 from __future__ import annotations
@@ -30,8 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import (MatrixElementTable, _check_dense_budget, _real_if_real,
-                      build_matrix, parity_blocks)
+# build_matrix has no use here; perfbench's tracer tests wrap it under
+# this module's name until the benchmark is refitted (ROADMAP item 4)
+from .matelem import build_matrix  # noqa: F401
+from .matelem import (MatrixElementTable, SolverBlocks, _block_kinds,
+                      _check_dense_budget, _real_if_real, parity_blocks,
+                      solver_blocks)
 from .model import Potential, rho
 from .specialfn import DENSE_BYTE_BUDGET
 
@@ -39,39 +47,53 @@ __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"
 
 _EPS = float(np.finfo(float).eps)
 _GROWTH = 1.5
+# Real blocks of this order and up keep their eigenvectors factored, like
+# complex ones.  Solve plus the last b rows, cos x's even block, 2 vCPUs
+# with OpenBLAS: `np.linalg.eigh` 0.38, 2.6-3.0, 9.3 and 23.3 s at orders
+# 1200, 2700, 4000 and 5400; dsytrd + dstevd + dormqr 0.97, 2.1-2.7, 6.3
+# and 15.1 s.
+_FACTORED_REAL_ORDER = 2500
 
 
 class TruncationError(RuntimeError):
     """Raised when the residual bound cannot certify the requested indices."""
 
 
-def eigensolve(table: MatrixElementTable, *,
+def eigensolve(table: MatrixElementTable | SolverBlocks, *,
                ritz: list | None = None) -> np.ndarray:
     """All eigenvalues of the Hermitian table, ascending.
 
-    Backed by LAPACK, one call per parity block; a purely real block
-    (common for even potentials) is routed through the cheaper symmetric
-    path.  Given a list `ritz`, the blocks are solved with eigenvectors,
-    and one (slice, eigenvalues, rows) triple per block is appended to it:
+    Backed by LAPACK, one call per parity block; a real block goes through
+    the cheaper symmetric path.  A `MatrixElementTable` is split by
+    `parity_blocks` and its blocks counted real by `_real_if_real`; a
+    `SolverBlocks` comes split, typed and in LAPACK's storage, and its
+    factored blocks are reduced in place (they become the reflectors).
+    Given a list `ritz`, the blocks are solved with eigenvectors, and one
+    (slice, eigenvalues, rows) triple per block is appended to it:
     `rows(start)` returns rows start.. of the block's eigenvector matrix.
-    A real block is solved by `np.linalg.eigh` and `rows` slices its
-    eigenvectors; a complex block keeps them factored (`_factored_eigh`)
-    and `rows` has zunmqr form only the rows asked for.  The out-parameter
+    A real block below order _FACTORED_REAL_ORDER is solved by
+    `np.linalg.eigh` and `rows` slices its eigenvectors; a complex or a
+    larger real block keeps them factored (`_factored_eigh`) and `rows`
+    has LAPACK form only the rows asked for.  The out-parameter
     keeps the solve with eigenvectors inside this function, where
     perfbench's tracer observes it (the `eigensolve_N` span); a private
     helper would hide it.
     """
-    m = table.entries
+    owned = isinstance(table, SolverBlocks)
+    if owned:
+        blocks = table.blocks
+    else:
+        m = table.entries
+        blocks = [(s, _real_if_real(m[s, s])) for s in parity_blocks(m)]
     parts = []
-    for s in parity_blocks(m):
-        block = _real_if_real(m[s, s])
+    for s, block in blocks:
         if ritz is None:
             w = np.linalg.eigvalsh(block)
-        elif np.isrealobj(block):
+        elif np.isrealobj(block) and len(block) < _FACTORED_REAL_ORDER:
             w, x = np.linalg.eigh(block)
             ritz.append((s, w, lambda start, x=x: x[start:]))
         else:
-            w, rows = _factored_eigh(block)
+            w, rows = _factored_eigh(block, overwrite=owned)
             ritz.append((s, w, rows))
         parts.append(w)
     return np.sort(np.concatenate(parts))
@@ -82,45 +104,52 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
 
 
-def _factored_eigh(a: np.ndarray):
-    """Eigenvalues of the complex Hermitian matrix `a`, ascending, and a
-    function `rows(start)` returning rows start.. of its eigenvectors.
+def _factored_eigh(a: np.ndarray, overwrite: bool = False):
+    """Eigenvalues of the Hermitian (or real symmetric) matrix `a`,
+    ascending, and a function `rows(start)` returning rows start.. of its
+    eigenvectors.  LAPACK reads the lower triangle of `a`; with
+    `overwrite`, a Fortran-ordered `a` is reduced in place.
 
-    zhetrd reduces a = Q T Q^H with T real tridiagonal and Q = H(0) ..
-    H(N-2) kept as Householder reflectors, and dstevd gives
+    zhetrd (dsytrd) reduces a = Q T Q^H with T real tridiagonal and Q =
+    H(0) .. H(N-2) kept as Householder reflectors, and dstevd gives
     T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed whole:
-    `rows` has zunmqr apply the reflectors to the unit rows start.. only
-    and multiplies by Z, O(N^2 (N - start)) work in place of the O(N^3)
-    back-transform of `np.linalg.eigh`.  The same route for real blocks
-    (dsytrd, dstevd, dormqr) solved no faster than `np.linalg.eigh` and
-    certified slower, so `eigensolve` sends only complex blocks here.
+    `rows` has zunmqr (dormqr) apply the reflectors to the unit rows
+    start.. only and multiplies by Z, O(N^2 (N - start)) work in place of
+    the O(N^3) back-transform of `np.linalg.eigh`.
     """
-    from scipy.linalg import lapack   # lazily: not needed on the real path
+    from scipy.linalg import lapack   # lazily: small real blocks need none
+    real = np.isrealobj(a)
+    trd, mqr = ("dsytrd", "dormqr") if real else ("zhetrd", "zunmqr")
     n = a.shape[0]
-    lwork, info = lapack.zhetrd_lwork(n, lower=1)
-    _check_info("zhetrd_lwork", info)
-    c, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=int(lwork.real))
-    _check_info("zhetrd", info)
+    lwork, info = getattr(lapack, trd + "_lwork")(n, lower=1)
+    _check_info(trd + "_lwork", info)
+    c, d, e, tau, info = getattr(lapack, trd)(a, lower=1,
+                                              lwork=int(lwork.real),
+                                              overwrite_a=overwrite)
+    _check_info(trd, info)
     # dstevd takes an off-diagonal of length max(n - 1, 1)
     w, z, info = lapack.dstevd(d, e if n > 1 else [0.0])
     _check_info("dstevd", info)
     # Q = diag(1, Q'), and Q' is in QR storage at c[1:, :n-1]: reflector i
     # is one at row i+1 and c[i+2:, i] below.  Moved up one row in place,
-    # Q' sits in the Fortran-contiguous c[:, :n-1], which reaches zunmqr
-    # uncopied (the slice c[1:, :n-1] would be copied whole).
+    # Q' sits in the Fortran-contiguous c[:, :n-1], which reaches the
+    # multiply uncopied (the slice c[1:, :n-1] would be copied whole).
     for i in range(n - 2):
         c[i + 1:n - 1, i] = c[i + 2:, i]
 
     def rows(start: int) -> np.ndarray:
-        q = np.zeros((n - start, n), dtype=complex, order="F")
+        q = np.zeros((n - start, n), dtype=c.dtype, order="F")
         q[np.arange(n - start), np.arange(start, n)] = 1.0
         if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
-            _, work, info = lapack.zunmqr("R", "N", c[:, :-1], tau,
-                                          q[:, 1:], -1)
-            _check_info("zunmqr", info)
-            _, _, info = lapack.zunmqr("R", "N", c[:, :-1], tau, q[:, 1:],
-                                       int(work[0].real), overwrite_c=1)
-            _check_info("zunmqr", info)
+            _, work, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
+                                                 q[:, 1:], -1)
+            _check_info(mqr, info)
+            _, _, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
+                                              q[:, 1:], int(work[0].real),
+                                              overwrite_c=1)
+            _check_info(mqr, info)
+        if real:
+            return q @ z
         x = np.empty_like(q)
         x.real = q.real @ z
         x.imag = q.imag @ z
@@ -143,6 +172,25 @@ def _start_size(nmax: int) -> int:
 def _basis_cap(bytes_per_entry: int) -> int:
     """Largest basis size whose dense arrays fit DENSE_BYTE_BUDGET."""
     return math.isqrt(DENSE_BYTE_BUDGET // bytes_per_entry)
+
+
+def _bytes_per_entry(V: Potential) -> int:
+    """Planned peak bytes per entry of the N x N basis in one attempt of
+    `spectrum`.
+
+    Measured in a child process at N = 1653-4570: 14.3-15.6 when the
+    matrix splits, with real blocks (cos x) or complex ones (real c_a,
+    a_xi != 0): two blocks of half the order, each one's eigenvectors or
+    reflectors, and LAPACK's workspace for one.  A split matrix plans 24,
+    the largest measurement with 40/27 headroom.  One block measured
+    41.4-41.6 when real (sin x: the block, `eigh`'s copy of it, the
+    eigenvectors and dsyevd's 2 N^2 workspace) and 33.5-34.2 when complex
+    (quasi seed 3: the block reduced in place, Z and dstevd's workspace).
+    It plans 56, whose cap N <= 8757 keeps one complex block short of
+    order 10^4, where the complex rounding is not yet measured.
+    """
+    split, _ = _block_kinds(V)
+    return 24 if split else 56
 
 
 def _rounding(V: Potential, N: int) -> float:
@@ -261,24 +309,25 @@ class Spectrum:
 
 def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk, the bounds for
-    n <= nmax and the band; stage times are added to `seconds`.  A_N and
-    the coupling block E are both read from one assembly of A_{N+b}.  The
-    matrix and the eigenvectors (or reflectors) of one basis size are freed
-    on return, before `spectrum` tries a larger one."""
+    n <= nmax and the band; stage times are added to `seconds`.  A_N, in
+    the parity blocks and storage the eigensolver reads, and the coupling
+    block E of A_{N+b} come from one pass of `solver_blocks`.  The blocks
+    and the eigenvectors (or reflectors) of one basis size are freed on
+    return, before `spectrum` tries a larger one."""
     # the dropped coupling kept to eps ||A_N||, a sqrt(N)-th of the rounding
     b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
     t0 = time.perf_counter()
-    entries = build_matrix(V, N + b).entries
+    blocks = solver_blocks(V, N, b)
     t1 = time.perf_counter()
     ritz = []
-    ev = eigensolve(MatrixElementTable(entries[:N, :N]), ritz=ritz)
+    ev = eigensolve(blocks, ritz=ritz)
     t2 = time.perf_counter()
-    bounds = _certify(V, N, entries[N:, max(0, N - b):N], dropped, ritz, nmax)
+    bounds = _certify(V, N, blocks.coupling, dropped, ritz, nmax)
     t3 = time.perf_counter()
     seconds["assembly"] += t1 - t0
     seconds["solve"] += t2 - t1
     seconds["certificate"] += t3 - t2
-    return ev, entries.diagonal()[:N].real.copy(), bounds, b
+    return ev, blocks.diagonal, bounds, b
 
 
 def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
@@ -309,12 +358,7 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    # Peak bytes per entry of the N x N basis in one attempt (the matrix of
-    # order N + b, parity blocks, eigenvectors or reflectors), measured at
-    # N = 1500-4500: 27.5-29.6 for real c_a and real blocks (cos x),
-    # 31.5-35.8 for real c_a and a_xi != 0, and 50.7-53.7 for complex c_a
-    # (one complex block: matrix, reflectors, Z and dstevd's workspace).
-    per_entry = 40 if all(c.imag == 0 for _, c in V.terms) else 56
+    per_entry = _bytes_per_entry(V)
     cap = _basis_cap(per_entry)
     # the integer test first keeps huge nmax away from math.sqrt; past the
     # cap the refusal names nmax, a lower bound on the start size

@@ -372,8 +372,8 @@ class TestMain:
         # complex c_a plan 56 bytes per entry: the 4 GiB budget admits
         # nmax <= 7978, so 7979 is refused before any matrix is built
         built = []
-        monkeypatch.setattr(spectral, "build_matrix",
-                            lambda V, N: built.append(N))
+        monkeypatch.setattr(spectral, "solver_blocks",
+                            lambda V, N, band: built.append(N))
         complex_terms = [[1.0, 0.0, 0.3, 0.2], [-1.0, 0.0, 0.3, -0.2]]
         cfg_path = write_config(tmp_path, {**GOOD_CONFIG,
                                            "terms": complex_terms})

@@ -12,9 +12,10 @@ import pytest
 
 from certificate_oracle import full_eigenvector_bounds
 from doubling_oracle import doubling_eigenvalues
-from oscspec.matelem import MatrixElementTable, build_matrix, parity_blocks
+from oscspec.matelem import (MatrixElementTable, _block_kinds, _real_if_real,
+                             build_matrix, parity_blocks, solver_blocks)
 from oscspec.model import PhasePoint, Potential
-from oscspec import spectral
+from oscspec import matelem, spectral
 from oscspec.spectral import (
     Spectrum,
     TruncationError,
@@ -154,7 +155,10 @@ class TestFactoredEigh:
         np.array([[2.5 + 0j]]),
         np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -1.0]]),
         tridiagonal_with_real_steps(40),
-    ], ids=["four pairs N=60", "quasi N=300", "1x1", "2x2", "tau=0"])
+        solver_blocks(Potential.cosine(alpha=1.0), 300, 20).blocks[0][1],
+        np.array([[2.5]]),
+    ], ids=["four pairs N=60", "quasi N=300", "1x1", "2x2", "tau=0",
+            "real lower triangle", "real 1x1"])
     def test_rows_match_full_solve(self, a):
         w, rows = spectral._factored_eigh(a)
         w_full, x_full = np.linalg.eigh(a)
@@ -175,9 +179,13 @@ class TestFactoredEigh:
         tau = lapack.zhetrd(tridiagonal_with_real_steps(40), lower=1)[3]
         assert np.any(tau == 0) and np.any(tau != 0)
 
-    @pytest.mark.parametrize("routine", ["zhetrd_lwork", "zhetrd", "dstevd",
-                                         "zunmqr"])
-    def test_lapack_failure_raises(self, routine, monkeypatch):
+    @pytest.mark.parametrize("routine, V", [
+        *(pytest.param(r, COMPLEX_FOUR_PAIRS, id=r)
+          for r in ("zhetrd_lwork", "zhetrd", "dstevd", "zunmqr")),
+        *(pytest.param(r, Potential.cosine(alpha=1.0), id=f"real {r}")
+          for r in ("dsytrd_lwork", "dsytrd", "dstevd", "dormqr")),
+    ])
+    def test_lapack_failure_raises(self, routine, V, monkeypatch):
         from scipy.linalg import lapack
         call = getattr(lapack, routine)
 
@@ -185,10 +193,11 @@ class TestFactoredEigh:
             return (*call(*args, **kwargs)[:-1], 1)
 
         monkeypatch.setattr(lapack, routine, failing)
+        monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", 1)
         ritz = []
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"LAPACK {routine} failed \(info=1\)"):
-            eigensolve(build_matrix(COMPLEX_FOUR_PAIRS, 20), ritz=ritz)
+            eigensolve(build_matrix(V, 20), ritz=ritz)
             for _, _, rows in ritz:   # zunmqr runs when rows are asked for
                 rows(0)
 
@@ -276,6 +285,119 @@ class TestParityBlocks:
                                       [-2.0, 1.0, 3.0, 4.0, 5.0])
 
 
+# one potential per block kind: (split, real) of `_block_kinds`
+BLOCK_KINDS = [
+    (Potential.cosine(alpha=1.0), (True, True)),
+    # complex c_a with a_xi = 0, real c_a with a_x = 0: one real block
+    (Potential(alpha=1.0, c0=0.1, terms=(
+        (PhasePoint(1.0, 0.0), 0.3 - 0.4j),
+        (PhasePoint(-1.0, 0.0), 0.3 + 0.4j),
+        (PhasePoint(2**0.5, 0.0), 0.2j), (PhasePoint(-(2**0.5), 0.0), -0.2j),
+        (PhasePoint(0.0, 1.3), 0.1), (PhasePoint(0.0, -1.3), 0.1),
+    )), (False, True)),
+    # real c_a with a_xi != 0: two complex blocks
+    (Potential(alpha=1.0, c0=0.25, terms=(
+        (PhasePoint(0.6, 0.8), 0.2), (PhasePoint(-0.6, -0.8), 0.2),
+        (PhasePoint(1.0, 0.0), 0.5), (PhasePoint(-1.0, 0.0), 0.5),
+        (PhasePoint(0.0, 1.3), 0.1), (PhasePoint(0.0, -1.3), 0.1),
+    )), (True, False)),
+    (quasi_potential(3), (False, False)),
+]
+KIND_IDS = ["cos x", "complex c_a, a_xi = 0", "real c_a, a_xi != 0",
+            "quasi seed 3"]
+
+
+class TestSolverBlocks:
+    """`spectrum` assembles A_N straight into its eigensolver's storage:
+    real or complex parity blocks, lower triangle, Fortran order."""
+
+    @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize("N", [1, 2, 61, 300])
+    def test_bitwise_equal_to_full_assembly(self, V, kind, N):
+        # blocks, E and diagonal as build_matrix + parity_blocks +
+        # _real_if_real give them, bit for bit, at the band spectrum uses,
+        # at no band and at a band past N
+        b = spectral._coupling_band(V, N, spectral._rounding(V, N)
+                                    / math.sqrt(N))[0]
+        for band in sorted({0, b, N + 3}):
+            full = build_matrix(V, N + band).entries
+            m = full[:N, :N]
+            got = solver_blocks(V, N, band)
+            assert [s for s, _ in got.blocks] == list(parity_blocks(m))
+            for s, block in got.blocks:
+                want = _real_if_real(m[s, s])
+                if N > 2:   # a 1 x 1 block is real to any tolerance
+                    assert np.isrealobj(block) == np.isrealobj(want)
+                assert block.dtype == (float if kind[1] else complex)
+                assert block.flags.f_contiguous
+                np.testing.assert_array_equal(
+                    np.tril(block), np.tril(want.astype(block.dtype)))
+                assert not np.any(np.triu(block, 1))
+            lo = max(0, N - band)
+            assert got.coupling.shape == (band, N - lo)
+            np.testing.assert_array_equal(got.coupling, full[N:, lo:N])
+            np.testing.assert_array_equal(got.diagonal,
+                                          full.diagonal()[:N].real)
+
+    @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
+    def test_kind_matches_tolerance_decision(self, V, kind):
+        # the kinds decided from V before assembly are those the parity
+        # split and the _REAL_TOL scan find in the assembled matrix
+        assert _block_kinds(V) == kind
+        m = build_matrix(V, 200).entries
+        slices = parity_blocks(m)
+        assert (len(slices) == 2) == kind[0]
+        assert all(np.isrealobj(_real_if_real(m[s, s])) == kind[1]
+                   for s in slices)
+
+    @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
+    def test_spectrum_builds_no_full_matrix(self, V, kind, monkeypatch):
+        # eigensolve takes the blocks as assembled and reduces complex ones
+        # in place (zhetrd makes no copy); spectrum never builds the
+        # complex N x N matrix
+        blocks = solver_blocks(V, 80, 10)
+        before = [block.copy() for _, block in blocks.blocks]
+        ev = eigensolve(blocks, ritz=[])
+        np.testing.assert_allclose(
+            ev, np.linalg.eigvalsh(build_matrix(V, 80).entries),
+            rtol=0, atol=1e-12 * np.max(np.abs(ev)))
+        for (_, block), old in zip(blocks.blocks, before):
+            assert np.array_equal(block, old) == kind[1]
+
+        def refuse(*args):
+            raise AssertionError("the N x N complex matrix was built")
+
+        monkeypatch.setattr(spectral, "build_matrix", refuse)
+        monkeypatch.setattr(matelem, "v_matrix", refuse)
+        monkeypatch.setattr(matelem, "build_matrix", refuse)
+        assert spectrum(V, nmax=40).max_certified_bound <= 1e-8
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_peak_memory_within_plan(self):
+        # spectrum's peak RSS growth for cos x, in a fresh process, stays
+        # under the per-entry plan of the byte guard.  The peak is VmHWM:
+        # ru_maxrss keeps the high-water mark of the forking process
+        code = ("from oscspec import spectral\n"
+                "from oscspec.model import Potential\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as f:\n"
+                "        line = next(l for l in f if l.startswith('VmHWM:'))\n"
+                "    return 1024 * int(line.split()[1])\n"
+                "V = Potential.cosine(alpha=1.0)\n"
+                "spectral.spectrum(V, nmax=20)\n"
+                "base = peak()\n"
+                "N = spectral.spectrum(V, nmax=1500).basis_size\n"
+                "print(N, peak() - base, spectral._bytes_per_entry(V))\n")
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        N, growth, per_entry = map(int, out.split())
+        assert N == spectral._start_size(1500) == 1874
+        assert 0 < growth < per_entry * N * N
+
+
 class TestBasisSize:
     def test_monotone_and_padded(self):
         prev = 0
@@ -337,17 +459,18 @@ class TestSpectrum:
         return found
 
     def test_basis_limit_checked_before_assembly(self, bands, monkeypatch):
-        # at 40 bytes per entry (real c_a) the 4 GiB budget admits
-        # N <= 10362 = 9517 + 781 + 64; at 56 (complex c_a) N <= 8757 =
+        # at 24 bytes per entry (real c_a, split) the 4 GiB budget admits
+        # N <= 13377 = 12421 + 892 + 64; at 56 (complex c_a) N <= 8757 =
         # 7978 + 715 + 64.  Past it nothing may be built
         class Built(Exception):
             pass
 
-        def refuse(V, N):
-            raise Built(N - bands[-1])
+        def refuse(V, N, band):
+            assert band == bands[-1]
+            raise Built(N)
 
-        monkeypatch.setattr(spectral, "build_matrix", refuse)
-        for V, fits, N in ((Potential.cosine(alpha=1.0), 9517, "10362"),
+        monkeypatch.setattr(spectral, "solver_blocks", refuse)
+        for V, fits, N in ((Potential.cosine(alpha=1.0), 12421, "13377"),
                            (COMPLEX_FOUR_PAIRS, 7978, "8757")):
             for nmax in (fits + 1, 10**400):
                 with pytest.raises(ValueError, match="budget"):
@@ -357,15 +480,16 @@ class TestSpectrum:
 
     @pytest.fixture
     def built_sizes(self, bands, monkeypatch):
-        """The basis sizes `spectrum` solves, in order: each assembled size
-        less its band."""
+        """The basis sizes `spectrum` solves, in order: each one assembled
+        with its band."""
         sizes = []
 
-        def record(V, N):
-            sizes.append(N - bands[-1])
-            return build_matrix(V, N)
+        def record(V, N, band):
+            assert band == bands[-1]
+            sizes.append(N)
+            return solver_blocks(V, N, band)
 
-        monkeypatch.setattr(spectral, "build_matrix", record)
+        monkeypatch.setattr(spectral, "solver_blocks", record)
         return sizes
 
     def test_impossible_tolerance_raises(self, built_sizes):
@@ -442,10 +566,14 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("V, nmax", [
         (COMPLEX_FOUR_PAIRS, 100), (quasi_potential(3), 200),
-    ], ids=["complex four pairs", "quasi seed 3"])
-    def test_certificate_matches_full_eigenvectors(self, V, nmax):
+        (Potential.cosine(alpha=1.0), 200),
+    ], ids=["complex four pairs", "quasi seed 3", "cos x"])
+    def test_certificate_matches_full_eigenvectors(self, V, nmax,
+                                                   monkeypatch):
         # the bounds from the factored rows of X match those from the full
-        # eigenvectors of np.linalg.eigh, and so do the eigenvalues
+        # eigenvectors of np.linalg.eigh, and so do the eigenvalues; real
+        # blocks are factored too from order _FACTORED_REAL_ORDER on
+        monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", 1)
         spec = spectrum(V, nmax=nmax)
         bounds, band = full_eigenvector_bounds(V, spec.basis_size, nmax)
         assert band == spec.coupling_band
