@@ -19,10 +19,14 @@ function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which are assembled and diagonalized apart: two solves of
 half the order cost about a quarter of one full solve.  Which blocks there
 are, and whether they are real, is decided from V before assembly.  The
-residuals need only the last b rows of the Ritz vectors; a complex block,
-or a real one of order `_FACTORED_REAL_ORDER` and up, is reduced in place
-and keeps its eigenvectors factored through its Householder tridiagonal,
-and LAPACK forms only those rows.
+residuals E X need only the last b rows of the Ritz vectors; a complex
+block, or a real one of order `_FACTORED_REAL_ORDER` and up, is reduced in
+place and keeps its eigenvectors factored through its Householder
+tridiagonal, and the reflectors and Z are applied to E itself.  Each
+block's solve and its residual product run in one library, numpy's for
+`np.linalg.eigh` and scipy's for the factored route: the two load separate
+OpenBLAS builds whose thread pools slow each other down when calls
+alternate.
 """
 
 from __future__ import annotations
@@ -41,17 +45,19 @@ from .matelem import (MatrixElementTable, SolverBlocks, _block_kinds,
                       _check_dense_budget, _real_if_real, parity_blocks,
                       solver_blocks)
 from .model import Potential, rho
-from .specialfn import DENSE_BYTE_BUDGET
+from .specialfn import DENSE_BYTE_BUDGET, _check_byte_budget
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
 
 _EPS = float(np.finfo(float).eps)
 _GROWTH = 1.5
 # Real blocks of this order and up keep their eigenvectors factored, like
-# complex ones.  Solve plus the last b rows, cos x's even block, 2 vCPUs
-# with OpenBLAS: `np.linalg.eigh` 0.38, 2.6-3.0, 9.3 and 23.3 s at orders
-# 1200, 2700, 4000 and 5400; dsytrd + dstevd + dormqr 0.97, 2.1-2.7, 6.3
-# and 15.1 s.
+# complex ones.  Solve plus the certificate product, cos x's even block,
+# each route in its own process, 2 vCPUs with OpenBLAS, medians:
+# `np.linalg.eigh` 0.045, 0.31, 2.7 and 21 s at orders 546, 1200, 2700 and
+# 5400; dsytrd + dstevd + dormqr + dgemm 0.035, 0.24, 1.9 and 15 s.  The
+# factored route is faster at each order, but below 2500 it would load
+# scipy.linalg for cos x, 27 MB on a 63 MB `oscspec compute` peak.
 _FACTORED_REAL_ORDER = 2500
 
 
@@ -70,14 +76,17 @@ def eigensolve(table: MatrixElementTable | SolverBlocks, *,
     factored blocks are reduced in place (they become the reflectors).
     Given a list `ritz`, the blocks are solved with eigenvectors, and one
     (slice, eigenvalues, rows) triple per block is appended to it:
-    `rows(start)` returns rows start.. of the block's eigenvector matrix.
-    A real block below order _FACTORED_REAL_ORDER is solved by
-    `np.linalg.eigh` and `rows` slices its eigenvectors; a complex or a
-    larger real block keeps them factored (`_factored_eigh`) and `rows`
-    has LAPACK form only the rows asked for.  The out-parameter
-    keeps the solve with eigenvectors inside this function, where
-    perfbench's tracer observes it (the `eigensolve_N` span); a private
-    helper would hide it.
+    `rows(start, left)` returns left @ X[start:], for the block's
+    eigenvector matrix X and any `left` of as many columns as X[start:] has
+    rows.  A real block below order _FACTORED_REAL_ORDER is solved by
+    `np.linalg.eigh` and `rows` multiplies by its eigenvectors in numpy; a
+    complex or a larger real block keeps them factored (`_factored_eigh`)
+    and `rows` applies the reflectors and Z to `left` in scipy.  Either
+    way the product runs in the library that solved the block, so a
+    certificate never switches between numpy's and scipy's OpenBLAS
+    thread pools.  The out-parameter keeps the solve with eigenvectors
+    inside this function, where perfbench's tracer observes it (the
+    `eigensolve_N` span); a private helper would hide it.
     """
     owned = isinstance(table, SolverBlocks)
     if owned:
@@ -91,7 +100,7 @@ def eigensolve(table: MatrixElementTable | SolverBlocks, *,
             w = np.linalg.eigvalsh(block)
         elif np.isrealobj(block) and len(block) < _FACTORED_REAL_ORDER:
             w, x = np.linalg.eigh(block)
-            ritz.append((s, w, lambda start, x=x: x[start:]))
+            ritz.append((s, w, lambda start, left, x=x: left @ x[start:]))
         else:
             w, rows = _factored_eigh(block, overwrite=owned)
             ritz.append((s, w, rows))
@@ -106,18 +115,26 @@ def _check_info(routine: str, info: int) -> None:
 
 def _factored_eigh(a: np.ndarray, overwrite: bool = False):
     """Eigenvalues of the Hermitian (or real symmetric) matrix `a`,
-    ascending, and a function `rows(start)` returning rows start.. of its
-    eigenvectors.  LAPACK reads the lower triangle of `a`; with
-    `overwrite`, a Fortran-ordered `a` is reduced in place.
+    ascending, and a function `rows(start, left)` returning left @ X[start:]
+    for its eigenvectors X and any `left` of N - start columns.  LAPACK
+    reads the lower triangle of `a`; with `overwrite`, a Fortran-ordered `a`
+    is reduced in place.
 
     zhetrd (dsytrd) reduces a = Q T Q^H with T real tridiagonal and Q =
     H(0) .. H(N-2) kept as Householder reflectors, and dstevd gives
-    T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed whole:
-    `rows` has zunmqr (dormqr) apply the reflectors to the unit rows
-    start.. only and multiplies by Z, O(N^2 (N - start)) work in place of
-    the O(N^3) back-transform of `np.linalg.eigh`.
+    T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed, not even
+    their rows start..: `rows` places `left` in columns start.. of a
+    zero matrix C, has zunmqr (dormqr) apply the reflectors to it from the
+    right in place, and multiplies C Q by Z with scipy's dgemm, once on the
+    real and imaginary parts together.  That is O(b N^2) work for b rows
+    of `left`, in place of the O(N^3) back-transform of `np.linalg.eigh`.
+    Every product of the block runs in scipy's BLAS: numpy and scipy each
+    load their own OpenBLAS, whose threads spin for a while after each
+    call, and a call into one library right after the other ran 1.5 to 4
+    times as slow on 2 vCPUs.
     """
-    from scipy.linalg import lapack   # lazily: small real blocks need none
+    # lazily: small real blocks need neither
+    from scipy.linalg import blas, lapack
     real = np.isrealobj(a)
     trd, mqr = ("dsytrd", "dormqr") if real else ("zhetrd", "zunmqr")
     n = a.shape[0]
@@ -137,23 +154,25 @@ def _factored_eigh(a: np.ndarray, overwrite: bool = False):
     for i in range(n - 2):
         c[i + 1:n - 1, i] = c[i + 2:, i]
 
-    def rows(start: int) -> np.ndarray:
-        q = np.zeros((n - start, n), dtype=c.dtype, order="F")
-        q[np.arange(n - start), np.arange(start, n)] = 1.0
+    def rows(start: int, left: np.ndarray) -> np.ndarray:
+        q = np.zeros((len(left), n), dtype=np.result_type(c, left), order="F")
+        if not q.size:
+            return q
+        q[:, start:] = left
+        # a complex q read as a real one of twice the rows (row i's real
+        # part, then its imaginary part): a real Q' and Z act on both alike
+        flat = q.T.view(np.float64).T if np.iscomplexobj(q) else q
         if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
+            cq = flat if real else q
             _, work, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
-                                                 q[:, 1:], -1)
+                                                 cq[:, 1:], -1)
             _check_info(mqr, info)
             _, _, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
-                                              q[:, 1:], int(work[0].real),
+                                              cq[:, 1:], int(work[0].real),
                                               overwrite_c=1)
             _check_info(mqr, info)
-        if real:
-            return q @ z
-        x = np.empty_like(q)
-        x.real = q.real @ z
-        x.imag = q.imag @ z
-        return x
+        x = blas.dgemm(1.0, flat, z)
+        return x.T.view(q.dtype).T if flat is not q else x
 
     return w, rows
 
@@ -193,6 +212,24 @@ def _bytes_per_entry(V: Potential) -> int:
     return 24 if split else 56
 
 
+def _planned_bytes(V: Potential, N: int, b: int) -> int:
+    """Planned peak bytes of one attempt of `spectrum` at basis size N
+    and band b.
+
+    The coupling block E holds 16 b min(b, N) bytes.  It was a small part
+    of the peaks measured for `_bytes_per_entry` (b well below N), and the
+    plan's headroom holds it while it stays small.  A band near or past N
+    (large r_a sqrt(N)) is counted on top of the largest measurement, 16
+    bytes per entry when split and 42 for one block: at N = 2903, b = 2968
+    (a pair at a = (+-20, 0)) the peak grew by 228 MB, 27 per entry, while
+    24 per entry plans 202 MB and this 273 MB.
+    """
+    split, _ = _block_kinds(V)
+    measured = 16 if split else 42
+    return max(_bytes_per_entry(V) * N * N,
+               measured * N * N + 16 * b * min(b, N))
+
+
 def _rounding(V: Potential, N: int) -> float:
     """Modelled error of the eigensolver's eigenvalues: sqrt(N) eps
     ||A_N||, with ||A_N|| <= alpha(2N-1) + |c0| + sum |c_a|.
@@ -221,11 +258,16 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
     offsets m > b sum to at most T_a(b+1) / (1 - q).  That sum bounds every
     row and column sum of the entries outside the block
     E = V[N:N+b, N-b:N] that `_certify` keeps, hence (Schur test) their
-    operator norm.
+    operator norm.  Each term is compared with `target` by its log first,
+    so one past the float range (large r_a sqrt(N)) widens b as any term
+    over the target does.  Terms with c_a = 0 bound nothing and are left
+    out.
     """
-    terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c)) for p, c in V.terms]
+    terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c)) for p, c in V.terms
+             if c != 0]
     if not terms:
         return 0, 0.0
+    log_target = math.log(target)
     b = 0
     while True:
         m = b + 1
@@ -236,6 +278,9 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
                 total = math.inf
                 break
             log_t = m * math.log(z) + 0.5 * m * math.log(N + m) - math.lgamma(m + 1)
+            if log_t + math.log(c / (1.0 - q)) > log_target:
+                total = math.inf
+                break
             total += c * math.exp(log_t) / (1.0 - q)
         if total <= target:
             return b, total
@@ -261,12 +306,15 @@ def _certify(V: Potential, N: int, E: np.ndarray, dropped: float,
     """
     sigma = V.coefficient_sum()
     lo = N - E.shape[1]
+    # real blocks drop the rounding of e^{i m theta}, and so does their E
+    if _block_kinds(V)[1]:
+        E = E.real
     thetas, res2 = [], []
     for s, w, rows in ritz:
         index = np.arange(N)[s]
         start = int(np.searchsorted(index, lo))   # the block's rows >= lo
         thetas.append(w)
-        res2.append(np.sum(np.abs(E[:, index[start:] - lo] @ rows(start)) ** 2,
+        res2.append(np.sum(np.abs(rows(start, E[:, index[start:] - lo])) ** 2,
                            axis=0))
     theta = np.concatenate(thetas)
     order = np.argsort(theta, kind="stable")
@@ -316,6 +364,7 @@ def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     return, before `spectrum` tries a larger one."""
     # the dropped coupling kept to eps ||A_N||, a sqrt(N)-th of the rounding
     b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
+    _check_byte_budget(_planned_bytes(V, N, b), f"basis size {N}")
     t0 = time.perf_counter()
     blocks = solver_blocks(V, N, b)
     t1 = time.perf_counter()
@@ -352,7 +401,8 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     and modelled for the rounding.  While some bound exceeds
     convergence_tol, N grows by half up to the largest size the dense
     byte budget admits; past it, TruncationError names the first index
-    that fails.  A start size over the budget is refused before assembly.
+    that fails.  A start size over the budget is refused before assembly,
+    and so is any size whose plan with its band (`_planned_bytes`) is.
     Warns, naming the indices, where sorted order may not be the
     perturbative labelling.
     """

@@ -1,7 +1,9 @@
 """Test oracle: the certificate of `spectrum` from full eigenvectors.
 
-`spectral.eigensolve` forms only the rows of a complex block's Ritz vectors
-that the residuals E X read, from the block's Householder reflectors.  This
+`spectral.eigensolve` never forms a factored block's Ritz vectors X: the
+residuals E X come from the block's Householder reflectors applied to E
+and a product with the tridiagonal's eigenvectors, all in scipy's LAPACK
+and BLAS, so that the solve and its product share one OpenBLAS.  This
 oracle is the certificate as it stood before: every parity block solved by
 `np.linalg.eigh` with all N x N eigenvectors, and E X taken from the rows
 of those at or past lo.  Band and rounding term come from `spectral`; the

@@ -246,6 +246,19 @@ class TestMain:
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
 
+    def test_compute_wide_band_exit_zero(self, tmp_path):
+        # |||a||| = 20: from N = 2327 the Szego term of the coupling band is
+        # past the float range at small offsets; b widens to 2766 > N.
+        # nmax = 145 is the smallest nmax whose growth reaches that N
+        doc = {"alpha": 1, "terms": [[20, 0, 0.25, 0], [-20, 0, 0.25, 0]],
+               "nmax": 145}
+        out = tmp_path / "run.csv"
+        assert main(["compute", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["basis_size"] == 2327 and meta["coupling_band"] > 2327
+        assert meta["max_certified_bound"] <= 1e-8
+
     def test_compute_nmax_override(self, tmp_path):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         out = tmp_path / "run.csv"

@@ -14,8 +14,8 @@ from certificate_oracle import full_eigenvector_bounds
 from doubling_oracle import doubling_eigenvalues
 from oscspec.matelem import (MatrixElementTable, _block_kinds, _real_if_real,
                              build_matrix, parity_blocks, solver_blocks)
-from oscspec.model import PhasePoint, Potential
-from oscspec import matelem, spectral
+from oscspec.model import PhasePoint, Potential, rho
+from oscspec import matelem, specialfn, spectral
 from oscspec.spectral import (
     Spectrum,
     TruncationError,
@@ -31,6 +31,11 @@ COMPLEX_FOUR_PAIRS = Potential(alpha=1.0, c0=0.25, terms=(
     (PhasePoint(0.6, 0.8), 0.1 - 0.15j), (PhasePoint(-0.6, -0.8), 0.1 + 0.15j),
     (PhasePoint(1.5, -1.2), 0.05j), (PhasePoint(-1.5, 1.2), -0.05j),
 ))
+
+
+# one pair at |||a||| = 20, whose coupling band passes N from N = 2327 on
+WIDE_PAIR = Potential(alpha=1.0, terms=((PhasePoint(20.0, 0.0), 0.25),
+                                        (PhasePoint(-20.0, 0.0), 0.25)))
 
 
 def quasi_potential(seed):
@@ -119,12 +124,13 @@ class TestEigensolve:
             np.testing.assert_array_equal(
                 ev, np.sort(np.concatenate([w for _, w, _ in ritz])))
             for s, w, rows in ritz:
-                x = rows(0)
+                n = len(w)
+                x = rows(0, np.eye(n))
                 np.testing.assert_allclose(m[s, s] @ x, x * w, atol=1e-12)
-                np.testing.assert_allclose(x.conj().T @ x, np.eye(len(w)),
+                np.testing.assert_allclose(x.conj().T @ x, np.eye(n),
                                            atol=1e-12)
-                np.testing.assert_array_equal(rows(len(w) // 3),
-                                              x[len(w) // 3:])
+                np.testing.assert_array_equal(rows(n // 3, np.eye(n - n // 3)),
+                                              x[n // 3:])
 
     def test_realness_routing_consistent(self):
         # a tiny imaginary dusting below tolerance must not change results
@@ -145,9 +151,18 @@ def tridiagonal_with_real_steps(n):
             + np.diag(sub, -1) + np.diag(sub.conj(), 1))
 
 
+def aligned_eigenvectors(x_full, x):
+    """The eigenvectors x_full, each column turned by the unit phase that
+    aligns it with the same column of x."""
+    overlap = np.sum(x_full.conj() * x, axis=0)
+    np.testing.assert_allclose(np.abs(overlap), 1.0, atol=1e-12)
+    return x_full * (overlap / np.abs(overlap))
+
+
 class TestFactoredEigh:
-    """The complex route: zhetrd, dstevd and the Ritz-vector rows formed
-    from the Householder reflectors, against `np.linalg.eigh`."""
+    """The factored route: zhetrd (dsytrd), dstevd, and products with the
+    Ritz vectors formed from the Householder reflectors and Z, against
+    `np.linalg.eigh`."""
 
     @pytest.mark.parametrize("a", [
         build_matrix(COMPLEX_FOUR_PAIRS, 60).entries,
@@ -164,14 +179,33 @@ class TestFactoredEigh:
         w_full, x_full = np.linalg.eigh(a)
         scale = max(1.0, np.max(np.abs(w_full)))
         np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12 * scale)
-        x = rows(0)
-        # eigenvectors are unique up to one unit phase per column
-        overlap = np.sum(x_full.conj() * x, axis=0)
-        np.testing.assert_allclose(np.abs(overlap), 1.0, atol=1e-12)
-        x_full = x_full * (overlap / np.abs(overlap))
         n = len(w)
+        x = rows(0, np.eye(n))
+        # eigenvectors are unique up to one unit phase per column
+        x_full = aligned_eigenvectors(x_full, x)
         for start in sorted({0, n // 2, n - 1}):
-            np.testing.assert_allclose(rows(start), x_full[start:],
+            np.testing.assert_allclose(rows(start, np.eye(n - start)),
+                                       x_full[start:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a", [
+        solver_blocks(Potential.cosine(alpha=1.0), 300, 20).blocks[0][1],
+        build_matrix(quasi_potential(3), 300).entries,
+    ], ids=["real", "complex"])
+    def test_rows_multiply_any_left(self, a):
+        # left @ X[start:] for a complex left of another row count than
+        # X[start:], with no warning: a real block takes complex rows too
+        w, rows = spectral._factored_eigh(a)
+        n = len(w)
+        x_full = aligned_eigenvectors(np.linalg.eigh(a)[1],
+                                      rows(0, np.eye(n)))
+        rng = np.random.default_rng(5)
+        for start in sorted({0, n // 2, n - 1}):
+            shape = (n - start + 3, n - start)
+            left = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                product = rows(start, left)
+            np.testing.assert_allclose(product, left @ x_full[start:],
                                        rtol=0, atol=1e-12)
 
     def test_tau_zero_case_is_exercised(self):
@@ -198,8 +232,8 @@ class TestFactoredEigh:
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"LAPACK {routine} failed \(info=1\)"):
             eigensolve(build_matrix(V, 20), ritz=ritz)
-            for _, _, rows in ritz:   # zunmqr runs when rows are asked for
-                rows(0)
+            for _, w, rows in ritz:   # zunmqr runs when rows are asked for
+                rows(0, np.eye(len(w)))
 
     def test_real_path_does_not_import_scipy_linalg(self):
         # scipy.linalg is imported only for complex blocks
@@ -419,6 +453,16 @@ class TestSpectrum:
         np.testing.assert_allclose(spec.trusted()[:21],
                                    2.0 * np.arange(21) + 1.0, atol=1e-10)
 
+    def test_zero_potential_factored(self, monkeypatch):
+        # no terms: band 0 and an empty coupling block, which the
+        # factored route multiplies without calling LAPACK on zero rows
+        monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", 1)
+        spec = spectrum(Potential(alpha=1.0, terms=(), c0=0.0), nmax=20,
+                        convergence_tol=1e-10)
+        assert spec.coupling_band == 0
+        np.testing.assert_allclose(spec.trusted(), 2.0 * np.arange(21) + 1.0,
+                                   atol=1e-10)
+
     def test_weyl_perturbation_bound(self):
         # each eigenvalue moves by at most the operator norm bound sum |c_a|
         V = Potential.cosine(alpha=1.0, amplitude=0.6, frequency=1.0)
@@ -477,6 +521,52 @@ class TestSpectrum:
                     spectrum(V, nmax=nmax)
             with pytest.raises(Built, match=N):
                 spectrum(V, nmax=fits)
+
+    def test_coupling_band_past_float_range(self):
+        # the Szego terms of a = (+-20, 0) at N = 2327 pass the float range
+        # at small offsets: they widen b, they do not overflow
+        N = 2327
+        target = spectral._rounding(WIDE_PAIR, N) / math.sqrt(N)
+        b, dropped = spectral._coupling_band(WIDE_PAIR, N, target)
+        assert b > N and 0 < dropped <= target
+
+        # the bound of band b - 1 (offsets m >= b), summed in log space
+        def log_term(z, c, m):
+            q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
+            assert q < 1.0
+            return (math.log(c / (1.0 - q)) + m * math.log(z)
+                    + 0.5 * m * math.log(N + m) - math.lgamma(m + 1))
+
+        logs = [log_term(math.sqrt(2.0) * rho(p, 1.0), abs(c), b)
+                for p, c in WIDE_PAIR.terms]
+        top = max(logs)
+        assert top + math.log(sum(math.exp(x - top) for x in logs)) > \
+            math.log(target)
+        # a pair with zero coefficients (a valid config) bounds nothing
+        cos = Potential.cosine(alpha=1.0)
+        zero_pair = Potential(alpha=1.0, terms=cos.terms + tuple(
+            (p, 0j) for p, _ in WIDE_PAIR.terms))
+        target = spectral._rounding(cos, N) / math.sqrt(N)
+        assert (spectral._coupling_band(zero_pair, N, target)
+                == spectral._coupling_band(cos, N, target))
+
+    def test_wide_coupling_block_in_byte_plan(self, monkeypatch):
+        # at N = 2327, b = 2766 the coupling block E is 103 MB, more than
+        # the 24-per-entry plan's headroom over the measured 16: a budget
+        # that holds 24 N^2 but not 16 N^2 + E refuses before assembly
+        N = 2327
+        plan = spectral._planned_bytes(WIDE_PAIR, N, 2766)
+        assert plan == 16 * N * N + 16 * 2766 * N > 24 * N * N
+        assert spectral._planned_bytes(WIDE_PAIR, N, 200) == 24 * N * N
+
+        def refuse(V, N, band):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(spectral, "solver_blocks", refuse)
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", plan - 1)
+        seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
+        with pytest.raises(ValueError, match=f"basis size {N} plans"):
+            spectral._solve_and_certify(WIDE_PAIR, N, 145, seconds)
 
     @pytest.fixture
     def built_sizes(self, bands, monkeypatch):
