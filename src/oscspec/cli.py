@@ -148,6 +148,7 @@ def run_compute(config: RunConfig, out_path: Path) -> None:
     meta = {
         "config": config.raw,
         "basis_size": spec.basis_size,
+        "basis_sizes_tried": list(spec.basis_sizes),
         "coupling_band": spec.coupling_band,
         "trusted_max": spec.trusted_max,
         "max_certified_bound": spec.max_certified_bound,

@@ -178,14 +178,34 @@ def _factored_eigh(a: np.ndarray, overwrite: bool = False):
 
 
 def basis_size(nmax: int) -> int:
-    """Padding rule: translations couple index k to a band of width O(sqrt k)."""
+    """Basis size of the trace route (`resolvent`) and of the test oracles:
+    translations couple index k to a band of width O(sqrt k).  `spectrum`
+    sizes its basis from V instead (`_start_size`)."""
     return 2 * nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
 
 
-def _start_size(nmax: int) -> int:
-    """First basis size `spectrum` tries: nmax plus the padding of
-    `basis_size`."""
-    return basis_size(nmax) - nmax
+def _start_size(V: Potential, nmax: int) -> int:
+    """First basis size `spectrum` tries: nmax plus a padding sized from
+    b0, the coupling band of V at N = nmax.
+
+    A Ritz vector of index n <= nmax reaches past row n by about the
+    Bessel turning point 2 r_a sqrt(2n) of V's matrix elements (Szego,
+    Orthogonal Polynomials, 8.22), and b0 bounds that reach.  The padding
+    is 1.5 b0 + 16 rows.  A pair whose coupling 2|c_a| passes alpha, half
+    the level spacing, spreads the Ritz vectors further, and the band
+    part is then scaled by 1 + log2(2 max|c_a| / alpha) / 2.
+
+    Measured by bisection over N, the smallest padding that certifies was
+    0.4 to 1.7 b0 for cos kx (k = 1, 3, 6, 8; alpha = 1/2 to 4) and
+    four-pair potentials, all with 2|c_a| <= alpha, at nmax = 10 to 4000
+    and tolerances 1e-8 and 1e-11.  For A cos x with 2|c_a| / alpha = 2
+    to 16 it rose to 2.5 b0 (alpha = 1/4, nmax = 1000).  A band far wider
+    than nmax (a = (+-20, 0): b0 = 1543 at nmax = 10, 1975 at 600) needed
+    0.6 to 1.05 b0, so there the start overshoots."""
+    b0, _ = _coupling_band(V, nmax, _rounding(V, nmax) / math.sqrt(nmax))
+    strength = 2.0 * max((abs(c) for _, c in V.terms), default=0.0) / V.alpha
+    scale = 1.0 + 0.5 * math.log2(max(1.0, strength))
+    return nmax + math.ceil(1.5 * scale * b0) + 16
 
 
 def _basis_cap(bytes_per_entry: int) -> int:
@@ -337,7 +357,7 @@ class Spectrum:
     """Ascending eigenvalues of a truncation, with a certified index window."""
 
     alpha: float
-    basis_size: int
+    basis_sizes: tuple[int, ...]   # every size tried, in order
     trusted_max: int
     eigenvalues: np.ndarray
     convergence_tol: float
@@ -346,6 +366,11 @@ class Spectrum:
     bounds: np.ndarray
     coupling_band: int      # offsets of V the residuals keep
     stage_seconds: dict     # assembly, solve, certificate; all sizes tried
+
+    @property
+    def basis_size(self) -> int:
+        """The basis size that certified, the last one tried."""
+        return self.basis_sizes[-1]
 
     @property
     def max_certified_bound(self) -> float:
@@ -382,9 +407,9 @@ def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
 def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
     """Eigenvalues of H+V certified through index nmax.
 
-    Solves A_N, the leading block of A_{N+b}, at N = nmax + ceil(8
-    sqrt(nmax)) + 64, forms the last rows of the eigenvectors (those the
-    coupling block reaches), and bounds
+    Solves A_N, the leading block of A_{N+b}, at a start size N sized
+    from V's coupling band (`_start_size`), forms the last rows of the
+    eigenvectors (those the coupling block reaches), and bounds
     |lambda_n(H+V) - theta_n| for every n <= nmax (`_certify`) by the
     quadratic residual bound for Hermitian block matrices:
     |lambda_j(A) - lambda_j(diag(M, C))| <= ||E||^2 / eta_j for
@@ -401,8 +426,11 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     and modelled for the rounding.  While some bound exceeds
     convergence_tol, N grows by half up to the largest size the dense
     byte budget admits; past it, TruncationError names the first index
-    that fails.  A start size over the budget is refused before assembly,
-    and so is any size whose plan with its band (`_planned_bytes`) is.
+    that fails.  The start size is capped at that largest size too.  An
+    nmax that leaves no room for nmax + 1 Ritz values under the budget is
+    refused before assembly, and so is any size whose plan with its band
+    (`_planned_bytes`) is over it.  `Spectrum.basis_sizes` lists every
+    size tried.
     Warns, naming the indices, where sorted order may not be the
     perturbative labelling.
     """
@@ -410,12 +438,15 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
         raise ValueError("nmax must be at least 1")
     per_entry = _bytes_per_entry(V)
     cap = _basis_cap(per_entry)
-    # the integer test first keeps huge nmax away from math.sqrt; past the
-    # cap the refusal names nmax, a lower bound on the start size
-    N = _start_size(nmax) if nmax <= cap else nmax
+    # the integer test first keeps huge nmax away from math.sqrt; from the
+    # cap on the refusal names nmax + 1, the smallest basis with nmax + 1
+    # Ritz values
+    N = min(cap, _start_size(V, nmax)) if nmax < cap else nmax + 1
     _check_dense_budget(N, per_entry)
     seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
+    sizes = []
     while True:
+        sizes.append(N)
         ev, first_order, bounds, band = _solve_and_certify(V, N, nmax, seconds)
         failing = np.flatnonzero(~(bounds <= convergence_tol))
         if not failing.size:
@@ -447,7 +478,7 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
             )
     return Spectrum(
         alpha=V.alpha,
-        basis_size=N,
+        basis_sizes=tuple(sizes),
         trusted_max=nmax,
         eigenvalues=ev,
         convergence_tol=convergence_tol,

@@ -178,6 +178,8 @@ class TestCompute:
         assert meta["config"] == GOOD_CONFIG
         assert meta["trusted_max"] >= 8
         assert meta["basis_size"] > 16
+        # the start size certifies: no size before it was tried
+        assert meta["basis_sizes_tried"] == [meta["basis_size"]]
         assert meta["coupling_band"] >= 1
         assert 0.0 < meta["max_certified_bound"] <= GOOD_CONFIG["tol"]
         assert set(meta["stage_seconds"]) == {"assembly", "solve", "certificate"}
@@ -247,16 +249,17 @@ class TestMain:
         assert "wrote" in capsys.readouterr().out
 
     def test_compute_wide_band_exit_zero(self, tmp_path):
-        # |||a||| = 20: from N = 2327 the Szego term of the coupling band is
-        # past the float range at small offsets; b widens to 2766 > N.
-        # nmax = 145 is the smallest nmax whose growth reaches that N
+        # |||a||| = 20: at the start size N = 2648 the Szego term of the
+        # coupling band is past the float range at small offsets, and b
+        # widens past N
         doc = {"alpha": 1, "terms": [[20, 0, 0.25, 0], [-20, 0, 0.25, 0]],
                "nmax": 145}
         out = tmp_path / "run.csv"
         assert main(["compute", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(out)]) == 0
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
-        assert meta["basis_size"] == 2327 and meta["coupling_band"] > 2327
+        assert meta["basis_size"] == 2648 and meta["coupling_band"] > 2648
+        assert meta["basis_sizes_tried"] == [2648]
         assert meta["max_certified_bound"] <= 1e-8
 
     def test_compute_nmax_override(self, tmp_path):
@@ -383,7 +386,8 @@ class TestMain:
     def test_compute_refuses_oversized_basis(self, tmp_path, capsys,
                                              monkeypatch):
         # complex c_a plan 56 bytes per entry: the 4 GiB budget admits
-        # nmax <= 7978, so 7979 is refused before any matrix is built
+        # N <= 8757, which holds at most 8757 Ritz values, so nmax = 8757
+        # is refused before any matrix is built
         built = []
         monkeypatch.setattr(spectral, "solver_blocks",
                             lambda V, N, band: built.append(N))
@@ -392,7 +396,7 @@ class TestMain:
                                            "terms": complex_terms})
         out = tmp_path / "run.csv"
         assert main(["compute", "--config", str(cfg_path), "--out", str(out),
-                     "--nmax", "7979"]) == 2
+                     "--nmax", "8757"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: basis size 8758 plans")
         assert "budget" in err

@@ -33,7 +33,8 @@ COMPLEX_FOUR_PAIRS = Potential(alpha=1.0, c0=0.25, terms=(
 ))
 
 
-# one pair at |||a||| = 20, whose coupling band passes N from N = 2327 on
+# one pair at |||a||| = 20, whose coupling band passes N at N = 2327 and
+# at its start size for nmax = 145
 WIDE_PAIR = Potential(alpha=1.0, terms=((PhasePoint(20.0, 0.0), 0.25),
                                         (PhasePoint(-20.0, 0.0), 0.25)))
 
@@ -428,7 +429,8 @@ class TestSolverBlocks:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
         N, growth, per_entry = map(int, out.split())
-        assert N == spectral._start_size(1500) == 1874
+        V = Potential.cosine(alpha=1.0)
+        assert N == spectral._start_size(V, 1500) == 1665
         assert 0 < growth < per_entry * N * N
 
 
@@ -504,8 +506,9 @@ class TestSpectrum:
 
     def test_basis_limit_checked_before_assembly(self, bands, monkeypatch):
         # at 24 bytes per entry (real c_a, split) the 4 GiB budget admits
-        # N <= 13377 = 12421 + 892 + 64; at 56 (complex c_a) N <= 8757 =
-        # 7978 + 715 + 64.  Past it nothing may be built
+        # N <= 13377; at 56 (complex c_a) N <= 8757.  The start size is
+        # capped there, and from nmax = N on, where the basis cannot hold
+        # nmax + 1 Ritz values, nothing may be built
         class Built(Exception):
             pass
 
@@ -514,8 +517,9 @@ class TestSpectrum:
             raise Built(N)
 
         monkeypatch.setattr(spectral, "solver_blocks", refuse)
-        for V, fits, N in ((Potential.cosine(alpha=1.0), 12421, "13377"),
-                           (COMPLEX_FOUR_PAIRS, 7978, "8757")):
+        for V, fits, N in ((Potential.cosine(alpha=1.0), 13376, "13377"),
+                           (COMPLEX_FOUR_PAIRS, 8756, "8757")):
+            assert spectral._start_size(V, fits) > int(N)
             for nmax in (fits + 1, 10**400):
                 with pytest.raises(ValueError, match="budget"):
                     spectrum(V, nmax=nmax)
@@ -588,39 +592,60 @@ class TestSpectrum:
         # larger basis is tried
         V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
         with pytest.raises(TruncationError,
-                           match=r"failed at index 0: .* basis size 100\)"):
+                           match=r"failed at index 0: .* basis size 472\)"):
             spectrum(V, nmax=10, convergence_tol=1e-300)
-        assert built_sizes == [100]
+        assert built_sizes == [472]
+
+    @pytest.mark.parametrize("V", [
+        Potential.cosine(alpha=1.0), quasi_potential(3),
+        Potential.cosine(alpha=1.0, amplitude=0.2, frequency=6.0),
+        Potential.cosine(alpha=1.0, amplitude=0.2, frequency=8.0),
+    ], ids=["cos x", "quasi seed 3", "0.2 cos 6x", "0.2 cos 8x"])
+    def test_start_size_certifies(self, V, built_sizes):
+        # the start sized from V's band certifies at the default tolerance;
+        # nmax + ceil(8 sqrt(nmax)) + 64 grew for cos 6x and cos 8x, e.g.
+        # [100, 150] at nmax = 10 and [155, 233, 350] at nmax = 40
+        for nmax in (10, 40, 200):
+            built_sizes.clear()
+            spec = spectrum(V, nmax=nmax)
+            assert len(built_sizes) == 1
+            assert spec.max_certified_bound <= spec.convergence_tol
+            assert spec.basis_sizes == (spectral._start_size(V, nmax),)
 
     def test_grows_past_start_size(self, built_sizes, bands):
-        # at frequency 8 the Ritz vectors of n <= 10 reach the edge of the
-        # start basis (bound about 4e-6 at N = 100): N grows, then certifies
-        V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
-        spec = spectrum(V, nmax=10)
-        assert built_sizes[0] == spectral._start_size(10) == 100
+        # at tolerance 1e-11 the Ritz vectors of n <= 200 of cos 3x reach
+        # the edge of the start basis (bound 2.1e-11 at N = 410): N grows,
+        # then certifies
+        V = Potential.cosine(alpha=1.0, frequency=3.0)
+        spec = spectrum(V, nmax=200, convergence_tol=1e-11)
+        # the band b0 at N = nmax sizes the start, then one assembly per size
+        assert len(bands) == len(built_sizes) + 1
+        assert built_sizes[0] == 200 + math.ceil(1.5 * bands[0]) + 16
+        assert built_sizes[0] == spectral._start_size(V, 200) == 410
         assert len(built_sizes) > 1 and built_sizes == sorted(set(built_sizes))
-        assert len(bands) == len(built_sizes)   # one assembly per size
+        assert spec.basis_sizes == tuple(built_sizes)
         assert spec.basis_size == built_sizes[-1]
         assert spec.max_certified_bound <= spec.convergence_tol
 
     def test_every_index_certified(self, monkeypatch):
-        # at frequency 6 the bound at the start size N = 155 rises from
-        # 2.6e-12 at n = 0 to 1.1e-6 at n = 40: truncation, index by index
-        V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=6.0)
-        spec = spectrum(V, nmax=40)
-        assert spec.bounds.shape == (41,)
+        # at tolerance 1e-11 the bound of cos 3x at the start size N = 410
+        # rises from 3.8e-12 at n = 0 to 2.1e-11 at n = 200: truncation,
+        # index by index
+        V = Potential.cosine(alpha=1.0, frequency=3.0)
+        tol = 1e-11
+        spec = spectrum(V, nmax=200, convergence_tol=tol)
+        assert spec.bounds.shape == (201,)
         assert np.all(spec.bounds <= spec.convergence_tol)
         assert spec.max_certified_bound == np.max(spec.bounds)
         # with growth capped at the start size, the error names the first
         # index past the tolerance, sampled or not
         monkeypatch.setattr(spectral, "_basis_cap",
-                            lambda per_entry: spectral._start_size(40))
-        at_start = spectrum(V, nmax=40, convergence_tol=1.0).bounds
-        tol = 1e-8
+                            lambda per_entry: spectral._start_size(V, 200))
+        at_start = spectrum(V, nmax=200, convergence_tol=1.0).bounds
         first = int(np.flatnonzero(at_start > tol)[0])
-        assert 0 < first < 40
+        assert 0 < first < 200
         with pytest.raises(TruncationError, match=rf"at index {first}:"):
-            spectrum(V, nmax=40, convergence_tol=tol)
+            spectrum(V, nmax=200, convergence_tol=tol)
 
     @pytest.mark.parametrize("V, nmax", [
         (Potential.cosine(alpha=1.0), 200),
@@ -637,7 +662,7 @@ class TestSpectrum:
         spec = spectrum(V, nmax=nmax)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
         monkeypatch.setattr(spectral, "_basis_cap",
-                            lambda per_entry: spectral._start_size(nmax))
+                            lambda per_entry: spectral._start_size(V, nmax))
         spec = spectrum(V, nmax=nmax, convergence_tol=1.0)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
 
@@ -667,15 +692,24 @@ class TestSpectrum:
         spec = spectrum(V, nmax=nmax)
         bounds, band = full_eigenvector_bounds(V, spec.basis_size, nmax)
         assert band == spec.coupling_band
-        np.testing.assert_allclose(spec.bounds, bounds, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(spec.bounds, bounds, rtol=1e-9, atol=0)
         full = np.linalg.eigvalsh(build_matrix(V, spec.basis_size).entries)
         np.testing.assert_allclose(spec.eigenvalues, full, rtol=0,
                                    atol=1e-12 * np.max(np.abs(full)))
-        # there the rounding term dominates the bound; at N = nmax + 24 the
-        # residuals E X do.  Rows agree to about 1e-15, and the bound squares
-        # residuals down to about 1e-6 where they still count, so 1e-9
-        N = nmax + 24
         seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
+        # at N = nmax + ceil(8 sqrt(nmax)) + 64 (244 and 378) the rounding
+        # term dominates the bound, and the two routes agree to 1e-12.  At
+        # the start size (220, 342 and 293) the residuals E X are no longer
+        # negligible against it (1.4e-12 apart for cos x at n = 200), and
+        # at N = nmax + 24 they dominate.  Rows agree to about 1e-15, and
+        # the bound squares residuals down to about 1e-6 where they still
+        # count, so 1e-9 at both
+        N = basis_size(nmax) - nmax
+        bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
+        oracle = full_eigenvector_bounds(V, N, nmax)[0]
+        assert np.max(oracle) < 1.1 * spectral._rounding(V, N)
+        np.testing.assert_allclose(bounds, oracle, rtol=1e-12, atol=0)
+        N = nmax + 24
         bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
         oracle = full_eigenvector_bounds(V, N, nmax)[0]
         assert np.max(oracle[np.isfinite(oracle)]) > 1e6 * spectral._rounding(V, N)
