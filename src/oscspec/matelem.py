@@ -11,17 +11,18 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 
 `v_matrix`/`build_matrix` assemble the dense truncated matrix of V and
 of H+V; `parity_blocks` finds its even/odd split when V commutes with
-parity; `solver_blocks` assembles the truncation of H+V straight into the
-parity blocks and LAPACK storage of `spectral`'s eigensolver, with the
-coupling block of its certificate; `window_sup` bounds the elements near
-the diagonal.  Every closed-form magnitude comes from one prefactored
-Laguerre recurrence, `_magnitudes`, run on one offset for a single element
-and, for a matrix or a window block, on a vector of offsets for all
-{a, -a} pairs at once, cut at each step to the offsets still written.  Its
-iterates are exactly the (signed) element magnitudes, so every
-intermediate stays bounded by 1 and basis sizes of 10^4 never overflow.
-Only the oracle needs scipy (`scipy.special.roots_hermite`), and imports
-it on its first call.
+parity; `_v_blocks` assembles V straight into its parity blocks, typed
+and split as `_block_kinds` decides from V, for `resolvent`, and with the
+coupling block of a wider truncation for `solver_blocks`, which adds H
+and gives `spectral`'s eigensolver its LAPACK storage; `window_sup`
+bounds the elements near the diagonal.  Every closed-form magnitude
+comes from one prefactored Laguerre recurrence, `_magnitudes`, run on
+one offset for a single element and, for a matrix or a window block, on
+a vector of offsets for all {a, -a} pairs at once, cut at each step to
+the offsets still written.  Its iterates are exactly the (signed)
+element magnitudes, so every intermediate stays bounded by 1 and basis
+sizes of 10^4 never overflow.  Only the oracle needs scipy
+(`scipy.special.roots_hermite`), and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -362,17 +363,20 @@ class SolverBlocks:
     diagonal: np.ndarray
 
 
-def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
-    """A_N and the coupling block E of A_{N + band}, from one stacked pass of
-    the magnitude recurrence over rows k < N.
+def _v_blocks(V: Potential, N: int, band: int):
+    """The parity blocks of V's N x N truncation and the coupling block E
+    of its N + band truncation, from one stacked pass of the magnitude
+    recurrence over rows k < N.
 
-    Entry (k + m, k) of the lower triangle is conj(V_{k, k+m}), so row k of
-    the recurrence fills column k of its parity block (contiguous in
-    Fortran order) and, for k >= N - band, column k of E.  A split matrix
-    runs the recurrence on the even offsets only.  The blocks, E and the
-    diagonal are bitwise those of `build_matrix` read through
-    `parity_blocks` and `_real_if_real`, without its complex N x N matrix
-    and Hermitian mirror.
+    Returns ((slice, block), ...) and E.  Each block is Fortran-ordered,
+    float64 when real (`_block_kinds`), with only its lower triangle
+    filled, c0 on its diagonal; E is V[N:N+band, max(0, N-band):N],
+    complex.  Entry (k + m, k) of the lower triangle is conj(V_{k, k+m}),
+    so row k of the recurrence fills column k of its parity block
+    (contiguous in Fortran order) and, for k >= N - band, column k of E.
+    A split matrix runs the recurrence on the even offsets only.  The
+    lower triangles are bitwise those of `v_matrix` read through
+    `parity_blocks` and `_real_if_real`.
     """
     if N < 1 or band < 0:
         raise ValueError("N must be positive and band nonnegative")
@@ -407,16 +411,29 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
                     e0 = i0 * step - (N - k)
                     _add_rows(coupling[e0:e0 + step * (i1 - i0):step, k - lo],
                               lower[:, i0:i1] * g[:, i0:i1])
+    if V.c0 != 0:
+        for block in blocks:
+            i = np.arange(len(block))
+            block[i, i] += V.c0.real if real else V.c0
+    return tuple(zip(slices, blocks)), coupling
+
+
+def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
+    """A_N and the coupling block E of A_{N + band}: the blocks of V from
+    `_v_blocks`, with alpha(2k+1) added to their diagonal.
+
+    The blocks, E and the diagonal are bitwise those of `build_matrix`
+    read through `parity_blocks` and `_real_if_real`, without its complex
+    N x N matrix and Hermitian mirror.
+    """
+    blocks, coupling = _v_blocks(V, N, band)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     diagonal = np.empty(N)
-    for s, block in zip(slices, blocks):
+    for s, block in blocks:
         i = np.arange(len(block))
-        if V.c0 != 0:
-            block[i, i] += V.c0.real if real else V.c0
         block[i, i] += diag[s]
         diagonal[s] = block[i, i].real
-    return SolverBlocks(blocks=tuple(zip(slices, blocks)), coupling=coupling,
-                        diagonal=diagonal)
+    return SolverBlocks(blocks=blocks, coupling=coupling, diagonal=diagonal)
 
 
 def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:

@@ -10,23 +10,34 @@ computed by the RS recursion, one matrix-vector product per order, with
 the diagonal reduced resolvent of the Hermite basis; contour quadrature of
 the same integrals serves only as a test oracle.  The Neumann contraction
 ||(VR)^2|| that licenses the series is bounded from above by its Frobenius
-norm on sampled contour nodes.  R is diagonal, so when V splits into
-parity blocks (`parity_blocks`) so do VR and RVR, and the dense norms are
-taken block by block, exactly.  No norm needs a general SVD: with
-R = P |R| and P a diagonal of phases, RVR = P (|R| V |R|) P, so the
-singular values of RVR are the absolute eigenvalues of the Hermitian
-|R| V |R|.
+norm on sampled contour nodes.
+
+Every dense quantity reads V's parity blocks, assembled once per (V, N)
+by `matelem._v_blocks` straight into block storage: split into even and
+odd indices when every c_a is real, and float64 when `_block_kinds` says
+real, decided from V before assembly; no complex N x N matrix is built
+and no block is found by scanning one.  Each block's lower triangle is
+mirrored in place.  R is diagonal, so VR and RVR split with V: the norms
+are summed or maximized over the blocks, exactly, and the RS recursion
+runs on n's block alone.  No norm needs a general SVD: with R = P |R| and
+P a diagonal of phases, RVR = P (|R| V |R|) P, so the singular values of
+RVR are the absolute eigenvalues of the Hermitian |R| V |R|.  A one-slot
+memo keeps the last assembly, read-only, so `oscspec trace`'s rvr_norms
+and trace_eigenvalue at one index share it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import (_check_dense_budget, _real_if_real, parity_blocks,
-                      v_matrix)
+from .matelem import _check_dense_budget, _v_blocks
+# v_matrix has no use here; perfbench's tracer tests wrap it under this
+# module's name until the benchmark is refitted (ROADMAP item 4)
+from .matelem import v_matrix  # noqa: F401
 from .model import Potential
 from .spectral import basis_size
 
@@ -45,13 +56,16 @@ __all__ = [
 
 DEFAULT_NODES = 128
 _DENSE_NODE_STRIDE = 16
-# Peak dense bytes per entry of the N x N basis planned by rvr_norms and
-# trace_eigenvalue: the complex V (16), |V|^2 (8) and the dense temporaries
-# of the norms.  Measured peaks at N = 2000 (max RSS over the resident size
-# before the call, in a child process warmed at N = 600): rvr_norms 25.0
-# and trace_eigenvalue 26.6 bytes per entry for cos x (two real blocks),
-# 56.7 and 56.8 for a potential in one complex block.  trace_order_j, which
-# holds V and a few vectors, plans the same.
+# Peak dense bytes per entry of the N x N basis planned by rvr_norms,
+# trace_eigenvalue and trace_order_j: V's blocks (4 when split and real,
+# 16 in one complex block), |V|^2 and the temporaries of the norms.
+# Measured peaks
+# at N = 2000 (max RSS over the resident size before the call, in a child
+# process warmed at N = 600, each call assembling): rvr_norms 10.0 and
+# trace_eigenvalue 12.1 bytes per entry for cos x (two real blocks), 47.9
+# and 47.2 for a potential in one complex block; trace_order_j 3.5 and
+# 14.3.  rvr_norms then trace_eigenvalue, sharing one assembly, peak at
+# 12.9 and 48.6.
 _DENSE_BYTES_PER_ENTRY = 80
 
 
@@ -138,6 +152,66 @@ def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
 
 
 @dataclass(frozen=True)
+class _TraceBlocks:
+    """V's N x N truncation as its parity blocks, read-only: one
+    (index, block) pair per block, `index` the basis indices it holds and
+    `block` = V[index, index] with both triangles filled, float64 when
+    real."""
+
+    N: int
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _assemble(V: Potential, N: int) -> _TraceBlocks:
+    """V's parity blocks from `matelem._v_blocks`, the lower triangle of
+    each mirrored into its upper one in place."""
+    parts = []
+    for s, block in _v_blocks(V, N, 0)[0]:
+        real = np.isrealobj(block)
+        for k in range(len(block) - 1):
+            column = block[k + 1:, k]
+            block[k, k + 1:] = column if real else column.conj()
+        if real:   # symmetric: the same matrix, C-ordered for real views
+            block = block.T
+        index = np.arange(N)[s]
+        block.flags.writeable = index.flags.writeable = False
+        parts.append((index, block))
+    return _TraceBlocks(N=N, blocks=tuple(parts))
+
+
+def _potential_key(V: Potential) -> tuple[str, ...]:
+    """Every float of V by its bits: potentials that compare equal may
+    still assemble differently (the phases of -0.0 and 0.0 differ by
+    rounding)."""
+    floats = [V.alpha, V.c0.real, V.c0.imag]
+    for p, c in V.terms:
+        floats += [p.a_x, p.a_xi, c.real, c.imag]
+    return tuple(float(x).hex() for x in floats)
+
+
+# The last assembly, keyed by (V, N).  `oscspec trace` calls rvr_norms and
+# trace_eigenvalue at one index, so one slot serves it.
+_last: dict = {}
+_last_lock = threading.Lock()
+
+
+def _trace_blocks(V: Potential, N: int) -> _TraceBlocks:
+    """V's parity blocks at basis size N, assembled once per (V, N).
+
+    The old assembly is dropped before a new one is built, so two are
+    never alive at once; the one kept stays alive until a call with
+    another (V, N), at most 16 bytes per entry of the N x N basis.
+    """
+    key = (_potential_key(V), N)
+    with _last_lock:
+        blocks = _last.get(key)
+        if blocks is None:
+            _last.clear()
+            blocks = _last[key] = _assemble(V, N)
+        return blocks
+
+
+@dataclass(frozen=True)
 class RvrNorms:
     """Norm maxima of R(lambda) V R(lambda) over contour nodes."""
 
@@ -162,21 +236,23 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
         N = basis_size(n)
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
-    vm = v_matrix(V, N)
-    lam_k = V.alpha * (2.0 * np.arange(N) + 1.0)
     nodes = contour.nodes()
+    blocks = [(V.alpha * (2.0 * index + 1.0), v)
+              for index, v in _trace_blocks(V, N).blocks]
 
-    # ||RVR||_2^2 = sum_kl w_k |V_kl|^2 w_l with w = |R|^2, all nodes at once
-    w = np.abs(lam_k[None, :] - nodes[:, None]) ** -2.0
-    hs_best = math.sqrt(float(np.max(np.sum((w @ np.abs(vm) ** 2) * w,
-                                            axis=1))))
+    # ||RVR||_2^2 = sum_kl w_k |V_kl|^2 w_l with w = |R|^2, all nodes at
+    # once, summed over the parity blocks
+    hs = np.zeros(len(nodes))
+    for lk, v in blocks:
+        w = np.abs(lk[None, :] - nodes[:, None]) ** -2.0
+        hs += np.sum((w @ np.abs(v) ** 2) * w, axis=1)
+    hs_best = math.sqrt(float(np.max(hs)))
 
     # the singular values of RVR are those of its parity blocks together
-    blocks = [(_real_if_real(vm[s, s]), lam_k[s]) for s in parity_blocks(vm)]
     op_best = tr_best = 0.0
     for lam in nodes[::_DENSE_NODE_STRIDE]:
         parts = []
-        for v, lk in blocks:
+        for lk, v in blocks:
             r = 1.0 / np.abs(lk - lam)
             parts.append(np.linalg.eigvalsh(r[:, None] * v * r[None, :]))
         sv = np.abs(np.concatenate(parts))
@@ -186,7 +262,8 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
                     trace_norm=tr_best)
 
 
-def _rs_orders(vm: np.ndarray, n: int, alpha: float, jmax: int) -> np.ndarray:
+def _rs_orders(tb: _TraceBlocks, n: int, alpha: float,
+               jmax: int) -> np.ndarray:
     """Contour traces t_1 .. t_jmax from the Rayleigh-Schroedinger recursion.
 
     (1/2 pi i) oint lambda Tr[R (VR)^j] dlambda around the isolated
@@ -196,21 +273,24 @@ def _rs_orders(vm: np.ndarray, n: int, alpha: float, jmax: int) -> np.ndarray:
     normalisation, from psi^0 = e_n:  E^j = (V psi^(j-1))_n and
     psi^j = S (V psi^(j-1) - sum_{i=1..j} E^i psi^(j-i)), where the reduced
     resolvent S = Q / (alpha(2n+1) - H0) is diagonal.  Each order costs one
-    matrix-vector product.
+    matrix-vector product.  V preserves the parity blocks, so every psi^j
+    lies in n's block and the recursion runs there alone.
     """
-    N = vm.shape[0]
-    if not 0 <= n < N:
-        raise ValueError(f"index n={n} must lie in the basis [0, {N})")
-    gap = 2.0 * alpha * (n - np.arange(N))
-    gap[n] = 1.0
+    if not 0 <= n < tb.N:
+        raise ValueError(f"index n={n} must lie in the basis [0, {tb.N})")
+    # the blocks are (even, odd) or one block of every index
+    index, v = tb.blocks[n % len(tb.blocks)]
+    at = n // len(tb.blocks)
+    gap = 2.0 * alpha * (n - index)
+    gap[at] = 1.0
     reduced = 1.0 / gap
-    reduced[n] = 0.0
-    psi = [np.zeros(N, dtype=complex)]
-    psi[0][n] = 1.0
-    energies = [0.0j]
+    reduced[at] = 0.0
+    psi = [np.zeros(len(index), dtype=v.dtype)]
+    psi[0][at] = 1.0
+    energies = [0.0]
     for j in range(1, jmax + 1):
-        v_psi = vm @ psi[j - 1]
-        energies.append(v_psi[n])
+        v_psi = v @ psi[j - 1]
+        energies.append(v_psi[at])
         for i in range(1, j + 1):
             v_psi -= energies[i] * psi[j - i]
         psi.append(reduced * v_psi)
@@ -218,7 +298,7 @@ def _rs_orders(vm: np.ndarray, n: int, alpha: float, jmax: int) -> np.ndarray:
                      for j in range(1, jmax + 1)])
 
 
-def _neumann_contraction(vm: np.ndarray, contour: Contour) -> float:
+def _neumann_contraction(tb: _TraceBlocks, contour: Contour) -> float:
     """max ||(VR)^2||_F over every _DENSE_NODE_STRIDE-th contour node;
     raises NeumannDivergence if it reaches 1.
 
@@ -229,11 +309,11 @@ def _neumann_contraction(vm: np.ndarray, contour: Contour) -> float:
     real matrix of interleaved (re, im) columns: the product is then one
     real matrix product holding the same entries.
     """
-    lam_k = contour.alpha * (2.0 * np.arange(vm.shape[0]) + 1.0)
-    blocks = [(_real_if_real(vm[s, s]), lam_k[s]) for s in parity_blocks(vm)]
+    blocks = [(contour.alpha * (2.0 * index + 1.0), v)
+              for index, v in tb.blocks]
     contraction = 0.0
     for lam in contour.nodes()[::_DENSE_NODE_STRIDE]:
-        for v, lk in blocks:
+        for lk, v in blocks:
             d = 1.0 / (lk - lam)
             rvr = d[:, None] * v
             rvr *= d[None, :]
@@ -260,7 +340,7 @@ def trace_order_j(V: Potential, n: int, N: int | None = None,
     if N is None:
         N = basis_size(n)
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
-    return float(_rs_orders(v_matrix(V, N), n, V.alpha, j)[j - 1])
+    return float(_rs_orders(_trace_blocks(V, N), n, V.alpha, j)[j - 1])
 
 
 @dataclass(frozen=True)
@@ -294,9 +374,9 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
         N = basis_size(n)
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
-    vm = v_matrix(V, N)
-    contraction = _neumann_contraction(vm, contour)
-    orders = tuple(float(t) for t in _rs_orders(vm, n, V.alpha, jmax))
+    tb = _trace_blocks(V, N)
+    contraction = _neumann_contraction(tb, contour)
+    orders = tuple(float(t) for t in _rs_orders(tb, n, V.alpha, jmax))
     base = contour.center
     partial = []
     total = base

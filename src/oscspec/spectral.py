@@ -13,7 +13,8 @@ A_{N+b}.  No complex N x N matrix and no Hermitian mirror is built.  That
 part of the bound is rigorous in exact arithmetic; the eigensolver's rounding
 is added by a probabilistic model (`_rounding`), not a worst-case bound.
 When the bound misses the tolerance, N grows geometrically up to the
-largest size whose dense arrays fit `specialfn.DENSE_BYTE_BUDGET`.
+largest size whose dense arrays, with the coupling block, fit
+`specialfn.DENSE_BYTE_BUDGET`.
 When V commutes with parity (every c_a real, e.g. multiplication by an even
 function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which are assembled and diagonalized apart: two solves of
@@ -44,8 +45,9 @@ from .matelem import build_matrix  # noqa: F401
 from .matelem import (MatrixElementTable, SolverBlocks, _block_kinds,
                       _check_dense_budget, _real_if_real, parity_blocks,
                       solver_blocks)
+from . import specialfn
 from .model import Potential, rho
-from .specialfn import DENSE_BYTE_BUDGET, _check_byte_budget
+from .specialfn import _check_byte_budget
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
 
@@ -210,7 +212,7 @@ def _start_size(V: Potential, nmax: int) -> int:
 
 def _basis_cap(bytes_per_entry: int) -> int:
     """Largest basis size whose dense arrays fit DENSE_BYTE_BUDGET."""
-    return math.isqrt(DENSE_BYTE_BUDGET // bytes_per_entry)
+    return math.isqrt(specialfn.DENSE_BYTE_BUDGET // bytes_per_entry)
 
 
 def _bytes_per_entry(V: Potential) -> int:
@@ -380,15 +382,46 @@ class Spectrum:
         return self.eigenvalues[: self.trusted_max + 1]
 
 
-def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
-    """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk, the bounds for
-    n <= nmax and the band; stage times are added to `seconds`.  A_N, in
-    the parity blocks and storage the eigensolver reads, and the coupling
-    block E of A_{N+b} come from one pass of `solver_blocks`.  The blocks
-    and the eigenvectors (or reflectors) of one basis size are freed on
-    return, before `spectrum` tries a larger one."""
-    # the dropped coupling kept to eps ||A_N||, a sqrt(N)-th of the rounding
-    b, dropped = _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
+def _band(V: Potential, N: int) -> tuple[int, float]:
+    """The band b of basis size N and the coupling it drops, kept to
+    eps ||A_N||, a sqrt(N)-th of the rounding (`_coupling_band`)."""
+    return _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
+
+
+def _fitted_size(V: Potential, N: int, nmax: int):
+    """N and its band when the plan of N with that band
+    (`_planned_bytes`) fits the byte budget; else the largest size in
+    (nmax, N) whose plan fits, and its band.
+
+    The band, and with it the plan, grows with N, so the size is found by
+    bisection.  Where no size fits, nmax + 1 is returned, the smallest
+    basis with nmax + 1 Ritz values, and `_solve_and_certify` refuses it.
+    """
+    band = _band(V, N)
+    if N <= nmax + 1 or (_planned_bytes(V, N, band[0])
+                         <= specialfn.DENSE_BYTE_BUDGET):
+        return N, band
+    lo, hi, band = nmax + 1, N, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_band = _band(V, mid)
+        if _planned_bytes(V, mid, mid_band[0]) <= specialfn.DENSE_BYTE_BUDGET:
+            lo, band = mid, mid_band
+        else:
+            hi = mid
+    return lo, band or _band(V, lo)
+
+
+def _solve_and_certify(V: Potential, N: int, band: tuple[int, float],
+                       nmax: int, seconds: dict):
+    """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk and the bounds
+    for n <= nmax, at the band b and dropped coupling `band` of `_band`;
+    stage times are added to `seconds`.  A_N, in the parity blocks and
+    storage the eigensolver reads, and the coupling block E of A_{N+b}
+    come from one pass of `solver_blocks`.  The blocks and the
+    eigenvectors (or reflectors) of one basis size are freed on return,
+    before `spectrum` tries a larger one."""
+    b, dropped = band
     _check_byte_budget(_planned_bytes(V, N, b), f"basis size {N}")
     t0 = time.perf_counter()
     blocks = solver_blocks(V, N, b)
@@ -401,7 +434,7 @@ def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     seconds["assembly"] += t1 - t0
     seconds["solve"] += t2 - t1
     seconds["certificate"] += t3 - t2
-    return ev, blocks.diagonal, bounds, b
+    return ev, blocks.diagonal, bounds
 
 
 def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
@@ -426,11 +459,11 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     and modelled for the rounding.  While some bound exceeds
     convergence_tol, N grows by half up to the largest size the dense
     byte budget admits; past it, TruncationError names the first index
-    that fails.  The start size is capped at that largest size too.  An
-    nmax that leaves no room for nmax + 1 Ritz values under the budget is
-    refused before assembly, and so is any size whose plan with its band
-    (`_planned_bytes`) is over it.  `Spectrum.basis_sizes` lists every
-    size tried.
+    that fails.  The start size and each larger one are capped there, and
+    at the largest size whose plan with its band (`_planned_bytes`) fits
+    the budget (`_fitted_size`).  An nmax that leaves no room for nmax + 1
+    Ritz values under the budget is refused before assembly.
+    `Spectrum.basis_sizes` lists every size tried.
     Warns, naming the indices, where sorted order may not be the
     perturbative labelling.
     """
@@ -443,23 +476,28 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     # Ritz values
     N = min(cap, _start_size(V, nmax)) if nmax < cap else nmax + 1
     _check_dense_budget(N, per_entry)
+    N, band = _fitted_size(V, N, nmax)
     seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
     sizes = []
     while True:
         sizes.append(N)
-        ev, first_order, bounds, band = _solve_and_certify(V, N, nmax, seconds)
+        ev, first_order, bounds = _solve_and_certify(V, N, band, nmax, seconds)
         failing = np.flatnonzero(~(bounds <= convergence_tol))
         if not failing.size:
             break
         # the rounding term grows with N: past the tolerance, no N can pass
-        if N == cap or _rounding(V, N) > convergence_tol:
+        grown = N
+        if N < cap and _rounding(V, N) <= convergence_tol:
+            grown, next_band = _fitted_size(
+                V, min(cap, math.ceil(_GROWTH * N)), nmax)
+        if grown <= N:
             first = int(failing[0])
             raise TruncationError(
                 f"certificate failed at index {first}: bound "
                 f"{bounds[first]:.3e} > {convergence_tol:.3e} "
                 f"(requested {nmax} at basis size {N})"
             )
-        N = min(cap, math.ceil(_GROWTH * N))
+        N, band = grown, next_band
 
     if V.coefficient_sum() >= V.alpha:
         # Below this bound Weyl's inequality keeps lambda_n within half the
@@ -483,6 +521,6 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
         eigenvalues=ev,
         convergence_tol=convergence_tol,
         bounds=bounds,
-        coupling_band=band,
+        coupling_band=band[0],
         stage_seconds=seconds,
     )

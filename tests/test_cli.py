@@ -408,8 +408,8 @@ class TestMain:
         # n = 8000 plans N = 16780, 22 GB of dense arrays: refused before
         # any matrix is built
         built = []
-        monkeypatch.setattr(resolvent, "v_matrix",
-                            lambda V, N: built.append(N))
+        monkeypatch.setattr(resolvent, "_v_blocks",
+                            lambda V, N, band: built.append(N))
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["trace", "--config", str(cfg_path), "--n", "8000"]) == 2
         err = capsys.readouterr().err

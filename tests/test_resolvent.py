@@ -6,12 +6,16 @@ them, and the epsilon and node-count tests run on that quadrature.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from contour_oracle import contour_order_j, contour_traces
-from oscspec import resolvent
+from test_spectral import quasi_potential as seeded_quasi
+from trace_oracle import (dense_rs_orders, dense_rvr_norms,
+                          dense_trace_eigenvalue)
+from oscspec import matelem, resolvent
 from oscspec.matelem import parity_blocks, v_matrix
 from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
@@ -22,6 +26,7 @@ from oscspec.resolvent import (
     WindowPartition,
     _neumann_contraction,
     _rs_orders,
+    _trace_blocks,
     resolvent_sums,
     rvr_norms,
     trace_eigenvalue,
@@ -132,14 +137,14 @@ class TestRvrNorms:
         # cos x commutes with parity, so the norms and the contraction are
         # taken on two real blocks; compare with SVDs of the whole matrix
         V, n, eps = cos_potential(), 32, 0.5
-        vm = v_matrix(V, basis_size(n))
-        assert len(parity_blocks(vm)) == 2
+        tb = _trace_blocks(V, basis_size(n))
+        assert [v.dtype for _, v in tb.blocks] == [np.float64] * 2
         op, tr, exact, frobenius = unsplit_reference(V, n, eps)
         norms = rvr_norms(V, n, eps)
         assert norms.operator_norm == pytest.approx(op, rel=1e-13)
         assert norms.trace_norm == pytest.approx(tr, rel=1e-13)
         contraction = _neumann_contraction(
-            vm, Contour(n=n, alpha=V.alpha, epsilon=eps))
+            tb, Contour(n=n, alpha=V.alpha, epsilon=eps))
         assert contraction == pytest.approx(frobenius, rel=1e-13)
         assert exact <= contraction
 
@@ -148,14 +153,14 @@ class TestRvrNorms:
         # a_xi != 0 keeps V in one complex block: the norms come from the
         # complex Hermitian eigenvalues of |R| V |R|
         V, eps = quasi_potential(), 0.5
-        vm = v_matrix(V, basis_size(n))
-        assert len(parity_blocks(vm)) == 1
+        tb = _trace_blocks(V, basis_size(n))
+        assert [v.dtype for _, v in tb.blocks] == [np.complex128]
         op, tr, exact, frobenius = unsplit_reference(V, n, eps)
         norms = rvr_norms(V, n, eps)
         assert norms.operator_norm == pytest.approx(op, rel=1e-13)
         assert norms.trace_norm == pytest.approx(tr, rel=1e-13)
         contraction = _neumann_contraction(
-            vm, Contour(n=n, alpha=V.alpha, epsilon=eps))
+            tb, Contour(n=n, alpha=V.alpha, epsilon=eps))
         assert contraction == pytest.approx(frobenius, rel=1e-13)
         assert exact <= contraction
 
@@ -248,15 +253,14 @@ class TestRsMatchesContour:
     def test_orders_equal_quadrature(self, V, n):
         jmax = 6
         vm = v_matrix(V, basis_size(n))
-        rs = _rs_orders(vm, n, V.alpha, jmax)
+        rs = _rs_orders(_trace_blocks(V, basis_size(n)), n, V.alpha, jmax)
         oracle = contour_traces(vm, Contour(n=n, alpha=V.alpha, epsilon=0.5),
                                 jmax)
         np.testing.assert_allclose(rs, oracle.real, rtol=0, atol=1e-12)
 
     def test_trace_order_j_is_rs_order(self):
         V = quasi_potential()
-        vm = v_matrix(V, basis_size(12))
-        rs = _rs_orders(vm, 12, V.alpha, 4)
+        rs = _rs_orders(_trace_blocks(V, basis_size(12)), 12, V.alpha, 4)
         for j in range(1, 5):
             assert trace_order_j(V, n=12, j=j) == rs[j - 1]
 
@@ -335,12 +339,154 @@ class TestDenseBudget:
         class Built(Exception):
             pass
 
-        def refuse(V, N):
+        def refuse(V, N, band):
             raise Built(N)
 
-        monkeypatch.setattr(resolvent, "v_matrix", refuse)
+        monkeypatch.setattr(resolvent, "_v_blocks", refuse)
         V = cos_potential()
         with pytest.raises(ValueError, match="7328 plans 4.0 GiB .* budget"):
             call(V, 7328)
         with pytest.raises(Built):
             call(V, 7327)
+
+
+def split_complex_potential():
+    """Real c_a with a_xi != 0: two parity blocks, both complex."""
+    return Potential(alpha=1.0, c0=0.1, terms=(
+        (PhasePoint(1.0, 0.5), 0.3), (PhasePoint(-1.0, -0.5), 0.3)))
+
+
+class TestMatchesDenseOracle:
+    """The block route against the complex N x N route it replaced
+    (`trace_oracle`).  Norms, values and the contraction agree to 1e-13
+    relative.  An order t_j is a difference of terms of the size of t_1,
+    so it agrees to 1e-13 of the largest order: at cos x, n = 256, t_6 is
+    -2.0e-11 and the two routes are 6e-23 apart."""
+
+    @pytest.mark.parametrize("V, n, kinds", [
+        (cos_potential(), 10, [np.float64] * 2),
+        (cos_potential(), 72, [np.float64] * 2),
+        (cos_potential(), 256, [np.float64] * 2),
+        (cos_potential(), 33, [np.float64] * 2),
+        (split_complex_potential(), 11, [np.complex128] * 2),
+        (split_complex_potential(), 41, [np.complex128] * 2),
+        (seeded_quasi(3), 10, [np.complex128]),
+        (seeded_quasi(3), 41, [np.complex128]),
+    ], ids=["cos-10", "cos-72", "cos-256", "cos-33", "split-complex-11",
+            "split-complex-41", "quasi3-10", "quasi3-41"])
+    def test_matches_dense_route(self, V, n, kinds):
+        tb = _trace_blocks(V, basis_size(n))
+        assert [v.dtype for _, v in tb.blocks] == kinds
+        norms = rvr_norms(V, n, 0.5)
+        np.testing.assert_allclose(
+            [norms.operator_norm, norms.hilbert_schmidt, norms.trace_norm],
+            dense_rvr_norms(V, n, 0.5), rtol=1e-13, atol=0)
+        te = trace_eigenvalue(V, n, 0.5)
+        value, orders, contraction = dense_trace_eigenvalue(V, n, 0.5)
+        assert te.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert te.contraction == pytest.approx(contraction, rel=1e-13, abs=0)
+        scale = 1e-13 * np.max(np.abs(orders))
+        np.testing.assert_allclose(te.orders, orders, rtol=1e-13, atol=scale)
+        partial = te.unperturbed + np.cumsum(
+            [t if j % 2 else -t for j, t in enumerate(orders, start=1)])
+        np.testing.assert_allclose(te.partial_sums, partial, rtol=1e-13,
+                                   atol=0)
+        for j in (1, 2, 5):
+            assert trace_order_j(V, n, j=j) == pytest.approx(
+                orders[j - 1], rel=1e-13, abs=scale)
+
+    def test_blocks_are_the_dense_blocks(self):
+        # the lower triangle of each block is bitwise the dense one, and
+        # the mirrored upper triangle its transpose (conjugate)
+        for V in (cos_potential(), split_complex_potential(),
+                  seeded_quasi(3)):
+            vm = v_matrix(V, 61)
+            dense = [matelem._real_if_real(vm[s, s])
+                     for s in parity_blocks(vm)]
+            tb = _trace_blocks(V, 61)
+            assert len(tb.blocks) == len(dense)
+            for (index, v), d in zip(tb.blocks, dense):
+                assert v.dtype == d.dtype
+                np.testing.assert_array_equal(np.tril(v), np.tril(d))
+                np.testing.assert_array_equal(v, v.T.conj())
+                np.testing.assert_array_equal(
+                    index, np.arange(61)[index[0]::len(tb.blocks)])
+
+    def test_rs_orders_match_dense_recursion(self):
+        V, n = seeded_quasi(3), 24
+        N = basis_size(n)
+        np.testing.assert_allclose(
+            _rs_orders(_trace_blocks(V, N), n, V.alpha, 6),
+            dense_rs_orders(v_matrix(V, N), n, V.alpha, 6),
+            rtol=1e-13, atol=1e-14)
+
+
+class TestAssemblyMemo:
+    """One assembly of V's blocks serves every trace function at (V, N)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (V, N) of every assembly, from an empty memo."""
+        built = []
+        fill = matelem._v_blocks
+
+        def record(V, N, band):
+            built.append((V, N))
+            return fill(V, N, band)
+
+        monkeypatch.setattr(resolvent, "_last", {})
+        monkeypatch.setattr(resolvent, "_v_blocks", record)
+        return built
+
+    def test_one_assembly_per_index(self, builds):
+        V, n = cos_potential(), 24
+        rvr_norms(V, n, 0.5)
+        trace_eigenvalue(V, n, 0.5)
+        trace_order_j(V, n, j=2)
+        assert builds == [(V, basis_size(n))]
+        # a new index, a new potential, then the first again: one slot
+        trace_order_j(V, n + 1)
+        W = cos_potential(amplitude=0.5)
+        trace_order_j(W, n + 1)
+        trace_order_j(V, n)
+        assert builds == [(V, basis_size(n)), (V, basis_size(n + 1)),
+                          (W, basis_size(n + 1)), (V, basis_size(n))]
+
+    def test_old_entry_dropped_before_build(self, builds, monkeypatch):
+        V = cos_potential()
+        tb = _trace_blocks(V, 40)
+        refs = [weakref.ref(tb), weakref.ref(tb.blocks[0][1])]
+        del tb
+        alive = []
+        fill = resolvent._v_blocks
+
+        def check(V, N, band):
+            alive.append([r() is not None for r in refs])
+            return fill(V, N, band)
+
+        monkeypatch.setattr(resolvent, "_v_blocks", check)
+        _trace_blocks(V, 41)
+        assert alive == [[False, False]]
+
+    def test_cached_arrays_read_only(self):
+        for V in (cos_potential(), quasi_potential()):
+            for index, v in _trace_blocks(V, 30).blocks:
+                with pytest.raises(ValueError, match="read-only"):
+                    v[0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 1
+
+    def test_signed_zero_not_shared(self, builds):
+        # -0.0 == 0.0, so the potentials compare equal, but the phase
+        # arg(-omega_a) is +pi for one and -pi for the other
+        c = 0.3 + 0.2j
+        V, W = (Potential(alpha=1.0, terms=(
+            (PhasePoint(zero, 1.0), c), (PhasePoint(-zero, -1.0),
+                                         c.conjugate()))) for zero in
+            (0.0, -0.0))
+        assert V == W
+        trace_order_j(V, 10)
+        trace_order_j(W, 10)
+        assert len(builds) == 2
+        assert not np.array_equal(resolvent._assemble(V, 10).blocks[0][1],
+                                  resolvent._assemble(W, 10).blocks[0][1])

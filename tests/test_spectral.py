@@ -570,7 +570,43 @@ class TestSpectrum:
         monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", plan - 1)
         seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
         with pytest.raises(ValueError, match=f"basis size {N} plans"):
-            spectral._solve_and_certify(WIDE_PAIR, N, 145, seconds)
+            spectral._solve_and_certify(WIDE_PAIR, N, (2766, 0.0), 145,
+                                        seconds)
+
+    def test_start_capped_at_fitting_plan(self, monkeypatch):
+        # a = (+-20, 0) at nmax = 10 starts at N = 2341 with b = 2771, a
+        # plan of 183 MiB.  Under a 64 MiB budget the start drops to the
+        # largest size whose plan with its own band fits, and certifies
+        # there; under 35 MiB that size (795) cannot certify, and the
+        # certificate names the index
+        built = []
+
+        def record(V, N, band):
+            built.append((N, band))
+            return solver_blocks(V, N, band)
+
+        monkeypatch.setattr(spectral, "solver_blocks", record)
+        start = spectral._start_size(WIDE_PAIR, 10)
+        budget = 64 * 2**20
+
+        def plan(N):
+            return spectral._planned_bytes(WIDE_PAIR, N,
+                                           spectral._band(WIDE_PAIR, N)[0])
+
+        assert plan(start) > budget
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", budget)
+        spec = spectrum(WIDE_PAIR, nmax=10)
+        N = spec.basis_size
+        assert built == [(N, spec.coupling_band)]
+        assert spec.coupling_band == spectral._band(WIDE_PAIR, N)[0] > N
+        assert plan(N) <= budget < plan(N + 1)
+        assert spec.max_certified_bound <= spec.convergence_tol
+        built.clear()
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 35 * 2**20)
+        with pytest.raises(TruncationError,
+                           match=r"failed at index 0: .* basis size 795\)"):
+            spectrum(WIDE_PAIR, nmax=10)
+        assert [N for N, _ in built] == [795]
 
     @pytest.fixture
     def built_sizes(self, bands, monkeypatch):
@@ -705,12 +741,14 @@ class TestSpectrum:
         # the bound squares residuals down to about 1e-6 where they still
         # count, so 1e-9 at both
         N = basis_size(nmax) - nmax
-        bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
+        bounds = spectral._solve_and_certify(V, N, spectral._band(V, N),
+                                             nmax, seconds)[2]
         oracle = full_eigenvector_bounds(V, N, nmax)[0]
         assert np.max(oracle) < 1.1 * spectral._rounding(V, N)
         np.testing.assert_allclose(bounds, oracle, rtol=1e-12, atol=0)
         N = nmax + 24
-        bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
+        bounds = spectral._solve_and_certify(V, N, spectral._band(V, N),
+                                             nmax, seconds)[2]
         oracle = full_eigenvector_bounds(V, N, nmax)[0]
         assert np.max(oracle[np.isfinite(oracle)]) > 1e6 * spectral._rounding(V, N)
         np.testing.assert_allclose(bounds, oracle, rtol=1e-9, atol=0)
