@@ -309,22 +309,26 @@ def main(argv=None) -> int:
         if args.command == "trace":
             config = _load_config(args.config)
             eps = args.epsilon if args.epsilon is not None else config.epsilon
-            V = config.potential
-            sums = resolvent_sums(args.n, eps, N=4 * args.n + 64,
-                                  alpha=V.alpha, kappa=V.kappa())
+            V, n = config.potential, args.n
+            if n < 0:
+                raise ValueError(f"n must be a nonnegative integer, got {n}")
+            # every stage before any output, so a refusal prints only the
+            # error; rvr_norms' byte guard first, before the sums' arrays
+            norms = rvr_norms(V, n, eps)
+            sums = resolvent_sums(n, eps, N=4 * n + 64, alpha=V.alpha,
+                                  kappa=V.kappa())
+            te = trace_eigenvalue(V, n, eps, jmax=args.jmax)
+            dense = float(spectrum(V, nmax=max(n, 1)).eigenvalues[n])
             print(f"s1={sums.s1:.6f} s2a={sums.s2a:.6f} s2={sums.s2:.6f} "
                   f"gap={sums.gap:.6f}")
-            norms = rvr_norms(V, args.n, eps)
             print(f"||RVR||={norms.operator_norm:.3e} "
                   f"||RVR||_2={norms.hilbert_schmidt:.3e} "
                   f"||RVR||_1={norms.trace_norm:.3e}")
-            te = trace_eigenvalue(V, args.n, eps, jmax=args.jmax)
             print(f"Neumann contraction max ||(VR)^2|| = {te.contraction:.6f}"
                   " (Frobenius upper bound)")
             print(f"orders: {te.orders}")
             print(f"partial sums: {te.partial_sums}")
             print(f"eigenvalue estimate: {te.value:.12f}")
-            dense = float(spectrum(V, nmax=args.n).eigenvalues[args.n])
             print(f"dense lambda_n = {dense:.12f} "
                   f"|trace - dense| = {abs(te.value - dense):.3e}")
             return 0

@@ -10,9 +10,9 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 * `u_element_bessel` -- partial sums of the Bessel-series expansion.
 
 `v_matrix`/`build_matrix` assemble the dense truncated matrix of V and
-of H+V; `parity_blocks` finds its even/odd split when V commutes with
-parity; `_v_blocks` assembles V straight into its parity blocks, typed
-and split as `_block_kinds` decides from V, for `resolvent`, and with the
+of H+V, the reference the tests compare with; `_v_blocks` assembles V
+straight into its parity blocks, typed and split as `_block_kinds`
+decides from V, for `resolvent`, and with the
 coupling block of a wider truncation for `solver_blocks`, which adds H
 and gives `spectral`'s eigensolver its LAPACK storage; `window_sup`
 bounds the elements near the diagonal.  Every closed-form magnitude
@@ -48,13 +48,10 @@ __all__ = [
     "build_matrix",
     "SolverBlocks",
     "solver_blocks",
-    "parity_blocks",
     "window_sup",
 ]
 
 ORACLE_INDEX_MAX = 300
-# Relative size of the imaginary parts below which a block counts as real.
-_REAL_TOL = 1e-13
 
 
 def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
@@ -334,8 +331,9 @@ def _block_kinds(V: Potential) -> tuple[bool, bool]:
     """(split, real) of the truncated matrix of H + V, decided from V alone.
 
     It splits into its even- and odd-index blocks when every c_a is real:
-    odd offsets then carry c_a - conj(c_a) = 0 exactly (see
-    `parity_blocks`).  Its blocks are real when every pair's coefficients
+    parity P phi_k = (-1)^k phi_k satisfies P U_a P = U_{-a}, so V then
+    commutes with P, and odd offsets carry c_a - conj(c_a) = 0 exactly
+    (`_pair_terms`).  Its blocks are real when every pair's coefficients
     e^{i m theta}(c_a + (-1)^m conj(c_a)) are: theta = pi/2 when a_xi = 0,
     and theta = pi when a_x = 0, real for real c_a.  Real up to the rounding
     of e^{i m theta}, which the real blocks drop.
@@ -375,8 +373,8 @@ def _v_blocks(V: Potential, N: int, band: int):
     so row k of the recurrence fills column k of its parity block
     (contiguous in Fortran order) and, for k >= N - band, column k of E.
     A split matrix runs the recurrence on the even offsets only.  The
-    lower triangles are bitwise those of `v_matrix` read through
-    `parity_blocks` and `_real_if_real`.
+    lower triangles are bitwise those of `v_matrix` read through the
+    exact zero scan and realness test of `tests/parity_oracle.py`.
     """
     if N < 1 or band < 0:
         raise ValueError("N must be positive and band nonnegative")
@@ -423,8 +421,8 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
     `_v_blocks`, with alpha(2k+1) added to their diagonal.
 
     The blocks, E and the diagonal are bitwise those of `build_matrix`
-    read through `parity_blocks` and `_real_if_real`, without its complex
-    N x N matrix and Hermitian mirror.
+    read through `tests/parity_oracle.py`, without its complex N x N
+    matrix and Hermitian mirror.
     """
     blocks, coupling = _v_blocks(V, N, band)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
@@ -434,35 +432,6 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
         block[i, i] += diag[s]
         diagonal[s] = block[i, i].real
     return SolverBlocks(blocks=blocks, coupling=coupling, diagonal=diagonal)
-
-
-def parity_blocks(m: np.ndarray) -> tuple[slice, ...]:
-    """Index slices of the diagonal blocks that together hold every entry of m.
-
-    Parity P phi_k = (-1)^k phi_k satisfies P U_a P = U_{-a}, so V commutes
-    with P when every c_a is real, and then every entry between an even and
-    an odd index is exactly 0.0 (`_pair_terms` multiplies odd offsets
-    by c_a - conj(c_a)).  Returns (even, odd) slices when m[0::2, 1::2] is
-    all zero, else one slice over everything.  m must be Hermitian, so the
-    other off-block vanishes with it.  Exact: a single nonzero entry keeps
-    the matrix whole.
-    """
-    if m.shape[0] > 1 and not np.any(m[0::2, 1::2]):
-        return (slice(0, None, 2), slice(1, None, 2))
-    return (slice(None),)
-
-
-def _real_if_real(block: np.ndarray) -> np.ndarray:
-    """block.real when the imaginary parts of the Hermitian block are below
-    _REAL_TOL relative to max(1, its largest real entry), else block.
-
-    The parity blocks of an even potential are real up to the rounding of
-    the complex assembly; LAPACK's real symmetric path is cheaper for them.
-    """
-    if np.max(np.abs(block.imag)) <= _REAL_TOL * max(
-            1.0, np.max(np.abs(block.real))):
-        return block.real
-    return block
 
 
 def window_sup(V: Potential, n: int) -> float:

@@ -23,11 +23,7 @@ are, and whether they are real, is decided from V before assembly.  The
 residuals E X need only the last b rows of the Ritz vectors; a complex
 block, or a real one of order `_FACTORED_REAL_ORDER` and up, is reduced in
 place and keeps its eigenvectors factored through its Householder
-tridiagonal, and the reflectors and Z are applied to E itself.  Each
-block's solve and its residual product run in one library, numpy's for
-`np.linalg.eigh` and scipy's for the factored route: the two load separate
-OpenBLAS builds whose thread pools slow each other down when calls
-alternate.
+tridiagonal, and the reflectors and Z are applied to E itself.
 """
 
 from __future__ import annotations
@@ -42,9 +38,7 @@ import numpy as np
 # build_matrix has no use here; perfbench's tracer tests wrap it under
 # this module's name until the benchmark is refitted (ROADMAP item 4)
 from .matelem import build_matrix  # noqa: F401
-from .matelem import (MatrixElementTable, SolverBlocks, _block_kinds,
-                      _check_dense_budget, _real_if_real, parity_blocks,
-                      solver_blocks)
+from .matelem import SolverBlocks, _block_kinds, solver_blocks
 from . import specialfn
 from .model import Potential, rho
 from .specialfn import _check_byte_budget
@@ -67,17 +61,16 @@ class TruncationError(RuntimeError):
     """Raised when the residual bound cannot certify the requested indices."""
 
 
-def eigensolve(table: MatrixElementTable | SolverBlocks, *,
-               ritz: list | None = None) -> np.ndarray:
-    """All eigenvalues of the Hermitian table, ascending.
+def eigensolve(matrix: SolverBlocks, *, ritz: list | None = None) -> np.ndarray:
+    """All eigenvalues of the Hermitian matrix, ascending.
 
-    Backed by LAPACK, one call per parity block; a real block goes through
-    the cheaper symmetric path.  A `MatrixElementTable` is split by
-    `parity_blocks` and its blocks counted real by `_real_if_real`; a
-    `SolverBlocks` comes split, typed and in LAPACK's storage, and its
-    factored blocks are reduced in place (they become the reflectors).
-    Given a list `ritz`, the blocks are solved with eigenvectors, and one
-    (slice, eigenvalues, rows) triple per block is appended to it:
+    `matrix` is `solver_blocks` output: split into parity blocks, typed,
+    and in LAPACK's storage (lower triangle, Fortran order).  Backed by
+    LAPACK, one call per parity block; a real block goes through the
+    cheaper symmetric path, and factored blocks are reduced in place (they
+    become the reflectors).  Given a list `ritz`, the blocks are solved
+    with eigenvectors, and one (slice, eigenvalues, rows) triple per block
+    is appended to it:
     `rows(start, left)` returns left @ X[start:], for the block's
     eigenvector matrix X and any `left` of as many columns as X[start:] has
     rows.  A real block below order _FACTORED_REAL_ORDER is solved by
@@ -90,21 +83,15 @@ def eigensolve(table: MatrixElementTable | SolverBlocks, *,
     inside this function, where perfbench's tracer observes it (the
     `eigensolve_N` span); a private helper would hide it.
     """
-    owned = isinstance(table, SolverBlocks)
-    if owned:
-        blocks = table.blocks
-    else:
-        m = table.entries
-        blocks = [(s, _real_if_real(m[s, s])) for s in parity_blocks(m)]
     parts = []
-    for s, block in blocks:
+    for s, block in matrix.blocks:
         if ritz is None:
             w = np.linalg.eigvalsh(block)
         elif np.isrealobj(block) and len(block) < _FACTORED_REAL_ORDER:
             w, x = np.linalg.eigh(block)
             ritz.append((s, w, lambda start, left, x=x: left @ x[start:]))
         else:
-            w, rows = _factored_eigh(block, overwrite=owned)
+            w, rows = _factored_eigh(block)
             ritz.append((s, w, rows))
         parts.append(w)
     return np.sort(np.concatenate(parts))
@@ -115,12 +102,12 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
 
 
-def _factored_eigh(a: np.ndarray, overwrite: bool = False):
+def _factored_eigh(a: np.ndarray):
     """Eigenvalues of the Hermitian (or real symmetric) matrix `a`,
     ascending, and a function `rows(start, left)` returning left @ X[start:]
     for its eigenvectors X and any `left` of N - start columns.  LAPACK
-    reads the lower triangle of `a`; with `overwrite`, a Fortran-ordered `a`
-    is reduced in place.
+    reads the lower triangle of `a`, and reduces a Fortran-ordered `a` in
+    place.
 
     zhetrd (dsytrd) reduces a = Q T Q^H with T real tridiagonal and Q =
     H(0) .. H(N-2) kept as Householder reflectors, and dstevd gives
@@ -144,7 +131,7 @@ def _factored_eigh(a: np.ndarray, overwrite: bool = False):
     _check_info(trd + "_lwork", info)
     c, d, e, tau, info = getattr(lapack, trd)(a, lower=1,
                                               lwork=int(lwork.real),
-                                              overwrite_a=overwrite)
+                                              overwrite_a=1)
     _check_info(trd, info)
     # dstevd takes an off-diagonal of length max(n - 1, 1)
     w, z, info = lapack.dstevd(d, e if n > 1 else [0.0])
@@ -204,52 +191,39 @@ def _start_size(V: Potential, nmax: int) -> int:
     to 16 it rose to 2.5 b0 (alpha = 1/4, nmax = 1000).  A band far wider
     than nmax (a = (+-20, 0): b0 = 1543 at nmax = 10, 1975 at 600) needed
     0.6 to 1.05 b0, so there the start overshoots."""
-    b0, _ = _coupling_band(V, nmax, _rounding(V, nmax) / math.sqrt(nmax))
+    b0, _ = _band(V, nmax)
     strength = 2.0 * max((abs(c) for _, c in V.terms), default=0.0) / V.alpha
     scale = 1.0 + 0.5 * math.log2(max(1.0, strength))
     return nmax + math.ceil(1.5 * scale * b0) + 16
-
-
-def _basis_cap(bytes_per_entry: int) -> int:
-    """Largest basis size whose dense arrays fit DENSE_BYTE_BUDGET."""
-    return math.isqrt(specialfn.DENSE_BYTE_BUDGET // bytes_per_entry)
-
-
-def _bytes_per_entry(V: Potential) -> int:
-    """Planned peak bytes per entry of the N x N basis in one attempt of
-    `spectrum`.
-
-    Measured in a child process at N = 1653-4570: 14.3-15.6 when the
-    matrix splits, with real blocks (cos x) or complex ones (real c_a,
-    a_xi != 0): two blocks of half the order, each one's eigenvectors or
-    reflectors, and LAPACK's workspace for one.  A split matrix plans 24,
-    the largest measurement with 40/27 headroom.  One block measured
-    41.4-41.6 when real (sin x: the block, `eigh`'s copy of it, the
-    eigenvectors and dsyevd's 2 N^2 workspace) and 33.5-34.2 when complex
-    (quasi seed 3: the block reduced in place, Z and dstevd's workspace).
-    It plans 56, whose cap N <= 8757 keeps one complex block short of
-    order 10^4, where the complex rounding is not yet measured.
-    """
-    split, _ = _block_kinds(V)
-    return 24 if split else 56
 
 
 def _planned_bytes(V: Potential, N: int, b: int) -> int:
     """Planned peak bytes of one attempt of `spectrum` at basis size N
     and band b.
 
+    Peak bytes per entry of the N x N basis, measured in a child process
+    at N = 1653-4570: 14.3-15.6 when the matrix splits, with real blocks
+    (cos x) or complex ones (real c_a, a_xi != 0): two blocks of half the
+    order, each one's eigenvectors or reflectors, and LAPACK's workspace
+    for one.  A split matrix plans 24 per entry, the largest measurement
+    with 40/27 headroom.  One block measured 41.4-41.6 when real (sin x:
+    the block, `eigh`'s copy of it, the eigenvectors and dsyevd's 2 N^2
+    workspace) and 33.5-34.2 when complex (quasi seed 3: the block
+    reduced in place, Z and dstevd's workspace).  It plans 56, whose cap
+    N <= 8757 keeps one complex block short of order 10^4, where the
+    complex rounding is not yet measured.
+
     The coupling block E holds 16 b min(b, N) bytes.  It was a small part
-    of the peaks measured for `_bytes_per_entry` (b well below N), and the
-    plan's headroom holds it while it stays small.  A band near or past N
-    (large r_a sqrt(N)) is counted on top of the largest measurement, 16
-    bytes per entry when split and 42 for one block: at N = 2903, b = 2968
-    (a pair at a = (+-20, 0)) the peak grew by 228 MB, 27 per entry, while
-    24 per entry plans 202 MB and this 273 MB.
+    of those peaks (b well below N), and the plan's headroom holds it
+    while it stays small.  A band near or past N (large r_a sqrt(N)) is
+    counted on top of the largest measurement, 16 bytes per entry when
+    split and 42 for one block: at N = 2903, b = 2968 (a pair at
+    a = (+-20, 0)) the peak grew by 228 MB, 27 per entry, while 24 per
+    entry plans 202 MB and this 273 MB.
     """
     split, _ = _block_kinds(V)
-    measured = 16 if split else 42
-    return max(_bytes_per_entry(V) * N * N,
-               measured * N * N + 16 * b * min(b, N))
+    per_entry, measured = (24, 16) if split else (56, 42)
+    return max(per_entry * N * N, measured * N * N + 16 * b * min(b, N))
 
 
 def _rounding(V: Potential, N: int) -> float:
@@ -283,30 +257,43 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
     operator norm.  Each term is compared with `target` by its log first,
     so one past the float range (large r_a sqrt(N)) widens b as any term
     over the target does.  Terms with c_a = 0 bound nothing and are left
-    out.
+    out.  Once q < 1 every term's bound falls with b, so "the bound of b
+    is at most target" is false and then true: b is found by doubling,
+    then bisection, in O(log b) evaluations.
     """
     terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c)) for p, c in V.terms
              if c != 0]
     if not terms:
         return 0, 0.0
     log_target = math.log(target)
-    b = 0
-    while True:
+
+    def dropped(b: int) -> float:
         m = b + 1
         total = 0.0
         for z, c in terms:
             q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
             if q >= 1.0:
-                total = math.inf
-                break
+                return math.inf
             log_t = m * math.log(z) + 0.5 * m * math.log(N + m) - math.lgamma(m + 1)
             if log_t + math.log(c / (1.0 - q)) > log_target:
-                total = math.inf
-                break
+                return math.inf
             total += c * math.exp(log_t) / (1.0 - q)
-        if total <= target:
-            return b, total
-        b += 1
+        return total
+
+    hi = 0
+    while not dropped(hi) <= target:
+        hi = 2 * hi + 1
+    # (hi - 1) // 2 is the size doubled last, or -1 (no band) for hi = 0
+    b = _bisect(lambda b: dropped(b) <= target, (hi - 1) // 2, hi)
+    return b, dropped(b)
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """The k in (lo, hi] where pred, false at lo and true at hi, turns true."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
 
 
 def _certify(V: Potential, N: int, E: np.ndarray, dropped: float,
@@ -397,19 +384,14 @@ def _fitted_size(V: Potential, N: int, nmax: int):
     bisection.  Where no size fits, nmax + 1 is returned, the smallest
     basis with nmax + 1 Ritz values, and `_solve_and_certify` refuses it.
     """
+    def over(size, band):
+        return _planned_bytes(V, size, band[0]) > specialfn.DENSE_BYTE_BUDGET
+
     band = _band(V, N)
-    if N <= nmax + 1 or (_planned_bytes(V, N, band[0])
-                         <= specialfn.DENSE_BYTE_BUDGET):
-        return N, band
-    lo, hi, band = nmax + 1, N, None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_band = _band(V, mid)
-        if _planned_bytes(V, mid, mid_band[0]) <= specialfn.DENSE_BYTE_BUDGET:
-            lo, band = mid, mid_band
-        else:
-            hi = mid
-    return lo, band or _band(V, lo)
+    if N > nmax + 1 and over(N, band):
+        N = _bisect(lambda size: over(size, _band(V, size)), nmax + 1, N) - 1
+        band = _band(V, N)
+    return N, band
 
 
 def _solve_and_certify(V: Potential, N: int, band: tuple[int, float],
@@ -457,26 +439,22 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     the eigensolver's rounding by the probabilistic model sqrt(N) eps
     ||A_N|| of `_rounding`, so the bound is rigorous for the truncation
     and modelled for the rounding.  While some bound exceeds
-    convergence_tol, N grows by half up to the largest size the dense
-    byte budget admits; past it, TruncationError names the first index
-    that fails.  The start size and each larger one are capped there, and
-    at the largest size whose plan with its band (`_planned_bytes`) fits
-    the budget (`_fitted_size`).  An nmax that leaves no room for nmax + 1
-    Ritz values under the budget is refused before assembly.
-    `Spectrum.basis_sizes` lists every size tried.
+    convergence_tol, N grows by half.  The start size and each larger one
+    are capped at the largest size whose plan with its band
+    (`_planned_bytes`) fits the dense byte budget (`_fitted_size`); once
+    N can grow no further, TruncationError names the first index that
+    fails.  An nmax that leaves no room for nmax + 1 Ritz values under the
+    budget is refused before assembly.  `Spectrum.basis_sizes` lists
+    every size tried.
     Warns, naming the indices, where sorted order may not be the
     perturbative labelling.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    per_entry = _bytes_per_entry(V)
-    cap = _basis_cap(per_entry)
-    # the integer test first keeps huge nmax away from math.sqrt; from the
-    # cap on the refusal names nmax + 1, the smallest basis with nmax + 1
-    # Ritz values
-    N = min(cap, _start_size(V, nmax)) if nmax < cap else nmax + 1
-    _check_dense_budget(N, per_entry)
-    N, band = _fitted_size(V, N, nmax)
+    # nmax + 1 is the smallest basis with nmax + 1 Ritz values; refusing
+    # it in integers first keeps huge nmax away from math.sqrt
+    _check_byte_budget(_planned_bytes(V, nmax + 1, 0), f"basis size {nmax + 1}")
+    N, band = _fitted_size(V, _start_size(V, nmax), nmax)
     seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
     sizes = []
     while True:
@@ -487,9 +465,8 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
             break
         # the rounding term grows with N: past the tolerance, no N can pass
         grown = N
-        if N < cap and _rounding(V, N) <= convergence_tol:
-            grown, next_band = _fitted_size(
-                V, min(cap, math.ceil(_GROWTH * N)), nmax)
+        if _rounding(V, N) <= convergence_tol:
+            grown, next_band = _fitted_size(V, math.ceil(_GROWTH * N), nmax)
         if grown <= N:
             first = int(failing[0])
             raise TruncationError(

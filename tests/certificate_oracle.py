@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from oscspec import spectral
-from oscspec.matelem import build_matrix, parity_blocks, v_matrix
+from oscspec.matelem import build_matrix, v_matrix
+from parity_oracle import parity_blocks
 
 
 def full_eigenvector_bounds(V, N, nmax):

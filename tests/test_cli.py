@@ -417,6 +417,30 @@ class TestMain:
         assert "budget" in err
         assert built == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "-1"], "n must be a nonnegative integer, got -1"),
+        (["--n", "10", "--jmax", "0"], "jmax must be at least 1"),
+        (["--n", "100000"], "basis size 202594 plans"),
+    ], ids=["negative n", "jmax 0", "oversized basis"])
+    def test_trace_refusal_prints_nothing(self, tmp_path, capsys, flags,
+                                          message):
+        # every stage runs before the first line: a refusal prints only
+        # the error
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["trace", "--config", str(cfg_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_trace_index_zero(self, tmp_path, capsys):
+        # the dense check certifies through index 1, the least spectrum takes
+        cfg_path = write_config(tmp_path, {**GOOD_CONFIG, "terms": [
+            [1.0, 0.0, 0.05, 0.0], [-1.0, 0.0, 0.05, 0.0]]})
+        assert main(["trace", "--config", str(cfg_path), "--n", "0"]) == 0
+        check = capsys.readouterr().out.splitlines()[-1].split()
+        assert check[:3] == ["dense", "lambda_n", "="]
+        assert float(check[-1]) <= 1e-10
+
     def test_trace_smoke(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         # six orders: at three the series is 1.4e-5 from the dense value

@@ -147,6 +147,26 @@ class TestUElement:
             assert abs(u_element(a, 1.0, k, kp)) <= bound * (1 + 1e-12)
 
 
+class TestUnderflowedStart:
+    """ROADMAP item 1: at k = 12000, k' = 12440 and a = (3, 0) the start
+    g_0 of offset m = 440 underflows, and the recurrence keeps it 0.  The
+    element is 0.0604356678364 by the Bessel series and by mpmath's
+    Laguerre polynomial at 200 bits."""
+
+    A, K, KP = PhasePoint(3.0, 0.0), 12000, 12440
+
+    def test_bessel_series_value(self):
+        series = u_element_bessel(self.A, 1.0, self.K, self.KP)
+        assert abs(series) == pytest.approx(0.0604356678364, rel=1e-11)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a magnitude "
+                       "start that underflows stays exactly 0")
+    def test_closed_form_matches_series(self):
+        series = u_element_bessel(self.A, 1.0, self.K, self.KP)
+        assert u_element(self.A, 1.0, self.K, self.KP) == pytest.approx(
+            series, rel=1e-10, abs=0)
+
+
 class TestBesselRoute:
     def test_leading_term_only(self):
         from oscspec.specialfn import bessel_j_grid, f_factor

@@ -16,7 +16,8 @@ from test_spectral import quasi_potential as seeded_quasi
 from trace_oracle import (dense_rs_orders, dense_rvr_norms,
                           dense_trace_eigenvalue)
 from oscspec import matelem, resolvent
-from oscspec.matelem import parity_blocks, v_matrix
+from oscspec.matelem import v_matrix
+from parity_oracle import dense_blocks, parity_blocks
 from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
     _DENSE_NODE_STRIDE,
@@ -401,8 +402,7 @@ class TestMatchesDenseOracle:
         for V in (cos_potential(), split_complex_potential(),
                   seeded_quasi(3)):
             vm = v_matrix(V, 61)
-            dense = [matelem._real_if_real(vm[s, s])
-                     for s in parity_blocks(vm)]
+            dense = [block for _, block in dense_blocks(vm)]
             tb = _trace_blocks(V, 61)
             assert len(tb.blocks) == len(dense)
             for (index, v), d in zip(tb.blocks, dense):

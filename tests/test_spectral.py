@@ -12,8 +12,9 @@ import pytest
 
 from certificate_oracle import full_eigenvector_bounds
 from doubling_oracle import doubling_eigenvalues
-from oscspec.matelem import (MatrixElementTable, _block_kinds, _real_if_real,
-                             build_matrix, parity_blocks, solver_blocks)
+from parity_oracle import parity_blocks, real_if_real
+from oscspec.matelem import (SolverBlocks, _block_kinds, build_matrix,
+                             solver_blocks)
 from oscspec.model import PhasePoint, Potential, rho
 from oscspec import matelem, specialfn, spectral
 from oscspec.spectral import (
@@ -53,8 +54,13 @@ def quasi_potential(seed):
     return Potential(alpha=1.0, terms=tuple(terms), c0=0.25)
 
 
-def table_from(entries):
-    return MatrixElementTable(entries=np.asarray(entries, dtype=complex))
+def one_block(entries):
+    """The Hermitian matrix `entries` as one parity block in the storage
+    `eigensolve` reads: lower triangle, Fortran order."""
+    m = np.asarray(entries)
+    return SolverBlocks(blocks=((slice(None), np.asfortranarray(np.tril(m))),),
+                        coupling=np.zeros((0, len(m)), dtype=complex),
+                        diagonal=m.diagonal().real.copy())
 
 
 def charpoly_eigenvalues(m, lo, hi, count, tol=1e-9):
@@ -89,12 +95,12 @@ def charpoly_eigenvalues(m, lo, hi, count, tol=1e-9):
 
 class TestEigensolve:
     def test_diagonal(self):
-        ev = eigensolve(table_from(np.diag([5.0, 1.0, 3.0])))
+        ev = eigensolve(one_block(np.diag([5.0, 1.0, 3.0])))
         np.testing.assert_allclose(ev, [1.0, 3.0, 5.0], atol=1e-14)
 
     def test_two_by_two_closed_form(self):
         a, b, c = 2.0, 0.7, -1.0
-        ev = eigensolve(table_from([[a, b], [b, c]]))
+        ev = eigensolve(one_block([[a, b], [b, c]]))
         mean = 0.5 * (a + c)
         half = math.sqrt(0.25 * (a - c) ** 2 + b * b)
         np.testing.assert_allclose(ev, [mean - half, mean + half], rtol=1e-14)
@@ -103,14 +109,14 @@ class TestEigensolve:
         b = 0.3 + 0.4j
         m = np.array([[1.0, b], [np.conj(b), -1.0]])
         half = math.sqrt(1.0 + abs(b) ** 2)
-        np.testing.assert_allclose(eigensolve(table_from(m)), [-half, half],
+        np.testing.assert_allclose(eigensolve(one_block(m)), [-half, half],
                                    rtol=1e-14)
 
     def test_random_hermitian_vs_det_bisection(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         m = 0.5 * (a + a.conj().T)
-        ev = eigensolve(table_from(m))
+        ev = eigensolve(one_block(m))
         oracle = charpoly_eigenvalues(m, ev.min() - 1.0, ev.max() + 1.0, 6)
         np.testing.assert_allclose(ev, oracle, atol=5e-9)
 
@@ -120,7 +126,7 @@ class TestEigensolve:
         for V in (Potential.cosine(alpha=1.0), COMPLEX_FOUR_PAIRS):
             m = build_matrix(V, 60).entries
             ritz = []
-            ev = eigensolve(table_from(m), ritz=ritz)
+            ev = eigensolve(solver_blocks(V, 60, 0), ritz=ritz)
             assert [s for s, _, _ in ritz] == list(parity_blocks(m))
             np.testing.assert_array_equal(
                 ev, np.sort(np.concatenate([w for _, w, _ in ritz])))
@@ -132,15 +138,6 @@ class TestEigensolve:
                                            atol=1e-12)
                 np.testing.assert_array_equal(rows(n // 3, np.eye(n - n // 3)),
                                               x[n // 3:])
-
-    def test_realness_routing_consistent(self):
-        # a tiny imaginary dusting below tolerance must not change results
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((8, 8))
-        m = 0.5 * (a + a.T)
-        dusted = m + 1e-16j * np.eye(8)
-        np.testing.assert_allclose(eigensolve(table_from(m)),
-                                   eigensolve(table_from(dusted)), atol=1e-12)
 
 
 def tridiagonal_with_real_steps(n):
@@ -176,7 +173,7 @@ class TestFactoredEigh:
     ], ids=["four pairs N=60", "quasi N=300", "1x1", "2x2", "tau=0",
             "real lower triangle", "real 1x1"])
     def test_rows_match_full_solve(self, a):
-        w, rows = spectral._factored_eigh(a)
+        w, rows = spectral._factored_eigh(a.copy())   # reduced in place
         w_full, x_full = np.linalg.eigh(a)
         scale = max(1.0, np.max(np.abs(w_full)))
         np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12 * scale)
@@ -195,7 +192,7 @@ class TestFactoredEigh:
     def test_rows_multiply_any_left(self, a):
         # left @ X[start:] for a complex left of another row count than
         # X[start:], with no warning: a real block takes complex rows too
-        w, rows = spectral._factored_eigh(a)
+        w, rows = spectral._factored_eigh(a.copy())   # reduced in place
         n = len(w)
         x_full = aligned_eigenvectors(np.linalg.eigh(a)[1],
                                       rows(0, np.eye(n)))
@@ -232,7 +229,7 @@ class TestFactoredEigh:
         ritz = []
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"LAPACK {routine} failed \(info=1\)"):
-            eigensolve(build_matrix(V, 20), ritz=ritz)
+            eigensolve(solver_blocks(V, 20, 0), ritz=ritz)
             for _, w, rows in ritz:   # zunmqr runs when rows are asked for
                 rows(0, np.eye(len(w)))
 
@@ -276,16 +273,19 @@ class TestParityBlocks:
     diagonalizes the even- and odd-index blocks apart."""
 
     @staticmethod
-    def assert_matches_full_solve(m):
-        ev = eigensolve(table_from(m))
+    def assert_matches_full_solve(V, N):
+        m = build_matrix(V, N).entries
+        blocks = solver_blocks(V, N, 0)
+        assert [s for s, _ in blocks.blocks] == list(parity_blocks(m))
+        ev = eigensolve(blocks)
         full = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(ev, full, rtol=0,
                                    atol=1e-12 * np.max(np.abs(full)))
+        return m
 
     def test_cosine_odd_order_split(self):
-        m = build_matrix(Potential.cosine(alpha=1.0), 301).entries
+        m = self.assert_matches_full_solve(Potential.cosine(alpha=1.0), 301)
         assert parity_blocks(m) == (slice(0, None, 2), slice(1, None, 2))
-        self.assert_matches_full_solve(m)
 
     def test_real_coefficients_complex_blocks(self):
         # a_xi != 0 with real c_a: the blocks are complex Hermitian
@@ -293,30 +293,28 @@ class TestParityBlocks:
             (PhasePoint(0.6, 0.8), 0.2), (PhasePoint(-0.6, -0.8), 0.2),
             (PhasePoint(1.0, 0.0), 0.5), (PhasePoint(-1.0, 0.0), 0.5),
         ), c0=0.25)
-        m = build_matrix(V, 120).entries
+        m = self.assert_matches_full_solve(V, 120)
         assert len(parity_blocks(m)) == 2
         assert np.max(np.abs(m[0::2, 0::2].imag)) > 0.1
-        self.assert_matches_full_solve(m)
 
     def test_complex_coefficients_stay_whole(self):
         V = Potential(alpha=1.0, terms=(
             (PhasePoint(1.0, 0.0), 0.5 + 0.1j),
             (PhasePoint(-1.0, 0.0), 0.5 - 0.1j),
         ))
-        assert parity_blocks(build_matrix(V, 40).entries) == (slice(None),)
-
-    def test_one_tiny_odd_offset_entry_keeps_whole(self):
-        m = build_matrix(Potential.cosine(alpha=1.0), 40).entries.copy()
-        m[2, 5] = m[5, 2] = 1e-300
+        m = self.assert_matches_full_solve(V, 40)
         assert parity_blocks(m) == (slice(None),)
-        self.assert_matches_full_solve(m)
 
     def test_one_by_one_and_diagonal(self):
-        assert parity_blocks(np.array([[3.0]])) == (slice(None),)
-        np.testing.assert_array_equal(eigensolve(table_from([[3.0]])), [3.0])
-        m = np.diag([5.0, 1.0, 3.0, -2.0, 4.0])
-        assert len(parity_blocks(m)) == 2
-        np.testing.assert_array_equal(eigensolve(table_from(m)),
+        np.testing.assert_array_equal(eigensolve(one_block([[3.0]])), [3.0])
+        # two diagonal blocks: their eigenvalues merge in ascending order
+        even, odd = slice(0, None, 2), slice(1, None, 2)
+        split = SolverBlocks(
+            blocks=((even, np.diag([5.0, 3.0, 4.0])),
+                    (odd, np.diag([1.0, -2.0]))),
+            coupling=np.zeros((0, 5), dtype=complex),
+            diagonal=np.array([5.0, 1.0, 3.0, -2.0, 4.0]))
+        np.testing.assert_array_equal(eigensolve(split),
                                       [-2.0, 1.0, 3.0, 4.0, 5.0])
 
 
@@ -349,9 +347,9 @@ class TestSolverBlocks:
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("N", [1, 2, 61, 300])
     def test_bitwise_equal_to_full_assembly(self, V, kind, N):
-        # blocks, E and diagonal as build_matrix + parity_blocks +
-        # _real_if_real give them, bit for bit, at the band spectrum uses,
-        # at no band and at a band past N
+        # blocks, E and diagonal as build_matrix read through the oracle's
+        # parity_blocks and real_if_real gives them, bit for bit, at the
+        # band spectrum uses, at no band and at a band past N
         b = spectral._coupling_band(V, N, spectral._rounding(V, N)
                                     / math.sqrt(N))[0]
         for band in sorted({0, b, N + 3}):
@@ -360,7 +358,7 @@ class TestSolverBlocks:
             got = solver_blocks(V, N, band)
             assert [s for s, _ in got.blocks] == list(parity_blocks(m))
             for s, block in got.blocks:
-                want = _real_if_real(m[s, s])
+                want = real_if_real(m[s, s])
                 if N > 2:   # a 1 x 1 block is real to any tolerance
                     assert np.isrealobj(block) == np.isrealobj(want)
                 assert block.dtype == (float if kind[1] else complex)
@@ -377,12 +375,12 @@ class TestSolverBlocks:
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
     def test_kind_matches_tolerance_decision(self, V, kind):
         # the kinds decided from V before assembly are those the parity
-        # split and the _REAL_TOL scan find in the assembled matrix
+        # split and the realness tolerance find in the assembled matrix
         assert _block_kinds(V) == kind
         m = build_matrix(V, 200).entries
         slices = parity_blocks(m)
         assert (len(slices) == 2) == kind[0]
-        assert all(np.isrealobj(_real_if_real(m[s, s])) == kind[1]
+        assert all(np.isrealobj(real_if_real(m[s, s])) == kind[1]
                    for s in slices)
 
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
@@ -422,16 +420,19 @@ class TestSolverBlocks:
                 "V = Potential.cosine(alpha=1.0)\n"
                 "spectral.spectrum(V, nmax=20)\n"
                 "base = peak()\n"
-                "N = spectral.spectrum(V, nmax=1500).basis_size\n"
-                "print(N, peak() - base, spectral._bytes_per_entry(V))\n")
+                "spec = spectral.spectrum(V, nmax=1500)\n"
+                "N = spec.basis_size\n"
+                "print(N, peak() - base,\n"
+                "      spectral._planned_bytes(V, N, spec.coupling_band))\n")
         src = str(Path(spectral.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
-        N, growth, per_entry = map(int, out.split())
+        N, growth, plan = map(int, out.split())
         V = Potential.cosine(alpha=1.0)
         assert N == spectral._start_size(V, 1500) == 1665
-        assert 0 < growth < per_entry * N * N
+        assert plan == 24 * N * N
+        assert 0 < growth < plan
 
 
 class TestBasisSize:
@@ -507,8 +508,8 @@ class TestSpectrum:
     def test_basis_limit_checked_before_assembly(self, bands, monkeypatch):
         # at 24 bytes per entry (real c_a, split) the 4 GiB budget admits
         # N <= 13377; at 56 (complex c_a) N <= 8757.  The start size is
-        # capped there, and from nmax = N on, where the basis cannot hold
-        # nmax + 1 Ritz values, nothing may be built
+        # fitted under it, and from nmax = N on, where the basis cannot
+        # hold nmax + 1 Ritz values, nothing may be built
         class Built(Exception):
             pass
 
@@ -553,6 +554,51 @@ class TestSpectrum:
         target = spectral._rounding(cos, N) / math.sqrt(N)
         assert (spectral._coupling_band(zero_pair, N, target)
                 == spectral._coupling_band(cos, N, target))
+
+    @staticmethod
+    def linear_coupling_band(V, N, target):
+        """`_coupling_band` by scanning b = 0, 1, 2, ...: the route the
+        doubling-and-bisection search replaced."""
+        terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c))
+                 for p, c in V.terms if c != 0]
+        if not terms:
+            return 0, 0.0
+        log_target = math.log(target)
+        b = 0
+        while True:
+            m = b + 1
+            total = 0.0
+            for z, c in terms:
+                q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
+                if q >= 1.0:
+                    total = math.inf
+                    break
+                log_t = (m * math.log(z) + 0.5 * m * math.log(N + m)
+                         - math.lgamma(m + 1))
+                if log_t + math.log(c / (1.0 - q)) > log_target:
+                    total = math.inf
+                    break
+                total += c * math.exp(log_t) / (1.0 - q)
+            if total <= target:
+                return b, total
+            b += 1
+
+    @pytest.mark.parametrize("V", [
+        Potential.cosine(alpha=1.0),
+        Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0),
+        Potential.cosine(alpha=0.25), Potential.cosine(alpha=4.0),
+        WIDE_PAIR,
+        Potential(alpha=1.0, terms=((PhasePoint(60.0, 0.0), 0.25),
+                                    (PhasePoint(-60.0, 0.0), 0.25))),
+        COMPLEX_FOUR_PAIRS,
+    ], ids=["cos x", "0.4 cos 8x", "alpha 1/4", "alpha 4", "(+-20, 0)",
+            "(+-60, 0)", "four pairs"])
+    def test_coupling_band_matches_linear_scan(self, V):
+        # the same (b, dropped), bit for bit, as the scan over every b
+        for N in (1, 2, 10, 145, 2327, 13377):
+            for target in (1e-300, 1e-100, 1e-13, 1e-8, 1e-3, 1.0):
+                assert (spectral._coupling_band(V, N, target)
+                        == self.linear_coupling_band(V, N, target))
 
     def test_wide_coupling_block_in_byte_plan(self, monkeypatch):
         # at N = 2327, b = 2766 the coupling block E is 103 MB, more than
@@ -673,10 +719,9 @@ class TestSpectrum:
         assert spec.bounds.shape == (201,)
         assert np.all(spec.bounds <= spec.convergence_tol)
         assert spec.max_certified_bound == np.max(spec.bounds)
-        # with growth capped at the start size, the error names the first
+        # with no growth past the start size, the error names the first
         # index past the tolerance, sampled or not
-        monkeypatch.setattr(spectral, "_basis_cap",
-                            lambda per_entry: spectral._start_size(V, 200))
+        monkeypatch.setattr(spectral, "_GROWTH", 1.0)
         at_start = spectrum(V, nmax=200, convergence_tol=1.0).bounds
         first = int(np.flatnonzero(at_start > tol)[0])
         assert 0 < first < 200
@@ -697,8 +742,7 @@ class TestSpectrum:
         slack = spectral._rounding(V, 2 * basis_size(nmax))
         spec = spectrum(V, nmax=nmax)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
-        monkeypatch.setattr(spectral, "_basis_cap",
-                            lambda per_entry: spectral._start_size(V, nmax))
+        monkeypatch.setattr(spectral, "_GROWTH", 1.0)
         spec = spectrum(V, nmax=nmax, convergence_tol=1.0)
         assert np.all(np.abs(spec.trusted() - oracle) <= spec.bounds + slack)
 
@@ -756,5 +800,5 @@ class TestSpectrum:
     def test_matches_direct_solve(self):
         V = Potential.cosine(alpha=0.5, amplitude=0.3, frequency=1.2)
         spec = spectrum(V, nmax=10)
-        direct = eigensolve(build_matrix(V, spec.basis_size))
+        direct = np.linalg.eigvalsh(build_matrix(V, spec.basis_size).entries)
         np.testing.assert_allclose(spec.eigenvalues, direct, atol=1e-13)

@@ -1,9 +1,9 @@
 """Test oracle: the dense trace route that `resolvent` replaced.
 
 It assembles the complex N x N `v_matrix`, finds its blocks by the exact
-zero scan of `parity_blocks`, counts a block real by the `_real_if_real`
-tolerance, and loops over the contour nodes per block.  The RS recursion
-runs on the whole matrix.  `resolvent` reads V's parity blocks straight
+zero scan and counts a block real by the tolerance of
+`parity_oracle.dense_blocks`, and loops over the contour nodes per block.
+The RS recursion runs on the whole matrix.  `resolvent` reads V's parity blocks straight
 from `matelem` instead, decided from V, and runs the recursion on n's
 block; tests compare the two.
 """
@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from oscspec.matelem import _real_if_real, parity_blocks, v_matrix
+import parity_oracle
+from oscspec.matelem import v_matrix
 from oscspec.resolvent import _DENSE_NODE_STRIDE, Contour
 from oscspec.spectral import basis_size
 
@@ -22,7 +23,7 @@ def dense_blocks(vm):
     scales lambda_k."""
     N = vm.shape[0]
     index = np.arange(N)
-    return [(_real_if_real(vm[s, s]), index[s]) for s in parity_blocks(vm)]
+    return [(block, index[s]) for s, block in parity_oracle.dense_blocks(vm)]
 
 
 def dense_rvr_norms(V, n, epsilon, N=None, node_count=128):
