@@ -9,19 +9,20 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
                      Gauss-Hermite quadrature (the test oracle).
 * `u_element_bessel` -- partial sums of the Bessel-series expansion.
 
-`v_matrix`/`build_matrix` assemble the dense truncated matrix of V and
-of H+V, the reference the tests compare with; `_v_blocks` assembles V
-straight into its parity blocks, typed and split as `_block_kinds`
-decides from V, for `resolvent`, and with the
-coupling block of a wider truncation for `solver_blocks`, which adds H
-and gives `spectral`'s eigensolver its LAPACK storage; `window_sup`
-bounds the elements near the diagonal.  Every closed-form magnitude
-comes from one prefactored Laguerre recurrence, `_magnitudes`, run on
-one offset for a single element and, for a matrix or a window block, on
-a vector of offsets for all {a, -a} pairs at once, cut at each step to
-the offsets still written.  Its iterates are exactly the (signed)
-element magnitudes, so every intermediate stays bounded by 1 and basis
-sizes of 10^4 never overflow.  Only the oracle needs scipy
+One fill, `_v_blocks`, assembles V's rows lo .. hi-1 straight into their
+parity blocks, typed and split as `_block_kinds` decides from V: from
+row 0 for `resolvent` and, with the coupling block of a wider
+truncation, for `solver_blocks`, which adds H and gives `spectral`'s
+eigensolver its LAPACK storage; a window of rows for `window_sup`, which
+bounds the elements near the diagonal; and from row 0 for `v_matrix` and
+`build_matrix`, which scatter the blocks into the dense matrix of V and
+of H+V.  One mirror, `_mirror`, fills an upper triangle from the lower.
+Every closed-form magnitude comes from one prefactored Laguerre
+recurrence, `_magnitudes`, run on one offset for a single element and,
+in `_v_blocks`, on a vector of offsets for all {a, -a} pairs at once,
+cut at each step to the offsets still written.  Its iterates are exactly
+the (signed) element magnitudes, so every intermediate stays bounded by
+1 and basis sizes of 10^4 never overflow.  Only the oracle needs scipy
 (`scipy.special.roots_hermite`), and imports it on its first call.
 """
 
@@ -52,6 +53,11 @@ __all__ = [
 ]
 
 ORACLE_INDEX_MAX = 300
+# Peak bytes per entry of v_matrix's N x N basis: the complex matrix and,
+# while it is filled, V's blocks.  Measured (max RSS growth, N = 2000 and
+# 3000): 19.6 for cos x's two real blocks, 23.6 for one real block or two
+# complex ones, 31.4 for one complex block.
+_V_MATRIX_BYTES_PER_ENTRY = 32
 
 
 def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
@@ -275,41 +281,27 @@ def _add_rows(out: np.ndarray, terms: np.ndarray) -> None:
         out += t
 
 
-def _accumulate_pairs(out: np.ndarray, V: Potential, lo: int) -> None:
-    """Add the contribution of every {a, -a} pair of V to the upper
-    triangle of `out`, the block of rows and columns lo .. lo + len(out) - 1.
-
-    One pass of the magnitude recurrence, stacked over the pairs and shared
-    across all diagonal offsets m = k' - k; row k is emitted as the
-    recurrence reaches degree k.
-    """
-    pairs = V.pairs()
-    n = out.shape[0]
-    if not pairs or n == 0:
-        return
-    m = np.arange(n, dtype=float)
-    r, coeff = _pair_terms(pairs, V.alpha, m)
-    rows = np.arange(lo + n)
-    widths = np.where(rows >= lo, lo + n - rows, 0)
-    for k, g in enumerate(_magnitudes(r, m, lo + n - 1, widths)):
-        if k >= lo:
-            w = min(lo + n - k, g.shape[1])
-            _add_rows(out[k - lo, k - lo:k - lo + w], coeff[:, :w] * g[:, :w])
+def _mirror(block: np.ndarray) -> None:
+    """Copy the strict lower triangle of the Hermitian `block` into its
+    upper one, in place, column by column (no index-array blowup),
+    conjugated when complex."""
+    real = np.isrealobj(block)
+    for k in range(len(block) - 1):
+        column = block[k + 1:, k]
+        block[k, k + 1:] = column if real else column.conj()
 
 
 def v_matrix(V: Potential, N: int) -> np.ndarray:
-    """Dense N x N matrix of <V phi_k, phi_k'>, Hermitian by construction."""
+    """Dense N x N matrix of <V phi_k, phi_k'>: the parity blocks of
+    `_v_blocks` scattered into one complex matrix and mirrored."""
     if N < 1:
         raise ValueError("N must be positive")
-    _check_dense_budget(N, 16)    # the complex matrix itself
-    upper = np.zeros((N, N), dtype=complex)
-    _accumulate_pairs(upper, V, 0)
-    if V.c0 != 0:
-        upper[np.diag_indices(N)] += V.c0
-    # mirror the strict upper triangle row by row (no index-array blowup)
-    for k in range(N - 1):
-        upper[k + 1:, k] = np.conj(upper[k, k + 1:])
-    return upper
+    _check_dense_budget(N, _V_MATRIX_BYTES_PER_ENTRY)
+    mat = np.zeros((N, N), dtype=complex)
+    for s, block in _v_blocks(V, 0, N, 0)[0]:
+        mat[s, s] = block
+    _mirror(mat)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -361,53 +353,58 @@ class SolverBlocks:
     diagonal: np.ndarray
 
 
-def _v_blocks(V: Potential, N: int, band: int):
-    """The parity blocks of V's N x N truncation and the coupling block E
-    of its N + band truncation, from one stacked pass of the magnitude
-    recurrence over rows k < N.
+def _v_blocks(V: Potential, lo: int, hi: int, band: int):
+    """V's rows and columns lo .. hi-1 as parity blocks, and the coupling
+    block E of rows hi .. hi+band-1, from one stacked pass of the magnitude
+    recurrence over rows k < hi, of which rows before lo write nothing.
 
-    Returns ((slice, block), ...) and E.  Each block is Fortran-ordered,
-    float64 when real (`_block_kinds`), with only its lower triangle
-    filled, c0 on its diagonal; E is V[N:N+band, max(0, N-band):N],
-    complex.  Entry (k + m, k) of the lower triangle is conj(V_{k, k+m}),
-    so row k of the recurrence fills column k of its parity block
-    (contiguous in Fortran order) and, for k >= N - band, column k of E.
-    A split matrix runs the recurrence on the even offsets only.  The
-    lower triangles are bitwise those of `v_matrix` read through the
-    exact zero scan and realness test of `tests/parity_oracle.py`.
+    Returns ((slice, block), ...), the slices relative to lo, and E.  Each
+    block is Fortran-ordered, float64 when real (`_block_kinds`), with only
+    its lower triangle filled, c0 on its diagonal; E is V[hi:hi+band,
+    max(lo, hi-band):hi], complex.  Entry (k + m, k) of the lower triangle
+    is conj(V_{k, k+m}), so row k of the recurrence fills column k - lo of
+    its parity block (contiguous in Fortran order) and a column of E.  A
+    split matrix runs the recurrence on the even offsets only.  The lower
+    triangles are bitwise those of `tests/dense_oracle.py` read through
+    `tests/parity_oracle.py`, and a window's the rows of the fill from 0.
     """
-    if N < 1 or band < 0:
-        raise ValueError("N must be positive and band nonnegative")
+    if not 0 <= lo < hi or band < 0:
+        raise ValueError("rows need 0 <= lo < hi and band nonnegative")
     split, real = _block_kinds(V)
     dtype = float if real else complex
-    _check_dense_budget(N, np.dtype(dtype).itemsize)
+    n = hi - lo
+    _check_dense_budget(n, np.dtype(dtype).itemsize)
     step = 2 if split else 1
-    slices = ((slice(0, None, 2), slice(1, None, 2)) if split and N > 1
+    slices = ((slice(0, None, 2), slice(1, None, 2)) if split and n > 1
               else (slice(None),))
-    blocks = [np.zeros((len(range(N)[s]),) * 2, dtype=dtype, order="F")
+    blocks = [np.zeros((len(range(n)[s]),) * 2, dtype=dtype, order="F")
               for s in slices]
-    lo = max(0, N - band)
-    coupling = np.zeros((band, N - lo), dtype=complex)
+    elo = max(lo, hi - band)
+    coupling = np.zeros((band, hi - elo), dtype=complex)
     pairs = V.pairs()
     if pairs:
-        rows = np.arange(N)
-        # row k writes offsets m < N - k, and the band past N from lo on
-        widths = -(-(N - rows + np.where(rows >= lo, band, 0)) // step)
+        rows = np.arange(hi)
+        # row k >= lo writes offsets m < hi - k, and the band past hi from
+        # elo on
+        widths = -(-(hi - rows + np.where(rows >= elo, band, 0)) // step)
+        widths[:lo] = 0
         m = step * np.arange(widths.max(), dtype=float)
         r, coeff = _pair_terms(pairs, V.alpha, m)
         lower = coeff.conjugate()
         in_block = lower.real if real else lower
-        for k, g in enumerate(_magnitudes(r, m, N - 1, widths)):
-            block, c = blocks[k % step], k // step
+        for k, g in enumerate(_magnitudes(r, m, hi - 1, widths)):
+            if k < lo:
+                continue
+            block, c = blocks[(k - lo) % step], (k - lo) // step
             w = min(len(block) - c, g.shape[1])
             _add_rows(block[c:c + w, c], in_block[:, :w] * g[:, :w])
-            if k >= lo:
-                # offsets N - k .. N - k + band - 1 reach rows N .. N+band-1
-                i0 = -(-(N - k) // step)
+            if k >= elo:
+                # offsets hi-k .. hi-k+band-1 reach rows hi .. hi+band-1
+                i0 = -(-(hi - k) // step)
                 i1 = min(widths[k], g.shape[1])
                 if i1 > i0:
-                    e0 = i0 * step - (N - k)
-                    _add_rows(coupling[e0:e0 + step * (i1 - i0):step, k - lo],
+                    e0 = i0 * step - (hi - k)
+                    _add_rows(coupling[e0:e0 + step * (i1 - i0):step, k - elo],
                               lower[:, i0:i1] * g[:, i0:i1])
     if V.c0 != 0:
         for block in blocks:
@@ -420,11 +417,11 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
     """A_N and the coupling block E of A_{N + band}: the blocks of V from
     `_v_blocks`, with alpha(2k+1) added to their diagonal.
 
-    The blocks, E and the diagonal are bitwise those of `build_matrix`
-    read through `tests/parity_oracle.py`, without its complex N x N
-    matrix and Hermitian mirror.
+    The blocks, E and the diagonal are bitwise those of
+    `tests/dense_oracle.py`'s dense `build_matrix` read through
+    `tests/parity_oracle.py`, without its complex N x N matrix.
     """
-    blocks, coupling = _v_blocks(V, N, band)
+    blocks, coupling = _v_blocks(V, 0, N, band)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     diagonal = np.empty(N)
     for s, block in blocks:
@@ -437,9 +434,6 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
 def window_sup(V: Potential, n: int) -> float:
     """sup |<V phi_k, phi_k'>| over the window |k-n|, |k'-n| <= kappa sqrt(n)."""
     half = int(math.floor(V.kappa() * math.sqrt(n)))
-    lo = max(0, n - half)
-    block = np.zeros((n + half - lo + 1,) * 2, dtype=complex)
-    _accumulate_pairs(block, V, lo)
-    block[np.diag_indices(len(block))] += V.c0
-    # the upper triangle holds every magnitude, since V is Hermitian
-    return float(np.max(np.abs(block)))
+    blocks, _ = _v_blocks(V, max(0, n - half), n + half + 1, 0)
+    # the lower triangles hold every modulus, since V is Hermitian
+    return float(max(np.max(np.abs(block)) for _, block in blocks))

@@ -34,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import _check_dense_budget, _v_blocks
+from .matelem import _check_dense_budget, _mirror, _v_blocks
 # v_matrix has no use here; perfbench's tracer tests wrap it under this
-# module's name until the benchmark is refitted (ROADMAP item 4)
+# module's name until the benchmark is refitted (ROADMAP item 3)
 from .matelem import v_matrix  # noqa: F401
 from .model import Potential
+from .specialfn import _check_byte_budget
 from .spectral import basis_size
 
 __all__ = [
@@ -67,6 +68,10 @@ _DENSE_NODE_STRIDE = 16
 # 14.3.  rvr_norms then trace_eigenvalue, sharing one assembly, peak at
 # 12.9 and 48.6.
 _DENSE_BYTES_PER_ENTRY = 80
+# Peak bytes of resolvent_sums per contour node and basis index.  Measured
+# (max RSS growth): 24.2 at 128 nodes (N = 80064) and 25.0 at 32, the
+# fewest a Contour takes (N = 320064).
+_SUMS_BYTES_PER_NODE_INDEX = 26
 
 
 class NeumannDivergence(RuntimeError):
@@ -138,6 +143,8 @@ def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
                    kappa: float = 1.0 / 3.0,
                    node_count: int = DEFAULT_NODES) -> ResolventSums:
     """Evaluate the contour-node maxima of the inverse-distance sums."""
+    _check_byte_budget(_SUMS_BYTES_PER_NODE_INDEX * node_count * N,
+                       f"{node_count} contour nodes at basis size {N}")
     contour = Contour(n=n, alpha=alpha, epsilon=epsilon, node_count=node_count)
     lam = contour.nodes()[:, None]
     lam_k = alpha * (2.0 * np.arange(N) + 1.0)[None, :]
@@ -166,13 +173,10 @@ def _assemble(V: Potential, N: int) -> _TraceBlocks:
     """V's parity blocks from `matelem._v_blocks`, the lower triangle of
     each mirrored into its upper one in place."""
     parts = []
-    for s, block in _v_blocks(V, N, 0)[0]:
-        real = np.isrealobj(block)
-        for k in range(len(block) - 1):
-            column = block[k + 1:, k]
-            block[k, k + 1:] = column if real else column.conj()
-        if real:   # symmetric: the same matrix, C-ordered for real views
-            block = block.T
+    for s, block in _v_blocks(V, 0, N, 0)[0]:
+        _mirror(block)
+        if np.isrealobj(block):
+            block = block.T   # symmetric: the same matrix, C-ordered
         index = np.arange(N)[s]
         block.flags.writeable = index.flags.writeable = False
         parts.append((index, block))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # build_matrix has no use here; perfbench's tracer tests wrap it under
-# this module's name until the benchmark is refitted (ROADMAP item 4)
+# this module's name until the benchmark is refitted (ROADMAP item 3)
 from .matelem import build_matrix  # noqa: F401
 from .matelem import SolverBlocks, _block_kinds, solver_blocks
 from . import specialfn

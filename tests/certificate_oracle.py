@@ -7,22 +7,22 @@ and BLAS, so that the solve and its product share one OpenBLAS.  This
 oracle is the certificate as it stood before: every parity block solved by
 `np.linalg.eigh` with all N x N eigenvectors, and E X taken from the rows
 of those at or past lo.  Band and rounding term come from `spectral`; the
-coupling block E is read from an independent `v_matrix` of order N + b, and
-the residuals and the quadratic bound are computed here.
+coupling block E is read from the dense `dense_oracle.v_matrix` of order
+N + b, and the residuals and the quadratic bound are computed here.
 """
 
 import math
 
 import numpy as np
 
+from dense_oracle import build_matrix, v_matrix
 from oscspec import spectral
-from oscspec.matelem import build_matrix, v_matrix
 from parity_oracle import parity_blocks
 
 
 def full_eigenvector_bounds(V, N, nmax):
     """The bounds for n <= nmax and the band at basis size N."""
-    m = build_matrix(V, N).entries
+    m = build_matrix(V, N)
     sigma = V.coefficient_sum()
     rounding = spectral._rounding(V, N)
     b, dropped = spectral._coupling_band(V, N, rounding / math.sqrt(N))

@@ -8,7 +8,7 @@ the recursion against it and probe the contour's epsilon and node count.
 
 import numpy as np
 
-from oscspec.matelem import v_matrix
+from dense_oracle import v_matrix
 from oscspec.resolvent import DEFAULT_NODES, Contour
 from oscspec.spectral import basis_size
 

@@ -409,7 +409,7 @@ class TestMain:
         # any matrix is built
         built = []
         monkeypatch.setattr(resolvent, "_v_blocks",
-                            lambda V, N, band: built.append(N))
+                            lambda V, lo, hi, band: built.append(hi))
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["trace", "--config", str(cfg_path), "--n", "8000"]) == 2
         err = capsys.readouterr().err

@@ -1,16 +1,24 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from laguerre_oracle import laguerre
-from oscspec.matelem import (_magnitudes, build_matrix, u_element,
+from oscspec import spectral
+from oscspec.matelem import (_magnitudes, _v_blocks, build_matrix, u_element,
                              u_element_bessel, u_element_oracle, v_element,
                              v_matrix, window_sup)
 from oscspec.model import PhasePoint, Potential, metric_norm
+from test_spectral import BLOCK_KINDS, KIND_IDS
+from test_spectral import quasi_potential as seeded_quasi
 
 
 def cosx():
@@ -381,11 +389,11 @@ class TestBuildMatrix:
         assert np.max(np.abs(off)) <= cosx().coefficient_sum() + 1e-12
 
     def test_resource_guard(self):
-        # 16 bytes per entry: N <= 16384 fits the 4 GiB budget
-        with pytest.raises(ValueError, match="30000 plans 13.4 GiB .* 4 GiB budget"):
+        # 32 bytes per entry: N <= 11585 fits the 4 GiB budget
+        with pytest.raises(ValueError, match="30000 plans 26.8 GiB .* 4 GiB budget"):
             build_matrix(cosx(), 30_000)
-        with pytest.raises(ValueError, match="16385 plans 4.0 GiB"):
-            build_matrix(cosx(), 16385)
+        with pytest.raises(ValueError, match="11586 plans 4.0 GiB"):
+            build_matrix(cosx(), 11586)
         with pytest.raises(ValueError):
             build_matrix(cosx(), 0)
 
@@ -406,3 +414,102 @@ class TestWindowBound:
     def test_scaled_sup_stable_small(self):
         sups = [window_sup(cosx(), n) * n**0.25 for n in (64, 256)]
         assert max(sups) / min(sups) < 2.0
+
+
+def scattered(blocks, n):
+    """The parity blocks of `_v_blocks` scattered into one n x n matrix."""
+    out = np.zeros((n, n), dtype=complex)
+    for s, block in blocks:
+        out[s, s] = block
+    return out
+
+
+# cos x (two real blocks), quasi seed 3 (one complex block) and real c_a
+# with a_xi != 0 and c0 != 0 (two complex blocks)
+ROW_RANGE = [cosx(), seeded_quasi(3), BLOCK_KINDS[2][0]]
+ROW_RANGE_IDS = ["cos x", "quasi seed 3", "split complex"]
+
+
+class TestRowRangeFill:
+    """`_v_blocks` over rows [lo, hi) is the one fill of V: solver blocks,
+    trace blocks, windows and the dense matrix all come from it."""
+
+    @pytest.mark.parametrize("V", ROW_RANGE, ids=ROW_RANGE_IDS)
+    def test_window_is_sliced_fill_from_zero(self, V):
+        N = 120
+        b = spectral._band(V, N)[0]
+        for band in (0, b):
+            full, e_full = _v_blocks(V, 0, N, band)
+            dense = scattered(full, N)
+            for lo in sorted({0, b, N // 2, N - 5}):   # N - 5 is odd
+                blocks, e = _v_blocks(V, lo, N, band)
+                assert ([block.dtype for _, block in blocks]
+                        == [block.dtype for _, block in full])
+                assert all(block.flags.f_contiguous for _, block in blocks)
+                np.testing.assert_array_equal(scattered(blocks, N - lo),
+                                              dense[lo:, lo:])
+                elo = max(lo, N - band)
+                assert e.shape == (band, N - elo)
+                np.testing.assert_array_equal(
+                    e, e_full[:, elo - max(0, N - band):])
+
+    @pytest.mark.parametrize("lo, hi, band", [(5, 5, 0), (-1, 3, 0),
+                                              (0, 3, -1)])
+    def test_rejects_bad_rows(self, lo, hi, band):
+        with pytest.raises(ValueError, match="0 <= lo < hi"):
+            _v_blocks(cosx(), lo, hi, band)
+
+    @pytest.mark.parametrize("V", ROW_RANGE, ids=ROW_RANGE_IDS)
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_window_sup_is_dense_window(self, V, n):
+        want = np.max(np.abs(dense_oracle.window_block(V, n)))
+        assert window_sup(V, n) == want
+
+    def test_window_refused_over_budget(self):
+        # 2 floor(kappa sqrt(n)) + 1 = 25819 rows plan 5.0 GiB; refused
+        # before the recurrence's arrays of n rows are built
+        with pytest.raises(ValueError, match="25819 plans 5.0 GiB"):
+            window_sup(cosx(), 2 * 10**9)
+
+    @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
+    def test_v_matrix_is_dense_fill(self, V, kind):
+        # bit for bit, but real blocks drop the rounding of e^{i m theta}
+        for N in (1, 2, 61, 300):
+            got, want = v_matrix(V, N), dense_oracle.v_matrix(V, N)
+            np.testing.assert_array_equal(got.real, want.real)
+            if kind[1]:
+                assert not np.any(got.imag)
+                assert np.max(np.abs(want.imag)) <= 2e-15
+            else:
+                np.testing.assert_array_equal(got.imag, want.imag)
+            np.testing.assert_array_equal(
+                build_matrix(V, N).entries.real,
+                dense_oracle.build_matrix(V, N).real)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_v_matrix_peak_within_plan(self):
+        # in one complex block, the complex matrix and the block it is
+        # scattered from: a peak over 24 bytes per entry, under the plan.
+        # The peak is VmHWM: ru_maxrss keeps the high-water mark of the
+        # forking process
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from oscspec import matelem\n"
+                "from test_spectral import quasi_potential\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as f:\n"
+                "        line = next(l for l in f if l.startswith('VmHWM:'))\n"
+                "    return 1024 * int(line.split()[1])\n"
+                "V = quasi_potential(3)\n"
+                "matelem.v_matrix(V, 300)\n"
+                "base = peak()\n"
+                "matelem.v_matrix(V, 1500)\n"
+                "print(peak() - base, matelem._V_MATRIX_BYTES_PER_ENTRY)\n")
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code,
+                              str(Path(__file__).parent)],
+                             check=True, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        growth, per_entry = map(int, out.split())
+        assert 24 * 1500**2 < growth <= per_entry * 1500**2

@@ -15,8 +15,8 @@ from contour_oracle import contour_order_j, contour_traces
 from test_spectral import quasi_potential as seeded_quasi
 from trace_oracle import (dense_rs_orders, dense_rvr_norms,
                           dense_trace_eigenvalue)
+from dense_oracle import v_matrix
 from oscspec import matelem, resolvent
-from oscspec.matelem import v_matrix
 from parity_oracle import dense_blocks, parity_blocks
 from oscspec.model import PhasePoint, Potential
 from oscspec.resolvent import (
@@ -340,8 +340,8 @@ class TestDenseBudget:
         class Built(Exception):
             pass
 
-        def refuse(V, N, band):
-            raise Built(N)
+        def refuse(V, lo, hi, band):
+            raise Built(hi)
 
         monkeypatch.setattr(resolvent, "_v_blocks", refuse)
         V = cos_potential()
@@ -349,6 +349,14 @@ class TestDenseBudget:
             call(V, 7328)
         with pytest.raises(Built):
             call(V, 7327)
+
+    def test_resolvent_sums_refused_before_allocation(self):
+        # 26 bytes per contour node and basis index: 128 nodes at
+        # N = 4 * 10^6 + 64 plan 12.4 GiB
+        with pytest.raises(ValueError,
+                           match="128 contour nodes at basis size 4000064 "
+                                 "plans 12.4 GiB .* budget"):
+            resolvent_sums(10**6, 0.5, N=4 * 10**6 + 64)
 
 
 def split_complex_potential():
@@ -430,9 +438,10 @@ class TestAssemblyMemo:
         built = []
         fill = matelem._v_blocks
 
-        def record(V, N, band):
-            built.append((V, N))
-            return fill(V, N, band)
+        def record(V, lo, hi, band):
+            assert (lo, band) == (0, 0)
+            built.append((V, hi))
+            return fill(V, lo, hi, band)
 
         monkeypatch.setattr(resolvent, "_last", {})
         monkeypatch.setattr(resolvent, "_v_blocks", record)
@@ -460,9 +469,9 @@ class TestAssemblyMemo:
         alive = []
         fill = resolvent._v_blocks
 
-        def check(V, N, band):
+        def check(V, lo, hi, band):
             alive.append([r() is not None for r in refs])
-            return fill(V, N, band)
+            return fill(V, lo, hi, band)
 
         monkeypatch.setattr(resolvent, "_v_blocks", check)
         _trace_blocks(V, 41)

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from certificate_oracle import full_eigenvector_bounds
+from dense_oracle import build_matrix
 from doubling_oracle import doubling_eigenvalues
 from parity_oracle import parity_blocks, real_if_real
-from oscspec.matelem import (SolverBlocks, _block_kinds, build_matrix,
-                             solver_blocks)
+from oscspec.matelem import SolverBlocks, _block_kinds, solver_blocks
 from oscspec.model import PhasePoint, Potential, rho
 from oscspec import matelem, specialfn, spectral
 from oscspec.spectral import (
@@ -124,7 +124,7 @@ class TestEigensolve:
         # one (slice, eigenvalues, rows) triple per parity block: two real
         # blocks for cos x, one complex (factored) block for four pairs
         for V in (Potential.cosine(alpha=1.0), COMPLEX_FOUR_PAIRS):
-            m = build_matrix(V, 60).entries
+            m = build_matrix(V, 60)
             ritz = []
             ev = eigensolve(solver_blocks(V, 60, 0), ritz=ritz)
             assert [s for s, _, _ in ritz] == list(parity_blocks(m))
@@ -163,8 +163,8 @@ class TestFactoredEigh:
     `np.linalg.eigh`."""
 
     @pytest.mark.parametrize("a", [
-        build_matrix(COMPLEX_FOUR_PAIRS, 60).entries,
-        build_matrix(quasi_potential(3), 300).entries,
+        build_matrix(COMPLEX_FOUR_PAIRS, 60),
+        build_matrix(quasi_potential(3), 300),
         np.array([[2.5 + 0j]]),
         np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -1.0]]),
         tridiagonal_with_real_steps(40),
@@ -187,7 +187,7 @@ class TestFactoredEigh:
 
     @pytest.mark.parametrize("a", [
         solver_blocks(Potential.cosine(alpha=1.0), 300, 20).blocks[0][1],
-        build_matrix(quasi_potential(3), 300).entries,
+        build_matrix(quasi_potential(3), 300),
     ], ids=["real", "complex"])
     def test_rows_multiply_any_left(self, a):
         # left @ X[start:] for a complex left of another row count than
@@ -274,7 +274,7 @@ class TestParityBlocks:
 
     @staticmethod
     def assert_matches_full_solve(V, N):
-        m = build_matrix(V, N).entries
+        m = build_matrix(V, N)
         blocks = solver_blocks(V, N, 0)
         assert [s for s, _ in blocks.blocks] == list(parity_blocks(m))
         ev = eigensolve(blocks)
@@ -347,13 +347,13 @@ class TestSolverBlocks:
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("N", [1, 2, 61, 300])
     def test_bitwise_equal_to_full_assembly(self, V, kind, N):
-        # blocks, E and diagonal as build_matrix read through the oracle's
-        # parity_blocks and real_if_real gives them, bit for bit, at the
-        # band spectrum uses, at no band and at a band past N
+        # blocks, E and diagonal as the dense fill of dense_oracle read
+        # through parity_blocks and real_if_real gives them, bit for bit,
+        # at the band spectrum uses, at no band and at a band past N
         b = spectral._coupling_band(V, N, spectral._rounding(V, N)
                                     / math.sqrt(N))[0]
         for band in sorted({0, b, N + 3}):
-            full = build_matrix(V, N + band).entries
+            full = build_matrix(V, N + band)
             m = full[:N, :N]
             got = solver_blocks(V, N, band)
             assert [s for s, _ in got.blocks] == list(parity_blocks(m))
@@ -377,7 +377,7 @@ class TestSolverBlocks:
         # the kinds decided from V before assembly are those the parity
         # split and the realness tolerance find in the assembled matrix
         assert _block_kinds(V) == kind
-        m = build_matrix(V, 200).entries
+        m = build_matrix(V, 200)
         slices = parity_blocks(m)
         assert (len(slices) == 2) == kind[0]
         assert all(np.isrealobj(real_if_real(m[s, s])) == kind[1]
@@ -392,7 +392,7 @@ class TestSolverBlocks:
         before = [block.copy() for _, block in blocks.blocks]
         ev = eigensolve(blocks, ritz=[])
         np.testing.assert_allclose(
-            ev, np.linalg.eigvalsh(build_matrix(V, 80).entries),
+            ev, np.linalg.eigvalsh(build_matrix(V, 80)),
             rtol=0, atol=1e-12 * np.max(np.abs(ev)))
         for (_, block), old in zip(blocks.blocks, before):
             assert np.array_equal(block, old) == kind[1]
@@ -773,7 +773,7 @@ class TestSpectrum:
         bounds, band = full_eigenvector_bounds(V, spec.basis_size, nmax)
         assert band == spec.coupling_band
         np.testing.assert_allclose(spec.bounds, bounds, rtol=1e-9, atol=0)
-        full = np.linalg.eigvalsh(build_matrix(V, spec.basis_size).entries)
+        full = np.linalg.eigvalsh(build_matrix(V, spec.basis_size))
         np.testing.assert_allclose(spec.eigenvalues, full, rtol=0,
                                    atol=1e-12 * np.max(np.abs(full)))
         seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
@@ -800,5 +800,5 @@ class TestSpectrum:
     def test_matches_direct_solve(self):
         V = Potential.cosine(alpha=0.5, amplitude=0.3, frequency=1.2)
         spec = spectrum(V, nmax=10)
-        direct = np.linalg.eigvalsh(build_matrix(V, spec.basis_size).entries)
+        direct = np.linalg.eigvalsh(build_matrix(V, spec.basis_size))
         np.testing.assert_allclose(spec.eigenvalues, direct, atol=1e-13)

@@ -1,7 +1,7 @@
 """Test oracle: the dense trace route that `resolvent` replaced.
 
-It assembles the complex N x N `v_matrix`, finds its blocks by the exact
-zero scan and counts a block real by the tolerance of
+It assembles the complex N x N `dense_oracle.v_matrix`, finds its blocks
+by the exact zero scan and counts a block real by the tolerance of
 `parity_oracle.dense_blocks`, and loops over the contour nodes per block.
 The RS recursion runs on the whole matrix.  `resolvent` reads V's parity blocks straight
 from `matelem` instead, decided from V, and runs the recursion on n's
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 import parity_oracle
-from oscspec.matelem import v_matrix
+from dense_oracle import v_matrix
 from oscspec.resolvent import _DENSE_NODE_STRIDE, Contour
 from oscspec.spectral import basis_size
 
