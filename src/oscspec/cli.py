@@ -332,7 +332,7 @@ def main(argv=None) -> int:
             print(f"dense lambda_n = {dense:.12f} "
                   f"|trace - dense| = {abs(te.value - dense):.3e}")
             return 0
-    except (ValidationError, ValueError, RuntimeError) as exc:
+    except (ValidationError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -10,20 +10,21 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 * `u_element_bessel` -- partial sums of the Bessel-series expansion.
 
 One fill, `_v_blocks`, assembles V's rows lo .. hi-1 straight into their
-parity blocks, typed and split as `_block_kinds` decides from V: from
-row 0 for `resolvent` and, with the coupling block of a wider
-truncation, for `solver_blocks`, which adds H and gives `spectral`'s
-eigensolver its LAPACK storage; a window of rows for `window_sup`, which
-bounds the elements near the diagonal; and from row 0 for `v_matrix` and
-`build_matrix`, which scatter the blocks into the dense matrix of V and
-of H+V.  One mirror, `_mirror`, fills an upper triangle from the lower.
-Every closed-form magnitude comes from one prefactored Laguerre
-recurrence, `_magnitudes`, run on one offset for a single element and,
-in `_v_blocks`, on a vector of offsets for all {a, -a} pairs at once,
-cut at each step to the offsets still written.  Its iterates are exactly
-the (signed) element magnitudes, so every intermediate stays bounded by
-1 and basis sizes of 10^4 never overflow.  Only the oracle needs scipy
-(`scipy.special.roots_hermite`), and imports it on its first call.
+parity blocks, typed and split as `_block_kinds` decides from V, and each
+block's coupling to the next `band` rows: from row 0 for `resolvent`;
+from row 0 with the couplings for `solver_blocks`, which adds H and gives
+`spectral`'s eigensolver its LAPACK storage; a window of rows for
+`window_sup`, which bounds the elements near the diagonal; and from row 0
+for `v_matrix` and `build_matrix`, which scatter the blocks into the
+dense matrix of V and of H+V.  One mirror, `_mirror`, fills an upper
+triangle from the lower.  Every closed-form magnitude comes from one
+prefactored Laguerre recurrence, `_magnitudes`, run on one offset for a
+single element and, in `_v_blocks`, on a vector of offsets for all
+{a, -a} pairs at once, cut at each step to the offsets still written.
+Its iterates are exactly the (signed) element magnitudes, so every
+intermediate stays bounded by 1 and basis sizes of 10^4 never overflow.
+Only the oracle needs scipy (`scipy.special.roots_hermite`), and imports
+it on its first call.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
         raise ValueError("N must be positive")
     _check_dense_budget(N, _V_MATRIX_BYTES_PER_ENTRY)
     mat = np.zeros((N, N), dtype=complex)
-    for s, block in _v_blocks(V, 0, N, 0)[0]:
+    for s, block, _ in _v_blocks(V, 0, N, 0):
         mat[s, s] = block
     _mirror(mat)
     return mat
@@ -339,31 +340,35 @@ def _block_kinds(V: Potential) -> tuple[bool, bool]:
 @dataclass(frozen=True)
 class SolverBlocks:
     """The N x N truncation A_N of H + V in the storage its eigensolver
-    reads, and its coupling block in A_{N+b}.
+    reads, with each block's coupling in A_{N+b}.
 
-    `blocks` holds one (slice, matrix) pair per parity block (`_block_kinds`):
-    the block A_N[s, s] as a Fortran-ordered array, float64 when real,
-    with only its lower triangle filled (LAPACK's UPLO = 'L').  `coupling`
-    is E = A_{N+b}[N:N+b, max(0, N-b):N], complex, and `diagonal` holds
-    alpha(2k+1) + V_kk, k < N.
+    `blocks` holds one (slice, matrix, coupling) triple per parity block
+    (`_block_kinds`): the block A_N[s, s] as a Fortran-ordered array,
+    float64 when real, with only its lower triangle filled (LAPACK's UPLO
+    = 'L'); and its coupling, the rows N .. N+b-1 of A_{N+b} of the
+    block's parity against its columns from max(0, N-b) on, in the
+    block's dtype.  `diagonal` holds alpha(2k+1) + V_kk, k < N.
     """
 
-    blocks: tuple[tuple[slice, np.ndarray], ...]
-    coupling: np.ndarray
+    blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
     diagonal: np.ndarray
 
 
 def _v_blocks(V: Potential, lo: int, hi: int, band: int):
-    """V's rows and columns lo .. hi-1 as parity blocks, and the coupling
-    block E of rows hi .. hi+band-1, from one stacked pass of the magnitude
-    recurrence over rows k < hi, of which rows before lo write nothing.
+    """V's rows and columns lo .. hi-1 as parity blocks, each with its
+    coupling to rows hi .. hi+band-1, from one stacked pass of the
+    magnitude recurrence over rows k < hi, of which rows before lo write
+    nothing.
 
-    Returns ((slice, block), ...), the slices relative to lo, and E.  Each
-    block is Fortran-ordered, float64 when real (`_block_kinds`), with only
-    its lower triangle filled, c0 on its diagonal; E is V[hi:hi+band,
-    max(lo, hi-band):hi], complex.  Entry (k + m, k) of the lower triangle
-    is conj(V_{k, k+m}), so row k of the recurrence fills column k - lo of
-    its parity block (contiguous in Fortran order) and a column of E.  A
+    Returns ((slice, block, coupling), ...), the slices relative to lo.
+    Each block is Fortran-ordered, float64 when real (`_block_kinds`),
+    with only its lower triangle filled, c0 on its diagonal.  Its coupling
+    is the block continued past row hi - 1: V's rows hi .. hi+band-1 of
+    the block's parity against the block's columns from max(lo, hi-band)
+    on, Fortran-ordered and of the block's dtype.  Entry (k + m, k) of the
+    lower triangle is conj(V_{k, k+m}), so row k of the recurrence fills
+    one column segment, which is split at the block's last row between
+    column k - lo of its parity block and a column of its coupling.  A
     split matrix runs the recurrence on the even offsets only.  The lower
     triangles are bitwise those of `tests/dense_oracle.py` read through
     `tests/parity_oracle.py`, and a window's the rows of the fill from 0.
@@ -377,10 +382,15 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
     step = 2 if split else 1
     slices = ((slice(0, None, 2), slice(1, None, 2)) if split and n > 1
               else (slice(None),))
-    blocks = [np.zeros((len(range(n)[s]),) * 2, dtype=dtype, order="F")
-              for s in slices]
     elo = max(lo, hi - band)
-    coupling = np.zeros((band, hi - elo), dtype=complex)
+    blocks, couplings = [], []
+    for p in range(len(slices)):
+        size = len(range(p, n, step))
+        blocks.append(np.zeros((size, size), dtype=dtype, order="F"))
+        # rows hi .. hi+band-1 of the block's parity, columns from elo on
+        couplings.append(np.zeros(
+            (len(range(p, n + band, step)) - size,
+             size - len(range(p, elo - lo, step))), dtype=dtype, order="F"))
     pairs = V.pairs()
     if pairs:
         rows = np.arange(hi)
@@ -390,50 +400,47 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
         widths[:lo] = 0
         m = step * np.arange(widths.max(), dtype=float)
         r, coeff = _pair_terms(pairs, V.alpha, m)
-        lower = coeff.conjugate()
-        in_block = lower.real if real else lower
+        # the lower triangle's conj(V_{k, k+m}); real blocks drop the
+        # rounding of e^{i m theta}
+        lower = coeff.real if real else coeff.conjugate()
         for k, g in enumerate(_magnitudes(r, m, hi - 1, widths)):
             if k < lo:
                 continue
-            block, c = blocks[(k - lo) % step], (k - lo) // step
-            w = min(len(block) - c, g.shape[1])
-            _add_rows(block[c:c + w, c], in_block[:, :w] * g[:, :w])
-            if k >= elo:
-                # offsets hi-k .. hi-k+band-1 reach rows hi .. hi+band-1
-                i0 = -(-(hi - k) // step)
-                i1 = min(widths[k], g.shape[1])
-                if i1 > i0:
-                    e0 = i0 * step - (hi - k)
-                    _add_rows(coupling[e0:e0 + step * (i1 - i0):step, k - elo],
-                              lower[:, i0:i1] * g[:, i0:i1])
+            t, c = (k - lo) % step, (k - lo) // step
+            w = min(widths[k], g.shape[1])
+            terms = lower[:, :w] * g[:, :w]
+            inside = len(blocks[t]) - c
+            _add_rows(blocks[t][c:, c][:w], terms[:, :inside])
+            if w > inside:   # the coupling's columns are the block's last
+                _add_rows(couplings[t][:w - inside, -inside], terms[:, inside:])
     if V.c0 != 0:
         for block in blocks:
             i = np.arange(len(block))
             block[i, i] += V.c0.real if real else V.c0
-    return tuple(zip(slices, blocks)), coupling
+    return tuple(zip(slices, blocks, couplings))
 
 
 def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
-    """A_N and the coupling block E of A_{N + band}: the blocks of V from
-    `_v_blocks`, with alpha(2k+1) added to their diagonal.
+    """A_N and each block's coupling in A_{N + band}: the blocks of V
+    from `_v_blocks`, with alpha(2k+1) added to their diagonal.
 
-    The blocks, E and the diagonal are bitwise those of
+    The blocks, their couplings and the diagonal are bitwise those of
     `tests/dense_oracle.py`'s dense `build_matrix` read through
     `tests/parity_oracle.py`, without its complex N x N matrix.
     """
-    blocks, coupling = _v_blocks(V, 0, N, band)
+    blocks = _v_blocks(V, 0, N, band)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     diagonal = np.empty(N)
-    for s, block in blocks:
+    for s, block, _ in blocks:
         i = np.arange(len(block))
         block[i, i] += diag[s]
         diagonal[s] = block[i, i].real
-    return SolverBlocks(blocks=blocks, coupling=coupling, diagonal=diagonal)
+    return SolverBlocks(blocks=blocks, diagonal=diagonal)
 
 
 def window_sup(V: Potential, n: int) -> float:
     """sup |<V phi_k, phi_k'>| over the window |k-n|, |k'-n| <= kappa sqrt(n)."""
     half = int(math.floor(V.kappa() * math.sqrt(n)))
-    blocks, _ = _v_blocks(V, max(0, n - half), n + half + 1, 0)
+    blocks = _v_blocks(V, max(0, n - half), n + half + 1, 0)
     # the lower triangles hold every modulus, since V is Hermitian
-    return float(max(np.max(np.abs(block)) for _, block in blocks))
+    return float(max(np.max(np.abs(block)) for _, block, _ in blocks))

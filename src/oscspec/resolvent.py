@@ -173,7 +173,7 @@ def _assemble(V: Potential, N: int) -> _TraceBlocks:
     """V's parity blocks from `matelem._v_blocks`, the lower triangle of
     each mirrored into its upper one in place."""
     parts = []
-    for s, block in _v_blocks(V, 0, N, 0)[0]:
+    for s, block, _ in _v_blocks(V, 0, N, 0):
         _mirror(block)
         if np.isrealobj(block):
             block = block.T   # symmetric: the same matrix, C-ordered
@@ -363,8 +363,7 @@ class TraceEigenvalue:
 
 
 def trace_eigenvalue(V: Potential, n: int, epsilon: float,
-                     N: int | None = None, jmax: int = 6,
-                     node_count: int = DEFAULT_NODES) -> TraceEigenvalue:
+                     N: int | None = None, jmax: int = 6) -> TraceEigenvalue:
     """lambda_n(H+V) from the alternating series of contour traces.
 
     value = alpha(2n+1) + sum_{j=1}^{jmax} (-1)^(j+1) t_j, with the t_j
@@ -377,7 +376,7 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
     if N is None:
         N = basis_size(n)
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
-    contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
+    contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon)
     tb = _trace_blocks(V, N)
     contraction = _neumann_contraction(tb, contour)
     orders = tuple(float(t) for t in _rs_orders(tb, n, V.alpha, jmax))

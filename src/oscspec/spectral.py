@@ -8,8 +8,9 @@ super-exponentially past a band b, so their residuals cost one small
 block, and the rest of the spectrum is bounded below a priori.  One pass
 of `matelem.solver_blocks` assembles both, straight into the storage the
 eigensolver reads: the parity blocks of A_N, their lower triangle only, in
-Fortran order, float64 when real; and the coupling block, rows N..N+b-1 of
-A_{N+b}.  No complex N x N matrix and no Hermitian mirror is built.  That
+Fortran order, float64 when real; and with each block its coupling E_s,
+its parity's rows N..N+b-1 of A_{N+b}, of the block's dtype.  No complex
+N x N matrix and no Hermitian mirror is built.  That
 part of the bound is rigorous in exact arithmetic; the eigensolver's rounding
 is added by a probabilistic model (`_rounding`), not a worst-case bound.
 When the bound misses the tolerance, N grows geometrically up to the
@@ -20,10 +21,12 @@ function such as cos x) the matrix splits exactly into its even- and
 odd-index blocks, which are assembled and diagonalized apart: two solves of
 half the order cost about a quarter of one full solve.  Which blocks there
 are, and whether they are real, is decided from V before assembly.  The
-residuals E X need only the last b rows of the Ritz vectors; a complex
-block, or a real one of order `_FACTORED_REAL_ORDER` and up, is reduced in
-place and keeps its eigenvectors factored through its Householder
-tridiagonal, and the reflectors and Z are applied to E itself.
+residuals ||E_s x_i||^2 need only the last b rows of the Ritz vectors, and
+`eigensolve` forms them where it solves the block; a complex block, or a
+real one of order `_FACTORED_REAL_ORDER` and up, is reduced in place and
+keeps its eigenvectors factored through its Householder tridiagonal, and
+the reflectors and Z are applied to E_s itself.  `_certify` reads only
+the Ritz values and these residuals.
 """
 
 from __future__ import annotations
@@ -61,38 +64,35 @@ class TruncationError(RuntimeError):
     """Raised when the residual bound cannot certify the requested indices."""
 
 
-def eigensolve(matrix: SolverBlocks, *, ritz: list | None = None) -> np.ndarray:
+def eigensolve(matrix: SolverBlocks, *, ritz: list) -> np.ndarray:
     """All eigenvalues of the Hermitian matrix, ascending.
 
     `matrix` is `solver_blocks` output: split into parity blocks, typed,
-    and in LAPACK's storage (lower triangle, Fortran order).  Backed by
-    LAPACK, one call per parity block; a real block goes through the
-    cheaper symmetric path, and factored blocks are reduced in place (they
-    become the reflectors).  Given a list `ritz`, the blocks are solved
-    with eigenvectors, and one (slice, eigenvalues, rows) triple per block
-    is appended to it:
-    `rows(start, left)` returns left @ X[start:], for the block's
-    eigenvector matrix X and any `left` of as many columns as X[start:] has
-    rows.  A real block below order _FACTORED_REAL_ORDER is solved by
-    `np.linalg.eigh` and `rows` multiplies by its eigenvectors in numpy; a
-    complex or a larger real block keeps them factored (`_factored_eigh`)
-    and `rows` applies the reflectors and Z to `left` in scipy.  Either
-    way the product runs in the library that solved the block, so a
-    certificate never switches between numpy's and scipy's OpenBLAS
-    thread pools.  The out-parameter keeps the solve with eigenvectors
-    inside this function, where perfbench's tracer observes it (the
-    `eigensolve_N` span); a private helper would hide it.
+    and in LAPACK's storage (lower triangle, Fortran order), each with its
+    coupling E_s.  Backed by LAPACK, one call per parity block; a real
+    block goes through the cheaper symmetric path, and factored blocks are
+    reduced in place (they become the reflectors).  Each block is solved
+    with eigenvectors, and one (eigenvalues, residuals) pair per block is
+    appended to `ritz`, the residuals being ||E_s x_i||^2 for the block's
+    eigenvectors x_i.  The columns of E_s are the block's last ones, so
+    only the eigenvectors' last rows enter.  A real block below order
+    _FACTORED_REAL_ORDER is solved by `np.linalg.eigh` and E_s multiplied
+    by its eigenvectors in numpy; a complex or a larger real block keeps
+    them factored (`_factored_eigh`), which applies the reflectors and Z
+    to E_s in scipy.  Either way the product runs in the library that
+    solved the block, so a certificate never switches between numpy's and
+    scipy's OpenBLAS thread pools.  The out-parameter keeps the solve with
+    its residuals inside this function, where perfbench's tracer observes
+    it (the `eigensolve_N` span); a private helper would hide it.
     """
     parts = []
-    for s, block in matrix.blocks:
-        if ritz is None:
-            w = np.linalg.eigvalsh(block)
-        elif np.isrealobj(block) and len(block) < _FACTORED_REAL_ORDER:
+    for _, block, e in matrix.blocks:
+        if np.isrealobj(block) and len(block) < _FACTORED_REAL_ORDER:
             w, x = np.linalg.eigh(block)
-            ritz.append((s, w, lambda start, left, x=x: left @ x[start:]))
+            res2 = np.sum(np.abs(e @ x[len(x) - e.shape[1]:]) ** 2, axis=0)
         else:
-            w, rows = _factored_eigh(block)
-            ritz.append((s, w, rows))
+            w, res2 = _factored_eigh(block, e)
+        ritz.append((w, res2))
         parts.append(w)
     return np.sort(np.concatenate(parts))
 
@@ -102,21 +102,20 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
 
 
-def _factored_eigh(a: np.ndarray):
-    """Eigenvalues of the Hermitian (or real symmetric) matrix `a`,
-    ascending, and a function `rows(start, left)` returning left @ X[start:]
-    for its eigenvectors X and any `left` of N - start columns.  LAPACK
-    reads the lower triangle of `a`, and reduces a Fortran-ordered `a` in
-    place.
+def _factored_eigh(a: np.ndarray, e: np.ndarray):
+    """Eigenvalues w of the Hermitian (or real symmetric) matrix `a`,
+    ascending, and the residuals ||e x_i||^2 of its eigenvectors x_i
+    restricted to their last e.shape[1] rows.  LAPACK reads the lower
+    triangle of `a`, and reduces a Fortran-ordered `a` in place.
 
     zhetrd (dsytrd) reduces a = Q T Q^H with T real tridiagonal and Q =
     H(0) .. H(N-2) kept as Householder reflectors, and dstevd gives
-    T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed, not even
-    their rows start..: `rows` places `left` in columns start.. of a
-    zero matrix C, has zunmqr (dormqr) apply the reflectors to it from the
-    right in place, and multiplies C Q by Z with scipy's dgemm, once on the
+    T = Z diag(w) Z^T.  The eigenvectors X = Q Z are never formed, not
+    even their last rows: `e` is placed in the last columns of a zero
+    matrix C, zunmqr (dormqr) applies the reflectors to it from the right
+    in place, and C Q is multiplied by Z with scipy's dgemm, once on the
     real and imaginary parts together.  That is O(b N^2) work for b rows
-    of `left`, in place of the O(N^3) back-transform of `np.linalg.eigh`.
+    of `e`, in place of the O(N^3) back-transform of `np.linalg.eigh`.
     Every product of the block runs in scipy's BLAS: numpy and scipy each
     load their own OpenBLAS, whose threads spin for a while after each
     call, and a call into one library right after the other ran 1.5 to 4
@@ -129,41 +128,39 @@ def _factored_eigh(a: np.ndarray):
     n = a.shape[0]
     lwork, info = getattr(lapack, trd + "_lwork")(n, lower=1)
     _check_info(trd + "_lwork", info)
-    c, d, e, tau, info = getattr(lapack, trd)(a, lower=1,
-                                              lwork=int(lwork.real),
-                                              overwrite_a=1)
+    c, d, off, tau, info = getattr(lapack, trd)(a, lower=1,
+                                                lwork=int(lwork.real),
+                                                overwrite_a=1)
     _check_info(trd, info)
     # dstevd takes an off-diagonal of length max(n - 1, 1)
-    w, z, info = lapack.dstevd(d, e if n > 1 else [0.0])
+    w, z, info = lapack.dstevd(d, off if n > 1 else [0.0])
     _check_info("dstevd", info)
+    if not e.size:
+        return w, np.zeros(n)
+    q = np.zeros((len(e), n), dtype=np.result_type(c, e), order="F")
+    q[:, n - e.shape[1]:] = e
     # Q = diag(1, Q'), and Q' is in QR storage at c[1:, :n-1]: reflector i
     # is one at row i+1 and c[i+2:, i] below.  Moved up one row in place,
     # Q' sits in the Fortran-contiguous c[:, :n-1], which reaches the
     # multiply uncopied (the slice c[1:, :n-1] would be copied whole).
     for i in range(n - 2):
         c[i + 1:n - 1, i] = c[i + 2:, i]
-
-    def rows(start: int, left: np.ndarray) -> np.ndarray:
-        q = np.zeros((len(left), n), dtype=np.result_type(c, left), order="F")
-        if not q.size:
-            return q
-        q[:, start:] = left
-        # a complex q read as a real one of twice the rows (row i's real
-        # part, then its imaginary part): a real Q' and Z act on both alike
-        flat = q.T.view(np.float64).T if np.iscomplexobj(q) else q
-        if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
-            cq = flat if real else q
-            _, work, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
-                                                 cq[:, 1:], -1)
-            _check_info(mqr, info)
-            _, _, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
-                                              cq[:, 1:], int(work[0].real),
-                                              overwrite_c=1)
-            _check_info(mqr, info)
-        x = blas.dgemm(1.0, flat, z)
-        return x.T.view(q.dtype).T if flat is not q else x
-
-    return w, rows
+    # a complex q read as a real one of twice the rows (row i's real
+    # part, then its imaginary part): a real Q' and Z act on both alike
+    flat = q.T.view(np.float64).T if np.iscomplexobj(q) else q
+    if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
+        cq = flat if real else q
+        _, work, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
+                                             cq[:, 1:], -1)
+        _check_info(mqr, info)
+        _, _, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
+                                          cq[:, 1:], int(work[0].real),
+                                          overwrite_c=1)
+        _check_info(mqr, info)
+    x = blas.dgemm(1.0, flat, z)
+    if flat is not q:
+        x = x.T.view(q.dtype).T
+    return w, np.sum(np.abs(x) ** 2, axis=0)
 
 
 def basis_size(nmax: int) -> int:
@@ -213,9 +210,11 @@ def _planned_bytes(V: Potential, N: int, b: int) -> int:
     N <= 8757 keeps one complex block short of order 10^4, where the
     complex rounding is not yet measured.
 
-    The coupling block E holds 16 b min(b, N) bytes.  It was a small part
-    of those peaks (b well below N), and the plan's headroom holds it
-    while it stays small.  A band near or past N (large r_a sqrt(N)) is
+    The couplings E_s of the blocks hold at most 16 b min(b, N) bytes
+    together: about b rows of at most min(b, N) columns, 8 bytes an entry
+    when real.  That upper bound is planned; it was a small part of those
+    peaks (b well below N), and the plan's headroom holds it while it
+    stays small.  A band near or past N (large r_a sqrt(N)) is
     counted on top of the largest measurement, 16 bytes per entry when
     split and 42 for one block: at N = 2903, b = 2968 (a pair at
     a = (+-20, 0)) the peak grew by 228 MB, 27 per entry, while 24 per
@@ -296,39 +295,30 @@ def _bisect(pred, lo: int, hi: int) -> int:
     return hi
 
 
-def _certify(V: Potential, N: int, E: np.ndarray, dropped: float,
-             ritz: list, nmax: int) -> np.ndarray:
+def _certify(V: Potential, N: int, dropped: float, ritz: list,
+             nmax: int) -> np.ndarray:
     """Bounds on |lambda_n(H+V) - theta_n| for n = 0..nmax.
 
-    E = V[N:N+b, lo:N], lo = max(0, N - b), is the coupling block of the
-    band b of `_coupling_band`, whose dropped coupling is `dropped`.
-    For the Ritz vectors X = x_0..x_m of A_N the coupling to everything
-    else is F = [0; E X]: zero towards the other Ritz vectors, the
-    residuals E x_i towards the rest of the basis.  The complement is
-    bounded below by min(theta_{m+1}, alpha(2N+1) + c0 - sum|c_a|) -
-    sum|c_a|: the tail's H is at least alpha(2N+1), ||V - c0|| <= sum|c_a|
-    since each U_a is unitary, and its coupling to the other Ritz vectors
-    is a part of QVP.  For index n, m is the smallest index >= n whose gap
-    eta_n = that lower bound - theta_n is positive, and
-    |lambda_n - theta_n| <= ||F||_F^2 / eta_n.  To that come the dropped
-    coupling (Weyl) and the eigensolver's rounding (`_rounding`).
+    `ritz` holds each parity block's (theta, residuals) pair from
+    `eigensolve`: the residual of Ritz vector x_i is ||E x_i||^2, for E =
+    V[N:N+b, max(0, N-b):N] the coupling block of the band b of
+    `_coupling_band`, whose dropped coupling is `dropped`.  For the Ritz
+    vectors X = x_0..x_m of A_N the coupling to everything else is F =
+    [0; E X]: zero towards the other Ritz vectors, the residuals E x_i
+    towards the rest of the basis.  The complement is bounded below by
+    min(theta_{m+1}, alpha(2N+1) + c0 - sum|c_a|) - sum|c_a|: the tail's
+    H is at least alpha(2N+1), ||V - c0|| <= sum|c_a| since each U_a is
+    unitary, and its coupling to the other Ritz vectors is a part of QVP.
+    For index n, m is the smallest index >= n whose gap eta_n = that
+    lower bound - theta_n is positive, and |lambda_n - theta_n| <=
+    ||F||_F^2 / eta_n.  To that come the dropped coupling (Weyl) and the
+    eigensolver's rounding (`_rounding`).
     """
     sigma = V.coefficient_sum()
-    lo = N - E.shape[1]
-    # real blocks drop the rounding of e^{i m theta}, and so does their E
-    if _block_kinds(V)[1]:
-        E = E.real
-    thetas, res2 = [], []
-    for s, w, rows in ritz:
-        index = np.arange(N)[s]
-        start = int(np.searchsorted(index, lo))   # the block's rows >= lo
-        thetas.append(w)
-        res2.append(np.sum(np.abs(rows(start, E[:, index[start:] - lo])) ** 2,
-                           axis=0))
-    theta = np.concatenate(thetas)
+    theta = np.concatenate([w for w, _ in ritz])
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
-    cum = np.cumsum(np.concatenate(res2)[order])
+    cum = np.cumsum(np.concatenate([res2 for _, res2 in ritz])[order])
     n = np.arange(nmax + 1)
     # index m(n) + 1: the first Ritz value beyond theta_n + sum|c_a|
     past = np.searchsorted(theta, theta[n] + sigma, side="right")
@@ -399,10 +389,11 @@ def _solve_and_certify(V: Potential, N: int, band: tuple[int, float],
     """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk and the bounds
     for n <= nmax, at the band b and dropped coupling `band` of `_band`;
     stage times are added to `seconds`.  A_N, in the parity blocks and
-    storage the eigensolver reads, and the coupling block E of A_{N+b}
-    come from one pass of `solver_blocks`.  The blocks and the
-    eigenvectors (or reflectors) of one basis size are freed on return,
-    before `spectrum` tries a larger one."""
+    storage the eigensolver reads, and each block's coupling in A_{N+b}
+    come from one pass of `solver_blocks`; the solve stage includes the
+    residual products E_s X.  The blocks and the eigenvectors (or
+    reflectors) of one basis size are freed on return, before `spectrum`
+    tries a larger one."""
     b, dropped = band
     _check_byte_budget(_planned_bytes(V, N, b), f"basis size {N}")
     t0 = time.perf_counter()
@@ -411,7 +402,7 @@ def _solve_and_certify(V: Potential, N: int, band: tuple[int, float],
     ritz = []
     ev = eigensolve(blocks, ritz=ritz)
     t2 = time.perf_counter()
-    bounds = _certify(V, N, blocks.coupling, dropped, ritz, nmax)
+    bounds = _certify(V, N, dropped, ritz, nmax)
     t3 = time.perf_counter()
     seconds["assembly"] += t1 - t0
     seconds["solve"] += t2 - t1
@@ -423,8 +414,8 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     """Eigenvalues of H+V certified through index nmax.
 
     Solves A_N, the leading block of A_{N+b}, at a start size N sized
-    from V's coupling band (`_start_size`), forms the last rows of the
-    eigenvectors (those the coupling block reaches), and bounds
+    from V's coupling band (`_start_size`), forms the residuals of the
+    eigenvectors' last rows (those the coupling block reaches), and bounds
     |lambda_n(H+V) - theta_n| for every n <= nmax (`_certify`) by the
     quadratic residual bound for Hermitian block matrices:
     |lambda_j(A) - lambda_j(diag(M, C))| <= ||E||^2 / eta_j for

@@ -4,7 +4,9 @@
 splits into even- and odd-index blocks and whether they are real
 (`_block_kinds`).  This oracle reads both off a dense Hermitian matrix
 instead, as the solver did before: an exact zero scan of the off-parity
-entries, and a tolerance on the imaginary parts.  Tests compare the two.
+entries, and a tolerance on the imaginary parts.  Tests compare the two,
+and read each block's coupling off the dense matrix of a wider
+truncation (`block_coupling`).
 """
 
 import numpy as np
@@ -42,3 +44,12 @@ def real_if_real(block):
 def dense_blocks(m):
     """(slice, block) of each parity block of m, real where it counts so."""
     return [(s, real_if_real(m[s, s])) for s in parity_blocks(m)]
+
+
+def block_coupling(full, index, hi, step):
+    """The coupling of the parity block of basis indices `index` (all below
+    hi, one in `step`) in the dense matrix `full` of order hi + b: its rows
+    hi .. hi+b-1 of the block's parity against the block's columns from
+    hi - b on, the matching slice of full[hi:, hi-b:hi]."""
+    rows = np.arange(index[0], len(full), step)[len(index):]
+    return full[np.ix_(rows, index[index >= 2 * hi - len(full)])]

@@ -277,6 +277,31 @@ class TestMain:
                      "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("compute", ["--out", "run.csv"]), ("verify", []),
+        ("trace", ["--n", "4"]),
+    ], ids=["compute", "verify", "trace"])
+    def test_missing_config_exit_two(self, tmp_path, capsys, command, flags):
+        # a config that cannot be read is bad input: exit 2 and one error
+        # line, no traceback
+        missing = tmp_path / "absent.json"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert main([command, "--config", str(missing), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.json" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_out_in_missing_directory_exit_two(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        out = tmp_path / "absent" / "run.csv"
+        assert main(["compute", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run.csv" in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
     def test_nmax_beyond_float_range_exit_two(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         huge = 10**400

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from laguerre_oracle import laguerre
+from parity_oracle import block_coupling
 from oscspec import spectral
-from oscspec.matelem import (_magnitudes, _v_blocks, build_matrix, u_element,
+from oscspec.matelem import (_block_kinds, _magnitudes, _v_blocks,
+                             build_matrix, u_element,
                              u_element_bessel, u_element_oracle, v_element,
                              v_matrix, window_sup)
 from oscspec.model import PhasePoint, Potential, metric_norm
@@ -419,7 +421,7 @@ class TestWindowBound:
 def scattered(blocks, n):
     """The parity blocks of `_v_blocks` scattered into one n x n matrix."""
     out = np.zeros((n, n), dtype=complex)
-    for s, block in blocks:
+    for s, block, _ in blocks:
         out[s, s] = block
     return out
 
@@ -438,20 +440,26 @@ class TestRowRangeFill:
     def test_window_is_sliced_fill_from_zero(self, V):
         N = 120
         b = spectral._band(V, N)[0]
+        step = 2 if _block_kinds(V)[0] else 1
         for band in (0, b):
-            full, e_full = _v_blocks(V, 0, N, band)
+            full = _v_blocks(V, 0, N, band)
             dense = scattered(full, N)
+            wider = dense_oracle.v_matrix(V, N + band)
             for lo in sorted({0, b, N // 2, N - 5}):   # N - 5 is odd
-                blocks, e = _v_blocks(V, lo, N, band)
-                assert ([block.dtype for _, block in blocks]
-                        == [block.dtype for _, block in full])
-                assert all(block.flags.f_contiguous for _, block in blocks)
+                blocks = _v_blocks(V, lo, N, band)
+                assert ([block.dtype for _, block, _ in blocks]
+                        == [block.dtype for _, block, _ in full])
+                assert all(block.flags.f_contiguous for _, block, _ in blocks)
                 np.testing.assert_array_equal(scattered(blocks, N - lo),
                                               dense[lo:, lo:])
-                elo = max(lo, N - band)
-                assert e.shape == (band, N - elo)
-                np.testing.assert_array_equal(
-                    e, e_full[:, elo - max(0, N - band):])
+                # each block's coupling, bit for bit, as the dense fill
+                # of order N + band holds it
+                for s, block, e in blocks:
+                    want = block_coupling(wider, lo + np.arange(N - lo)[s],
+                                          N, step)
+                    assert e.dtype == block.dtype and e.flags.f_contiguous
+                    np.testing.assert_array_equal(
+                        e, want.real if np.isrealobj(e) else want)
 
     @pytest.mark.parametrize("lo, hi, band", [(5, 5, 0), (-1, 3, 0),
                                               (0, 3, -1)])

@@ -13,7 +13,7 @@ import pytest
 from certificate_oracle import full_eigenvector_bounds
 from dense_oracle import build_matrix
 from doubling_oracle import doubling_eigenvalues
-from parity_oracle import parity_blocks, real_if_real
+from parity_oracle import block_coupling, parity_blocks, real_if_real
 from oscspec.matelem import SolverBlocks, _block_kinds, solver_blocks
 from oscspec.model import PhasePoint, Potential, rho
 from oscspec import matelem, specialfn, spectral
@@ -56,10 +56,10 @@ def quasi_potential(seed):
 
 def one_block(entries):
     """The Hermitian matrix `entries` as one parity block in the storage
-    `eigensolve` reads: lower triangle, Fortran order."""
+    `eigensolve` reads: lower triangle, Fortran order, and no coupling."""
     m = np.asarray(entries)
-    return SolverBlocks(blocks=((slice(None), np.asfortranarray(np.tril(m))),),
-                        coupling=np.zeros((0, len(m)), dtype=complex),
+    return SolverBlocks(blocks=((slice(None), np.asfortranarray(np.tril(m)),
+                                 np.zeros((0, 0), dtype=m.dtype)),),
                         diagonal=m.diagonal().real.copy())
 
 
@@ -95,12 +95,12 @@ def charpoly_eigenvalues(m, lo, hi, count, tol=1e-9):
 
 class TestEigensolve:
     def test_diagonal(self):
-        ev = eigensolve(one_block(np.diag([5.0, 1.0, 3.0])))
+        ev = eigensolve(one_block(np.diag([5.0, 1.0, 3.0])), ritz=[])
         np.testing.assert_allclose(ev, [1.0, 3.0, 5.0], atol=1e-14)
 
     def test_two_by_two_closed_form(self):
         a, b, c = 2.0, 0.7, -1.0
-        ev = eigensolve(one_block([[a, b], [b, c]]))
+        ev = eigensolve(one_block([[a, b], [b, c]]), ritz=[])
         mean = 0.5 * (a + c)
         half = math.sqrt(0.25 * (a - c) ** 2 + b * b)
         np.testing.assert_allclose(ev, [mean - half, mean + half], rtol=1e-14)
@@ -109,35 +109,45 @@ class TestEigensolve:
         b = 0.3 + 0.4j
         m = np.array([[1.0, b], [np.conj(b), -1.0]])
         half = math.sqrt(1.0 + abs(b) ** 2)
-        np.testing.assert_allclose(eigensolve(one_block(m)), [-half, half],
-                                   rtol=1e-14)
+        np.testing.assert_allclose(eigensolve(one_block(m), ritz=[]),
+                                   [-half, half], rtol=1e-14)
 
     def test_random_hermitian_vs_det_bisection(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         m = 0.5 * (a + a.conj().T)
-        ev = eigensolve(one_block(m))
+        ev = eigensolve(one_block(m), ritz=[])
         oracle = charpoly_eigenvalues(m, ev.min() - 1.0, ev.max() + 1.0, 6)
         np.testing.assert_allclose(ev, oracle, atol=5e-9)
 
     def test_ritz_pairs(self):
-        # one (slice, eigenvalues, rows) triple per parity block: two real
-        # blocks for cos x, one complex (factored) block for four pairs
+        # one (eigenvalues, residuals) pair per parity block: two real
+        # blocks for cos x, one complex (factored) block for four pairs.
+        # The residuals are ||E_s x||^2 for the eigenvectors x of the
+        # dense block and its coupling E_s in the dense matrix of order
+        # N + band
+        N, band = 60, 12
         for V in (Potential.cosine(alpha=1.0), COMPLEX_FOUR_PAIRS):
-            m = build_matrix(V, 60)
+            full = build_matrix(V, N + band)
+            m = full[:N, :N]
+            blocks = solver_blocks(V, N, band)
             ritz = []
-            ev = eigensolve(solver_blocks(V, 60, 0), ritz=ritz)
-            assert [s for s, _, _ in ritz] == list(parity_blocks(m))
+            ev = eigensolve(blocks, ritz=ritz)
+            slices = parity_blocks(m)
+            assert len(ritz) == len(slices)
             np.testing.assert_array_equal(
-                ev, np.sort(np.concatenate([w for _, w, _ in ritz])))
-            for s, w, rows in ritz:
-                n = len(w)
-                x = rows(0, np.eye(n))
-                np.testing.assert_allclose(m[s, s] @ x, x * w, atol=1e-12)
-                np.testing.assert_allclose(x.conj().T @ x, np.eye(n),
-                                           atol=1e-12)
-                np.testing.assert_array_equal(rows(n // 3, np.eye(n - n // 3)),
-                                              x[n // 3:])
+                ev, np.sort(np.concatenate([w for w, _ in ritz])))
+            for s, (w, res2) in zip(slices, ritz):
+                w_full, x = np.linalg.eigh(m[s, s])
+                np.testing.assert_allclose(w, w_full, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(w)))
+                index = np.arange(N)[s]
+                # two blocks hold every other index
+                e = block_coupling(full, index, N, len(slices))
+                want = np.sum(np.abs(e @ x[len(index) - e.shape[1]:]) ** 2,
+                              axis=0)
+                assert np.max(want) > 1e-3
+                np.testing.assert_allclose(res2, want, rtol=0, atol=1e-12)
 
 
 def tridiagonal_with_real_steps(n):
@@ -149,18 +159,10 @@ def tridiagonal_with_real_steps(n):
             + np.diag(sub, -1) + np.diag(sub.conj(), 1))
 
 
-def aligned_eigenvectors(x_full, x):
-    """The eigenvectors x_full, each column turned by the unit phase that
-    aligns it with the same column of x."""
-    overlap = np.sum(x_full.conj() * x, axis=0)
-    np.testing.assert_allclose(np.abs(overlap), 1.0, atol=1e-12)
-    return x_full * (overlap / np.abs(overlap))
-
-
 class TestFactoredEigh:
-    """The factored route: zhetrd (dsytrd), dstevd, and products with the
-    Ritz vectors formed from the Householder reflectors and Z, against
-    `np.linalg.eigh`."""
+    """The factored route: zhetrd (dsytrd), dstevd, and the residuals
+    ||e x_i||^2 of the Ritz vectors from the Householder reflectors and Z,
+    against `np.linalg.eigh`."""
 
     @pytest.mark.parametrize("a", [
         build_matrix(COMPLEX_FOUR_PAIRS, 60),
@@ -173,38 +175,40 @@ class TestFactoredEigh:
     ], ids=["four pairs N=60", "quasi N=300", "1x1", "2x2", "tau=0",
             "real lower triangle", "real 1x1"])
     def test_rows_match_full_solve(self, a):
-        w, rows = spectral._factored_eigh(a.copy())   # reduced in place
+        # e = I gives the squared norms of the eigenvectors' rows start..,
+        # which carry no phase
         w_full, x_full = np.linalg.eigh(a)
         scale = max(1.0, np.max(np.abs(w_full)))
-        np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12 * scale)
-        n = len(w)
-        x = rows(0, np.eye(n))
-        # eigenvectors are unique up to one unit phase per column
-        x_full = aligned_eigenvectors(x_full, x)
+        n = len(w_full)
         for start in sorted({0, n // 2, n - 1}):
-            np.testing.assert_allclose(rows(start, np.eye(n - start)),
-                                       x_full[start:], rtol=0, atol=1e-12)
+            w, res2 = spectral._factored_eigh(a.copy(), np.eye(n - start))
+            np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-12 * scale)
+            # entries within 1e-12 put each column's norm within
+            # 1e-12 sqrt(rows)
+            np.testing.assert_allclose(
+                np.sqrt(res2), np.linalg.norm(x_full[start:], axis=0),
+                rtol=0, atol=1e-12 * math.sqrt(n - start))
 
     @pytest.mark.parametrize("a", [
         solver_blocks(Potential.cosine(alpha=1.0), 300, 20).blocks[0][1],
         build_matrix(quasi_potential(3), 300),
     ], ids=["real", "complex"])
     def test_rows_multiply_any_left(self, a):
-        # left @ X[start:] for a complex left of another row count than
-        # X[start:], with no warning: a real block takes complex rows too
-        w, rows = spectral._factored_eigh(a.copy())   # reduced in place
-        n = len(w)
-        x_full = aligned_eigenvectors(np.linalg.eigh(a)[1],
-                                      rows(0, np.eye(n)))
+        # ||e x_i||^2 over the last e.shape[1] rows of the eigenvectors, for
+        # a random complex e of another row count, with no warning: a real
+        # block takes a complex e too.  The squared norms carry no phase
+        w_full, x_full = np.linalg.eigh(a)
+        n = len(w_full)
         rng = np.random.default_rng(5)
         for start in sorted({0, n // 2, n - 1}):
             shape = (n - start + 3, n - start)
-            left = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                product = rows(start, left)
-            np.testing.assert_allclose(product, left @ x_full[start:],
-                                       rtol=0, atol=1e-12)
+                _, res2 = spectral._factored_eigh(a.copy(), e)   # in place
+            np.testing.assert_allclose(
+                np.sqrt(res2), np.linalg.norm(e @ x_full[start:], axis=0),
+                rtol=0, atol=1e-12 * math.sqrt(len(e)))
 
     def test_tau_zero_case_is_exercised(self):
         from scipy.linalg import lapack
@@ -226,12 +230,10 @@ class TestFactoredEigh:
 
         monkeypatch.setattr(lapack, routine, failing)
         monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", 1)
-        ritz = []
+        # a band > 0: each block has a coupling for zunmqr (dormqr) to act on
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"LAPACK {routine} failed \(info=1\)"):
-            eigensolve(solver_blocks(V, 20, 0), ritz=ritz)
-            for _, w, rows in ritz:   # zunmqr runs when rows are asked for
-                rows(0, np.eye(len(w)))
+            eigensolve(solver_blocks(V, 20, 5), ritz=[])
 
     def test_real_path_does_not_import_scipy_linalg(self):
         # scipy.linalg is imported only for complex blocks
@@ -276,8 +278,8 @@ class TestParityBlocks:
     def assert_matches_full_solve(V, N):
         m = build_matrix(V, N)
         blocks = solver_blocks(V, N, 0)
-        assert [s for s, _ in blocks.blocks] == list(parity_blocks(m))
-        ev = eigensolve(blocks)
+        assert [s for s, _, _ in blocks.blocks] == list(parity_blocks(m))
+        ev = eigensolve(blocks, ritz=[])
         full = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(ev, full, rtol=0,
                                    atol=1e-12 * np.max(np.abs(full)))
@@ -306,15 +308,16 @@ class TestParityBlocks:
         assert parity_blocks(m) == (slice(None),)
 
     def test_one_by_one_and_diagonal(self):
-        np.testing.assert_array_equal(eigensolve(one_block([[3.0]])), [3.0])
+        np.testing.assert_array_equal(eigensolve(one_block([[3.0]]), ritz=[]),
+                                      [3.0])
         # two diagonal blocks: their eigenvalues merge in ascending order
         even, odd = slice(0, None, 2), slice(1, None, 2)
+        none = np.zeros((0, 0))
         split = SolverBlocks(
-            blocks=((even, np.diag([5.0, 3.0, 4.0])),
-                    (odd, np.diag([1.0, -2.0]))),
-            coupling=np.zeros((0, 5), dtype=complex),
+            blocks=((even, np.diag([5.0, 3.0, 4.0]), none),
+                    (odd, np.diag([1.0, -2.0]), none)),
             diagonal=np.array([5.0, 1.0, 3.0, -2.0, 4.0]))
-        np.testing.assert_array_equal(eigensolve(split),
+        np.testing.assert_array_equal(eigensolve(split, ritz=[]),
                                       [-2.0, 1.0, 3.0, 4.0, 5.0])
 
 
@@ -347,17 +350,18 @@ class TestSolverBlocks:
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("N", [1, 2, 61, 300])
     def test_bitwise_equal_to_full_assembly(self, V, kind, N):
-        # blocks, E and diagonal as the dense fill of dense_oracle read
-        # through parity_blocks and real_if_real gives them, bit for bit,
-        # at the band spectrum uses, at no band and at a band past N
+        # blocks, their couplings and diagonal as the dense fill of
+        # dense_oracle read through parity_blocks and real_if_real gives
+        # them, bit for bit, at the band spectrum uses, at no band and at a
+        # band past N
         b = spectral._coupling_band(V, N, spectral._rounding(V, N)
                                     / math.sqrt(N))[0]
         for band in sorted({0, b, N + 3}):
             full = build_matrix(V, N + band)
             m = full[:N, :N]
             got = solver_blocks(V, N, band)
-            assert [s for s, _ in got.blocks] == list(parity_blocks(m))
-            for s, block in got.blocks:
+            assert [s for s, _, _ in got.blocks] == list(parity_blocks(m))
+            for s, block, e in got.blocks:
                 want = real_if_real(m[s, s])
                 if N > 2:   # a 1 x 1 block is real to any tolerance
                     assert np.isrealobj(block) == np.isrealobj(want)
@@ -366,9 +370,11 @@ class TestSolverBlocks:
                 np.testing.assert_array_equal(
                     np.tril(block), np.tril(want.astype(block.dtype)))
                 assert not np.any(np.triu(block, 1))
-            lo = max(0, N - band)
-            assert got.coupling.shape == (band, N - lo)
-            np.testing.assert_array_equal(got.coupling, full[N:, lo:N])
+                want = block_coupling(full, np.arange(N)[s], N,
+                                      2 if kind[0] else 1)
+                assert e.dtype == block.dtype and e.flags.f_contiguous
+                np.testing.assert_array_equal(
+                    e, want.real if np.isrealobj(e) else want)
             np.testing.assert_array_equal(got.diagonal,
                                           full.diagonal()[:N].real)
 
@@ -389,12 +395,12 @@ class TestSolverBlocks:
         # in place (zhetrd makes no copy); spectrum never builds the
         # complex N x N matrix
         blocks = solver_blocks(V, 80, 10)
-        before = [block.copy() for _, block in blocks.blocks]
+        before = [block.copy() for _, block, _ in blocks.blocks]
         ev = eigensolve(blocks, ritz=[])
         np.testing.assert_allclose(
             ev, np.linalg.eigvalsh(build_matrix(V, 80)),
             rtol=0, atol=1e-12 * np.max(np.abs(ev)))
-        for (_, block), old in zip(blocks.blocks, before):
+        for (_, block, _), old in zip(blocks.blocks, before):
             assert np.array_equal(block, old) == kind[1]
 
         def refuse(*args):
