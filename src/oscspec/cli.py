@@ -295,6 +295,10 @@ def main(argv=None) -> int:
             validate(Potential(alpha=args.alpha, terms=() if p.is_zero()
                                else ((p, 1.0), (-p, 1.0))))
             k, kp = args.k, args.kprime
+            # the series route checks jmax too, but runs only when k <= k'
+            if args.jmax < 0:
+                raise ValueError(
+                    f"jmax must be a nonnegative integer, got {args.jmax}")
             # every route before any output, so a refusal prints only the error
             closed = u_element(p, args.alpha, k, kp)
             series = (u_element_bessel(p, args.alpha, k, kp, args.jmax)

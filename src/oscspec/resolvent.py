@@ -12,18 +12,20 @@ the same integrals serves only as a test oracle.  The Neumann contraction
 ||(VR)^2|| that licenses the series is bounded from above by its Frobenius
 norm on sampled contour nodes.
 
-Every dense quantity reads V's parity blocks, assembled once per (V, N)
-by `matelem._v_blocks` straight into block storage: split into even and
-odd indices when every c_a is real, and float64 when `_block_kinds` says
-real, decided from V before assembly; no complex N x N matrix is built
-and no block is found by scanning one.  Each block's lower triangle is
-mirrored in place.  R is diagonal, so VR and RVR split with V: the norms
-are summed or maximized over the blocks, exactly, and the RS recursion
-runs on n's block alone.  No norm needs a general SVD: with R = P |R| and
-P a diagonal of phases, RVR = P (|R| V |R|) P, so the singular values of
-RVR are the absolute eigenvalues of the Hermitian |R| V |R|.  A one-slot
-memo keeps the last assembly, read-only, so `oscspec trace`'s rvr_norms
-and trace_eigenvalue at one index share it.
+Every dense quantity reads V's parity blocks through `_trace_blocks`,
+which sizes the basis (`basis_size` by default), refuses one over the byte
+budget, and assembles by `matelem._v_blocks` straight into block storage,
+once per V object and N: split into even and odd indices when every c_a is
+real, and float64 when `_block_kinds` says real, decided from V before
+assembly; no complex N x N matrix is built and no block is found by
+scanning one.  Each block's lower triangle is mirrored in place.  R is
+diagonal, so VR and RVR split with V: the norms are summed or maximized
+over the blocks, exactly, and the RS recursion runs on n's block alone.
+No norm needs a general SVD: with R = P |R| and P a diagonal of phases,
+RVR = P (|R| V |R|) P, so the singular values of RVR are the absolute
+eigenvalues of the Hermitian |R| V |R|.  A one-slot memo keeps the last
+assembly, read-only, so `oscspec trace`'s rvr_norms and trace_eigenvalue
+at one index share it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .matelem import _check_dense_budget, _mirror, _v_blocks
 from .matelem import v_matrix  # noqa: F401
 from .model import Potential
 from .specialfn import _check_byte_budget
-from .spectral import basis_size
 
 __all__ = [
     "Contour",
@@ -49,6 +50,7 @@ __all__ = [
     "ResolventSums",
     "RvrNorms",
     "TraceEigenvalue",
+    "basis_size",
     "resolvent_sums",
     "rvr_norms",
     "trace_order_j",
@@ -72,6 +74,13 @@ _DENSE_BYTES_PER_ENTRY = 80
 # (max RSS growth): 24.2 at 128 nodes (N = 80064) and 25.0 at 32, the
 # fewest a Contour takes (N = 320064).
 _SUMS_BYTES_PER_NODE_INDEX = 26
+
+
+def basis_size(nmax: int) -> int:
+    """Default basis size of the trace route and of the test oracles:
+    translations couple index k to a band of width O(sqrt k).  `spectrum`
+    sizes its basis from V instead (`spectral._start_size`)."""
+    return 2 * nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
 
 
 class NeumannDivergence(RuntimeError):
@@ -161,12 +170,12 @@ def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
 @dataclass(frozen=True)
 class _TraceBlocks:
     """V's N x N truncation as its parity blocks, read-only: one
-    (index, block) pair per block, `index` the basis indices it holds and
-    `block` = V[index, index] with both triangles filled, float64 when
-    real."""
+    (index, levels, block) triple per block, `index` the basis indices it
+    holds, `levels` their unperturbed eigenvalues alpha(2k+1) and `block`
+    = V[index, index] with both triangles filled, float64 when real."""
 
     N: int
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def _assemble(V: Potential, N: int) -> _TraceBlocks:
@@ -178,40 +187,40 @@ def _assemble(V: Potential, N: int) -> _TraceBlocks:
         if np.isrealobj(block):
             block = block.T   # symmetric: the same matrix, C-ordered
         index = np.arange(N)[s]
-        block.flags.writeable = index.flags.writeable = False
-        parts.append((index, block))
+        levels = V.alpha * (2.0 * index + 1.0)
+        for a in (index, levels, block):
+            a.flags.writeable = False
+        parts.append((index, levels, block))
     return _TraceBlocks(N=N, blocks=tuple(parts))
 
 
-def _potential_key(V: Potential) -> tuple[str, ...]:
-    """Every float of V by its bits: potentials that compare equal may
-    still assemble differently (the phases of -0.0 and 0.0 differ by
-    rounding)."""
-    floats = [V.alpha, V.c0.real, V.c0.imag]
-    for p, c in V.terms:
-        floats += [p.a_x, p.a_xi, c.real, c.imag]
-    return tuple(float(x).hex() for x in floats)
-
-
-# The last assembly, keyed by (V, N).  `oscspec trace` calls rvr_norms and
-# trace_eigenvalue at one index, so one slot serves it.
-_last: dict = {}
+# The last assembly as (V, blocks).  The slot holds V, so no other object
+# can take its identity while the entry lives.  `oscspec trace` calls
+# rvr_norms and trace_eigenvalue at one index with one V, so one slot
+# serves it.
+_last: list = []
 _last_lock = threading.Lock()
 
 
-def _trace_blocks(V: Potential, N: int) -> _TraceBlocks:
-    """V's parity blocks at basis size N, assembled once per (V, N).
+def _trace_blocks(V: Potential, n: int, N: int | None = None) -> _TraceBlocks:
+    """V's parity blocks at basis size N (default basis_size(n)), refused
+    over the byte budget before assembly, assembled once per V object and N.
 
+    Potentials that compare equal are assembled apart: they may still
+    assemble differently (the phases of -0.0 and 0.0 differ by rounding).
     The old assembly is dropped before a new one is built, so two are
     never alive at once; the one kept stays alive until a call with
-    another (V, N), at most 16 bytes per entry of the N x N basis.
+    another V or N, at most 16 bytes per entry of the N x N basis.
     """
-    key = (_potential_key(V), N)
+    if N is None:
+        N = basis_size(n)
+    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
     with _last_lock:
-        blocks = _last.get(key)
-        if blocks is None:
-            _last.clear()
-            blocks = _last[key] = _assemble(V, N)
+        if _last and _last[0][0] is V and _last[0][1].N == N:
+            return _last[0][1]
+        _last.clear()
+        blocks = _assemble(V, N)
+        _last.append((V, blocks))
         return blocks
 
 
@@ -236,18 +245,14 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     Hilbert-Schmidt norm moves by at most 1.5e-8 and the operator norm by
     4.4e-16.
     """
-    if N is None:
-        N = basis_size(n)
-    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
+    tb = _trace_blocks(V, n, N)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     nodes = contour.nodes()
-    blocks = [(V.alpha * (2.0 * index + 1.0), v)
-              for index, v in _trace_blocks(V, N).blocks]
 
     # ||RVR||_2^2 = sum_kl w_k |V_kl|^2 w_l with w = |R|^2, all nodes at
     # once, summed over the parity blocks
     hs = np.zeros(len(nodes))
-    for lk, v in blocks:
+    for _, lk, v in tb.blocks:
         w = np.abs(lk[None, :] - nodes[:, None]) ** -2.0
         hs += np.sum((w @ np.abs(v) ** 2) * w, axis=1)
     hs_best = math.sqrt(float(np.max(hs)))
@@ -256,7 +261,7 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     op_best = tr_best = 0.0
     for lam in nodes[::_DENSE_NODE_STRIDE]:
         parts = []
-        for lk, v in blocks:
+        for _, lk, v in tb.blocks:
             r = 1.0 / np.abs(lk - lam)
             parts.append(np.linalg.eigvalsh(r[:, None] * v * r[None, :]))
         sv = np.abs(np.concatenate(parts))
@@ -283,7 +288,7 @@ def _rs_orders(tb: _TraceBlocks, n: int, alpha: float,
     if not 0 <= n < tb.N:
         raise ValueError(f"index n={n} must lie in the basis [0, {tb.N})")
     # the blocks are (even, odd) or one block of every index
-    index, v = tb.blocks[n % len(tb.blocks)]
+    index, _, v = tb.blocks[n % len(tb.blocks)]
     at = n // len(tb.blocks)
     gap = 2.0 * alpha * (n - index)
     gap[at] = 1.0
@@ -313,11 +318,9 @@ def _neumann_contraction(tb: _TraceBlocks, contour: Contour) -> float:
     real matrix of interleaved (re, im) columns: the product is then one
     real matrix product holding the same entries.
     """
-    blocks = [(contour.alpha * (2.0 * index + 1.0), v)
-              for index, v in tb.blocks]
     contraction = 0.0
     for lam in contour.nodes()[::_DENSE_NODE_STRIDE]:
-        for lk, v in blocks:
+        for _, lk, v in tb.blocks:
             d = 1.0 / (lk - lam)
             rvr = d[:, None] * v
             rvr *= d[None, :]
@@ -341,10 +344,7 @@ def trace_order_j(V: Potential, n: int, N: int | None = None,
     """
     if j < 1:
         raise ValueError("j must be at least 1")
-    if N is None:
-        N = basis_size(n)
-    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
-    return float(_rs_orders(_trace_blocks(V, N), n, V.alpha, j)[j - 1])
+    return float(_rs_orders(_trace_blocks(V, n, N), n, V.alpha, j)[j - 1])
 
 
 @dataclass(frozen=True)
@@ -359,7 +359,7 @@ class TraceEigenvalue:
     unperturbed: float
     orders: tuple[float, ...]          # t_1 .. t_jmax
     partial_sums: tuple[float, ...]    # prediction after including each order
-    contraction: float = math.nan      # largest ||(VR)^2||_F (nan: none)
+    contraction: float                 # largest ||(VR)^2||_F
 
 
 def trace_eigenvalue(V: Potential, n: int, epsilon: float,
@@ -373,11 +373,8 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
-    if N is None:
-        N = basis_size(n)
-    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
+    tb = _trace_blocks(V, n, N)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon)
-    tb = _trace_blocks(V, N)
     contraction = _neumann_contraction(tb, contour)
     orders = tuple(float(t) for t in _rs_orders(tb, n, V.alpha, jmax))
     base = contour.center

@@ -46,7 +46,7 @@ from . import specialfn
 from .model import Potential, rho
 from .specialfn import _check_byte_budget
 
-__all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum", "basis_size"]
+__all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum"]
 
 _EPS = float(np.finfo(float).eps)
 _GROWTH = 1.5
@@ -161,13 +161,6 @@ def _factored_eigh(a: np.ndarray, e: np.ndarray):
     if flat is not q:
         x = x.T.view(q.dtype).T
     return w, np.sum(np.abs(x) ** 2, axis=0)
-
-
-def basis_size(nmax: int) -> int:
-    """Basis size of the trace route (`resolvent`) and of the test oracles:
-    translations couple index k to a band of width O(sqrt k).  `spectrum`
-    sizes its basis from V instead (`_start_size`)."""
-    return 2 * nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
 
 
 def _start_size(V: Potential, nmax: int) -> int:

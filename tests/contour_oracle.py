@@ -9,8 +9,7 @@ the recursion against it and probe the contour's epsilon and node count.
 import numpy as np
 
 from dense_oracle import v_matrix
-from oscspec.resolvent import DEFAULT_NODES, Contour
-from oscspec.spectral import basis_size
+from oscspec.resolvent import DEFAULT_NODES, Contour, basis_size
 
 
 def contour_traces(vm: np.ndarray, contour: Contour, jmax: int) -> np.ndarray:

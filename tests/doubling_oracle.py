@@ -11,7 +11,7 @@ independent reference for the certified bounds of `spectrum`.
 import numpy as np
 
 from oscspec.matelem import solver_blocks
-from oscspec.spectral import basis_size
+from oscspec.resolvent import basis_size
 
 
 def doubling_eigenvalues(V, nmax):

@@ -340,7 +340,10 @@ class TestMain:
         # |||a||| = 1e150, whose cube overflows
         (["--alpha", "1e-300"], "outside the float range at alpha = 1e-300"),
         (["--ax", "1e300"], "outside the float range at alpha = 1.0"),
-    ], ids=["alpha nan", "alpha inf", "alpha -1", "alpha 1e-300", "ax 1e300"])
+        # refused although k > k' skips the series route, which checks it
+        (["--jmax", "-1"], "jmax must be a nonnegative integer, got -1"),
+    ], ids=["alpha nan", "alpha inf", "alpha -1", "alpha 1e-300", "ax 1e300",
+            "jmax -1"])
     def test_matelem_bad_input_exit_two(self, capsys, flags, message):
         # k > k' skips the series route, so nothing here can hang
         assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "1",
@@ -446,7 +449,12 @@ class TestMain:
         (["--n", "-1"], "n must be a nonnegative integer, got -1"),
         (["--n", "10", "--jmax", "0"], "jmax must be at least 1"),
         (["--n", "100000"], "basis size 202594 plans"),
-    ], ids=["negative n", "jmax 0", "oversized basis"])
+        # both the basis and epsilon are invalid: the byte guard runs first
+        (["--n", "8000", "--epsilon", "2"],
+         "basis size 16780 plans 21.0 GiB of dense arrays, over the 4 GiB "
+         "budget"),
+    ], ids=["negative n", "jmax 0", "oversized basis",
+            "oversized basis and bad epsilon"])
     def test_trace_refusal_prints_nothing(self, tmp_path, capsys, flags,
                                           message):
         # every stage runs before the first line: a refusal prints only

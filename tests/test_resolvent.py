@@ -23,18 +23,18 @@ from oscspec.resolvent import (
     _DENSE_NODE_STRIDE,
     Contour,
     NeumannDivergence,
-    TraceEigenvalue,
     WindowPartition,
     _neumann_contraction,
     _rs_orders,
     _trace_blocks,
+    basis_size,
     resolvent_sums,
     rvr_norms,
     trace_eigenvalue,
     trace_order_j,
 )
 from oscspec.asymptotics import first_order_diagonal
-from oscspec.spectral import basis_size, spectrum
+from oscspec.spectral import spectrum
 
 
 def cos_potential(amplitude=1.0, alpha=1.0, frequency=1.0):
@@ -83,6 +83,19 @@ class TestWindowPartition:
     def test_small_n_degenerate(self):
         part = WindowPartition.build(n=0, kappa=1.0 / 3.0, N=10)
         np.testing.assert_array_equal(part.inside, [0])
+
+
+class TestBasisSize:
+    def test_monotone_and_padded(self):
+        prev = 0
+        for nmax in (1, 2, 10, 100, 1000):
+            n = basis_size(nmax)
+            assert n > 2 * nmax
+            assert n > prev
+            prev = n
+
+    def test_formula(self):
+        assert basis_size(100) == 200 + math.ceil(8 * 10.0) + 64
 
 
 class TestResolventSums:
@@ -138,8 +151,8 @@ class TestRvrNorms:
         # cos x commutes with parity, so the norms and the contraction are
         # taken on two real blocks; compare with SVDs of the whole matrix
         V, n, eps = cos_potential(), 32, 0.5
-        tb = _trace_blocks(V, basis_size(n))
-        assert [v.dtype for _, v in tb.blocks] == [np.float64] * 2
+        tb = _trace_blocks(V, n)
+        assert [v.dtype for _, _, v in tb.blocks] == [np.float64] * 2
         op, tr, exact, frobenius = unsplit_reference(V, n, eps)
         norms = rvr_norms(V, n, eps)
         assert norms.operator_norm == pytest.approx(op, rel=1e-13)
@@ -154,8 +167,8 @@ class TestRvrNorms:
         # a_xi != 0 keeps V in one complex block: the norms come from the
         # complex Hermitian eigenvalues of |R| V |R|
         V, eps = quasi_potential(), 0.5
-        tb = _trace_blocks(V, basis_size(n))
-        assert [v.dtype for _, v in tb.blocks] == [np.complex128]
+        tb = _trace_blocks(V, n)
+        assert [v.dtype for _, _, v in tb.blocks] == [np.complex128]
         op, tr, exact, frobenius = unsplit_reference(V, n, eps)
         norms = rvr_norms(V, n, eps)
         assert norms.operator_norm == pytest.approx(op, rel=1e-13)
@@ -254,14 +267,14 @@ class TestRsMatchesContour:
     def test_orders_equal_quadrature(self, V, n):
         jmax = 6
         vm = v_matrix(V, basis_size(n))
-        rs = _rs_orders(_trace_blocks(V, basis_size(n)), n, V.alpha, jmax)
+        rs = _rs_orders(_trace_blocks(V, n), n, V.alpha, jmax)
         oracle = contour_traces(vm, Contour(n=n, alpha=V.alpha, epsilon=0.5),
                                 jmax)
         np.testing.assert_allclose(rs, oracle.real, rtol=0, atol=1e-12)
 
     def test_trace_order_j_is_rs_order(self):
         V = quasi_potential()
-        rs = _rs_orders(_trace_blocks(V, basis_size(12)), 12, V.alpha, 4)
+        rs = _rs_orders(_trace_blocks(V, 12), 12, V.alpha, 4)
         for j in range(1, 5):
             assert trace_order_j(V, n=12, j=j) == rs[j - 1]
 
@@ -294,11 +307,6 @@ class TestTraceEigenvalue:
         assert result.value == pytest.approx(spec.trusted()[n], abs=1e-7)
         exact = unsplit_reference(V, n, 0.5)[2]
         assert 0.0 < exact <= result.contraction < 1.0
-
-    def test_default_contraction_unset(self):
-        te = TraceEigenvalue(value=1.0, unperturbed=1.0, orders=(),
-                             partial_sums=())
-        assert math.isnan(te.contraction)
 
     def test_orders_decay(self):
         V = cos_potential(amplitude=0.5)
@@ -384,8 +392,8 @@ class TestMatchesDenseOracle:
     ], ids=["cos-10", "cos-72", "cos-256", "cos-33", "split-complex-11",
             "split-complex-41", "quasi3-10", "quasi3-41"])
     def test_matches_dense_route(self, V, n, kinds):
-        tb = _trace_blocks(V, basis_size(n))
-        assert [v.dtype for _, v in tb.blocks] == kinds
+        tb = _trace_blocks(V, n)
+        assert [v.dtype for _, _, v in tb.blocks] == kinds
         norms = rvr_norms(V, n, 0.5)
         np.testing.assert_allclose(
             [norms.operator_norm, norms.hilbert_schmidt, norms.trace_norm],
@@ -406,14 +414,17 @@ class TestMatchesDenseOracle:
 
     def test_blocks_are_the_dense_blocks(self):
         # the lower triangle of each block is bitwise the dense one, and
-        # the mirrored upper triangle its transpose (conjugate)
+        # the mirrored upper triangle its transpose (conjugate); each
+        # block's levels are alpha(2k+1) of its indices
         for V in (cos_potential(), split_complex_potential(),
                   seeded_quasi(3)):
             vm = v_matrix(V, 61)
             dense = [block for _, block in dense_blocks(vm)]
-            tb = _trace_blocks(V, 61)
+            tb = _trace_blocks(V, 0, 61)
             assert len(tb.blocks) == len(dense)
-            for (index, v), d in zip(tb.blocks, dense):
+            for (index, levels, v), d in zip(tb.blocks, dense):
+                np.testing.assert_array_equal(
+                    levels, V.alpha * (2.0 * index + 1.0))
                 assert v.dtype == d.dtype
                 np.testing.assert_array_equal(np.tril(v), np.tril(d))
                 np.testing.assert_array_equal(v, v.T.conj())
@@ -424,13 +435,14 @@ class TestMatchesDenseOracle:
         V, n = seeded_quasi(3), 24
         N = basis_size(n)
         np.testing.assert_allclose(
-            _rs_orders(_trace_blocks(V, N), n, V.alpha, 6),
+            _rs_orders(_trace_blocks(V, n), n, V.alpha, 6),
             dense_rs_orders(v_matrix(V, N), n, V.alpha, 6),
             rtol=1e-13, atol=1e-14)
 
 
 class TestAssemblyMemo:
-    """One assembly of V's blocks serves every trace function at (V, N)."""
+    """One assembly of V's blocks serves every trace function at one V
+    object and N."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -443,7 +455,7 @@ class TestAssemblyMemo:
             built.append((V, hi))
             return fill(V, lo, hi, band)
 
-        monkeypatch.setattr(resolvent, "_last", {})
+        monkeypatch.setattr(resolvent, "_last", [])
         monkeypatch.setattr(resolvent, "_v_blocks", record)
         return built
 
@@ -460,11 +472,17 @@ class TestAssemblyMemo:
         trace_order_j(V, n)
         assert builds == [(V, basis_size(n)), (V, basis_size(n + 1)),
                           (W, basis_size(n + 1)), (V, basis_size(n))]
+        # an equal but distinct potential is assembled again
+        U = cos_potential()
+        assert U == V and U is not V
+        trace_order_j(U, n)
+        assert len(builds) == 5
+        assert builds[-1][0] is U and builds[-1][1] == basis_size(n)
 
     def test_old_entry_dropped_before_build(self, builds, monkeypatch):
         V = cos_potential()
-        tb = _trace_blocks(V, 40)
-        refs = [weakref.ref(tb), weakref.ref(tb.blocks[0][1])]
+        tb = _trace_blocks(V, 0, 40)
+        refs = [weakref.ref(tb), weakref.ref(tb.blocks[0][2])]
         del tb
         alive = []
         fill = resolvent._v_blocks
@@ -474,16 +492,18 @@ class TestAssemblyMemo:
             return fill(V, lo, hi, band)
 
         monkeypatch.setattr(resolvent, "_v_blocks", check)
-        _trace_blocks(V, 41)
+        _trace_blocks(V, 0, 41)
         assert alive == [[False, False]]
 
     def test_cached_arrays_read_only(self):
         for V in (cos_potential(), quasi_potential()):
-            for index, v in _trace_blocks(V, 30).blocks:
+            for index, levels, v in _trace_blocks(V, 0, 30).blocks:
                 with pytest.raises(ValueError, match="read-only"):
                     v[0, 0] = 1.0
                 with pytest.raises(ValueError, match="read-only"):
                     index[0] = 1
+                with pytest.raises(ValueError, match="read-only"):
+                    levels[0] = 1.0
 
     def test_signed_zero_not_shared(self, builds):
         # -0.0 == 0.0, so the potentials compare equal, but the phase
@@ -497,5 +517,5 @@ class TestAssemblyMemo:
         trace_order_j(V, 10)
         trace_order_j(W, 10)
         assert len(builds) == 2
-        assert not np.array_equal(resolvent._assemble(V, 10).blocks[0][1],
-                                  resolvent._assemble(W, 10).blocks[0][1])
+        assert not np.array_equal(resolvent._assemble(V, 10).blocks[0][2],
+                                  resolvent._assemble(W, 10).blocks[0][2])

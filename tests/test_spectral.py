@@ -17,13 +17,8 @@ from parity_oracle import block_coupling, parity_blocks, real_if_real
 from oscspec.matelem import SolverBlocks, _block_kinds, solver_blocks
 from oscspec.model import PhasePoint, Potential, rho
 from oscspec import matelem, specialfn, spectral
-from oscspec.spectral import (
-    Spectrum,
-    TruncationError,
-    basis_size,
-    eigensolve,
-    spectrum,
-)
+from oscspec.resolvent import basis_size
+from oscspec.spectral import Spectrum, TruncationError, eigensolve, spectrum
 
 # complex c_a, so one block; a_xi != 0 in two of the pairs
 COMPLEX_FOUR_PAIRS = Potential(alpha=1.0, c0=0.25, terms=(
@@ -439,19 +434,6 @@ class TestSolverBlocks:
         assert N == spectral._start_size(V, 1500) == 1665
         assert plan == 24 * N * N
         assert 0 < growth < plan
-
-
-class TestBasisSize:
-    def test_monotone_and_padded(self):
-        prev = 0
-        for nmax in (1, 2, 10, 100, 1000):
-            n = basis_size(nmax)
-            assert n > 2 * nmax
-            assert n > prev
-            prev = n
-
-    def test_formula(self):
-        assert basis_size(100) == 200 + math.ceil(8 * 10.0) + 64
 
 
 class TestSpectrum:

@@ -14,8 +14,7 @@ import numpy as np
 
 import parity_oracle
 from dense_oracle import v_matrix
-from oscspec.resolvent import _DENSE_NODE_STRIDE, Contour
-from oscspec.spectral import basis_size
+from oscspec.resolvent import _DENSE_NODE_STRIDE, Contour, basis_size
 
 
 def dense_blocks(vm):
