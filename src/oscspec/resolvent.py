@@ -14,18 +14,27 @@ norm on sampled contour nodes.
 
 Every dense quantity reads V's parity blocks through `_trace_blocks`,
 which sizes the basis (`basis_size` by default), refuses one over the byte
-budget, and assembles by `matelem._v_blocks` straight into block storage,
-once per V object and N: split into even and odd indices when every c_a is
-real, and float64 when `_block_kinds` says real, decided from V before
-assembly; no complex N x N matrix is built and no block is found by
-scanning one.  Each block's lower triangle is mirrored in place.  R is
-diagonal, so VR and RVR split with V: the norms are summed or maximized
-over the blocks, exactly, and the RS recursion runs on n's block alone.
-No norm needs a general SVD: with R = P |R| and P a diagonal of phases,
+budget, validates the contour, and assembles by `matelem._v_blocks`
+straight into block storage, once per V object and N: split into even and
+odd indices when every c_a is real, and float64 when `_block_kinds` says
+real, decided from V before assembly; no complex N x N matrix is built and
+no block is found by scanning one.  Each block's lower triangle is
+mirrored in place.  R is diagonal, so VR and RVR split with V: the norms
+are summed or maximized over the blocks, exactly, and the RS recursion
+runs on n's block alone.  A one-slot memo keeps the last assembly,
+read-only, so `oscspec trace`'s rvr_norms and trace_eigenvalue at one
+index share it.
+
+The dense loops run over the contour nodes, and two facts cut them.
+First, the levels alpha(2k+1) are real, so |R| is the same at a node and
+at its conjugate: node i folds to min(i, node_count - i).  No norm of RVR
+needs a general SVD: with R = P |R| and P a diagonal of phases,
 RVR = P (|R| V |R|) P, so the singular values of RVR are the absolute
-eigenvalues of the Hermitian |R| V |R|.  A one-slot memo keeps the last
-assembly, read-only, so `oscspec trace`'s rvr_norms and trace_eigenvalue
-at one index share it.
+eigenvalues of the Hermitian |R| V |R|, and every norm of RVR is taken
+once per folded node.  Second, on a block with d_k = 1/(lambda_k - lambda)
+and W = diag(|d|^2), ||(VR)^2||_F^2 = d^H (V^2 o conj(VWV)) d, o the
+entrywise product: V^2 is formed once per block, VWV once per folded
+node, and each sampled node adds a quadratic form.
 """
 
 from __future__ import annotations
@@ -61,14 +70,14 @@ DEFAULT_NODES = 128
 _DENSE_NODE_STRIDE = 16
 # Peak dense bytes per entry of the N x N basis planned by rvr_norms,
 # trace_eigenvalue and trace_order_j: V's blocks (4 when split and real,
-# 16 in one complex block), |V|^2 and the temporaries of the norms.
-# Measured peaks
-# at N = 2000 (max RSS over the resident size before the call, in a child
-# process warmed at N = 600, each call assembling): rvr_norms 10.0 and
-# trace_eigenvalue 12.1 bytes per entry for cos x (two real blocks), 47.9
-# and 47.2 for a potential in one complex block; trace_order_j 3.5 and
-# 14.3.  rvr_norms then trace_eigenvalue, sharing one assembly, peak at
-# 12.9 and 48.6.
+# 16 in one complex block), and per block the temporaries of the norms, or
+# V^2, VWV and one factor of VWV in the gate.  Measured peaks at N = 2000
+# (max RSS over the resident size before the call, in a child process
+# warmed at N = 600, each call assembling): rvr_norms 9.9 and
+# trace_eigenvalue 10.3 bytes per entry for cos x (two real blocks), 47.3
+# and 63.3 for a potential in one complex block; trace_order_j 3.5 and
+# 14.4.  rvr_norms then trace_eigenvalue, sharing one assembly, peak at
+# 10.1 and 63.9.
 _DENSE_BYTES_PER_ENTRY = 80
 # Peak bytes of resolvent_sums per contour node and basis index.  Measured
 # (max RSS growth): 24.2 at 128 nodes (N = 80064) and 25.0 at 32, the
@@ -202,9 +211,15 @@ _last: list = []
 _last_lock = threading.Lock()
 
 
-def _trace_blocks(V: Potential, n: int, N: int | None = None) -> _TraceBlocks:
+def _trace_blocks(V: Potential, n: int, N: int | None = None,
+                  epsilon: float | None = None,
+                  node_count: int = DEFAULT_NODES) -> _TraceBlocks:
     """V's parity blocks at basis size N (default basis_size(n)), refused
     over the byte budget before assembly, assembled once per V object and N.
+
+    Given epsilon, the Contour around n is validated between the byte guard
+    and the assembly: an oversized basis is reported first, and an invalid
+    contour is refused without assembling.
 
     Potentials that compare equal are assembled apart: they may still
     assemble differently (the phases of -0.0 and 0.0 differ by rounding).
@@ -215,6 +230,8 @@ def _trace_blocks(V: Potential, n: int, N: int | None = None) -> _TraceBlocks:
     if N is None:
         N = basis_size(n)
     _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
+    if epsilon is not None:
+        Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     with _last_lock:
         if _last and _last[0][0] is V and _last[0][1].N == N:
             return _last[0][1]
@@ -222,6 +239,14 @@ def _trace_blocks(V: Potential, n: int, N: int | None = None) -> _TraceBlocks:
         blocks = _assemble(V, N)
         _last.append((V, blocks))
         return blocks
+
+
+def _sampled_nodes(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every _DENSE_NODE_STRIDE-th node index i, and each folded to
+    min(i, node_count - i): the index of the node or of its conjugate,
+    which has the same |R| since the levels are real."""
+    sampled = np.arange(0, node_count, _DENSE_NODE_STRIDE)
+    return sampled, np.minimum(sampled, node_count - sampled)
 
 
 @dataclass(frozen=True)
@@ -238,6 +263,9 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     """Hilbert-Schmidt norm at every node; operator and trace norms at
     every _DENSE_NODE_STRIDE-th node, from the eigenvalues of |R| V |R|
     (one symmetric eigensolve per parity block, real when the block is).
+    Each norm is read from |R|, so each is taken once per node folded with
+    its conjugate: node_count / 2 + 1 Hilbert-Schmidt rows, and 5
+    eigensolves per block at the default 128 nodes.
 
     At the default N = basis_size(n) the trace norm is converged only to
     about 1e-3 relative: it moves by 2.4e-4 to 8.0e-4 between N and 2N
@@ -245,21 +273,22 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     Hilbert-Schmidt norm moves by at most 1.5e-8 and the operator norm by
     4.4e-16.
     """
-    tb = _trace_blocks(V, n, N)
+    tb = _trace_blocks(V, n, N, epsilon, node_count)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     nodes = contour.nodes()
 
-    # ||RVR||_2^2 = sum_kl w_k |V_kl|^2 w_l with w = |R|^2, all nodes at
-    # once, summed over the parity blocks
-    hs = np.zeros(len(nodes))
+    # ||RVR||_2^2 = sum_kl w_k |V_kl|^2 w_l with w = |R|^2, at every node
+    # up to conjugation at once, summed over the parity blocks
+    half = nodes[:node_count // 2 + 1]
+    hs = np.zeros(len(half))
     for _, lk, v in tb.blocks:
-        w = np.abs(lk[None, :] - nodes[:, None]) ** -2.0
+        w = np.abs(lk[None, :] - half[:, None]) ** -2.0
         hs += np.sum((w @ np.abs(v) ** 2) * w, axis=1)
     hs_best = math.sqrt(float(np.max(hs)))
 
     # the singular values of RVR are those of its parity blocks together
     op_best = tr_best = 0.0
-    for lam in nodes[::_DENSE_NODE_STRIDE]:
+    for lam in nodes[np.unique(_sampled_nodes(node_count)[1])]:
         parts = []
         for _, lk, v in tb.blocks:
             r = 1.0 / np.abs(lk - lam)
@@ -314,19 +343,42 @@ def _neumann_contraction(tb: _TraceBlocks, contour: Contour) -> float:
     The Frobenius norm bounds the spectral norm from above, so the gate can
     only reject more; it is tight here, as (VR)^2 is close to rank one.
     (VR)^2 = V (RVR) is block diagonal with V, so its norm is the largest
-    over the parity blocks.  For a real block the complex RVR is read as a
-    real matrix of interleaved (re, im) columns: the product is then one
-    real matrix product holding the same entries.
+    over the parity blocks.  On a block, with d_k = 1/(lambda_k - lambda)
+    and W = diag(|d|^2), ||V D V D||_F^2 = Tr[V D V W V D* V] is the
+    Hermitian form d^H (V^2 o conj(VWV)) d, o the entrywise product.  V^2
+    is formed once per block, and VWV = (V|R|)(V|R|)^H depends on |R|
+    alone, so one Hermitian product serves a node and its conjugate; each
+    sampled node then adds an O(m^2) form.  The conjugate must sit on VWV:
+    on V^2 instead, a complex block would give each node its partner's
+    value.
     """
-    contraction = 0.0
-    for lam in contour.nodes()[::_DENSE_NODE_STRIDE]:
-        for _, lk, v in tb.blocks:
-            d = 1.0 / (lk - lam)
-            rvr = d[:, None] * v
-            rvr *= d[None, :]
-            if np.isrealobj(v):
-                rvr = rvr.view(np.float64)
-            contraction = max(contraction, float(np.linalg.norm(v @ rvr)))
+    nodes = contour.nodes()
+    sampled, folded = _sampled_nodes(contour.node_count)
+    square = 0.0
+    for _, lk, v in tb.blocks:
+        real = np.isrealobj(v)
+        v2 = v @ v.conj().T   # V^2, symmetric product when real
+        for f in np.unique(folded):
+            r = 1.0 / np.abs(lk - nodes[f])
+            if real:
+                vr = v * r
+                form = vr @ vr.T   # VWV: one symmetric product
+            else:
+                # conj(VWV) = V^T W V^T, as conj(V) = V^T: no conjugate copy
+                form = v.T @ (r[:, None] ** 2 * v.T)
+            form *= v2
+            for lam in nodes[sampled[folded == f]]:
+                d = 1.0 / (lk - lam)
+                if real:
+                    # d^H A d = a^T A a + b^T A b for d = a + ib, A real
+                    # symmetric
+                    x = d.view(np.float64).reshape(-1, 2)
+                    q = float(np.sum(x * (form @ x)))
+                else:
+                    q = float(np.vdot(d, form @ d).real)
+                square = max(square, q)
+            del form   # released before the next product is formed
+    contraction = math.sqrt(square)
     if contraction >= 1.0:
         raise NeumannDivergence(
             f"||(VR)^2|| reaches {contraction:.3f} >= 1 on the contour "
@@ -373,7 +425,7 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
-    tb = _trace_blocks(V, n, N)
+    tb = _trace_blocks(V, n, N, epsilon)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon)
     contraction = _neumann_contraction(tb, contour)
     orders = tuple(float(t) for t in _rs_orders(tb, n, V.alpha, jmax))

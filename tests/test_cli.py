@@ -445,6 +445,21 @@ class TestMain:
         assert "budget" in err
         assert built == []
 
+    def test_trace_refuses_bad_epsilon_before_assembly(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # n = 3000 plans N = 6503, within the byte budget: the contour is
+        # refused after the byte guard and before any matrix is built
+        built = []
+        monkeypatch.setattr(resolvent, "_v_blocks",
+                            lambda V, lo, hi, band: built.append(hi))
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["trace", "--config", str(cfg_path), "--n", "3000",
+                     "--epsilon", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon must lie in (0, alpha)")
+        assert built == []
+
     @pytest.mark.parametrize("flags, message", [
         (["--n", "-1"], "n must be a nonnegative integer, got -1"),
         (["--n", "10", "--jmax", "0"], "jmax must be at least 1"),

@@ -10,11 +10,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contour_oracle import contour_order_j, contour_traces
 from test_spectral import quasi_potential as seeded_quasi
-from trace_oracle import (dense_rs_orders, dense_rvr_norms,
-                          dense_trace_eigenvalue)
+from trace_oracle import (dense_contraction, dense_rs_orders,
+                          dense_rvr_norms, dense_trace_eigenvalue)
 from dense_oracle import v_matrix
 from oscspec import matelem, resolvent
 from parity_oracle import dense_blocks, parity_blocks
@@ -412,6 +414,29 @@ class TestMatchesDenseOracle:
             assert trace_order_j(V, n, j=j) == pytest.approx(
                 orders[j - 1], rel=1e-13, abs=scale)
 
+    @pytest.mark.parametrize("node_count", [32, 40, 48, 128])
+    @pytest.mark.parametrize("V, kinds", [
+        (cos_potential(), [np.float64] * 2),
+        (quasi_potential(), [np.complex128]),
+    ], ids=["cos", "quasi"])
+    def test_folded_nodes_match_dense_route(self, V, kinds, node_count):
+        # the sampled nodes are closed under conjugation at 32, 48 and 128
+        # nodes but not at 40 (0, 16 and 32; 32 folds to 8): each norm is
+        # taken at the folded node, and the gate at every sampled one
+        n, eps = 40, 0.5
+        tb = _trace_blocks(V, n)
+        assert [v.dtype for _, _, v in tb.blocks] == kinds
+        norms = rvr_norms(V, n, eps, node_count=node_count)
+        np.testing.assert_allclose(
+            [norms.operator_norm, norms.hilbert_schmidt, norms.trace_norm],
+            dense_rvr_norms(V, n, eps, node_count=node_count),
+            rtol=1e-13, atol=0)
+        contour = Contour(n=n, alpha=V.alpha, epsilon=eps,
+                          node_count=node_count)
+        assert _neumann_contraction(tb, contour) == pytest.approx(
+            dense_contraction(v_matrix(V, basis_size(n)), contour),
+            rel=1e-13, abs=0)
+
     def test_blocks_are_the_dense_blocks(self):
         # the lower triangle of each block is bitwise the dense one, and
         # the mirrored upper triangle its transpose (conjugate); each
@@ -438,6 +463,39 @@ class TestMatchesDenseOracle:
             _rs_orders(_trace_blocks(V, n), n, V.alpha, 6),
             dense_rs_orders(v_matrix(V, N), n, V.alpha, 6),
             rtol=1e-13, atol=1e-14)
+
+
+@st.composite
+def two_pair_potentials(draw):
+    """Two pairs with complex c_a and a_xi != 0, in one complex block; the
+    sign ranges keep the four phase points distinct."""
+    terms = []
+    for ax_range, axi_range in (((0.0, 1.5), (0.1, 1.5)),
+                                ((0.1, 1.5), (-1.5, -0.1))):
+        a = PhasePoint(draw(st.floats(*ax_range)), draw(st.floats(*axi_range)))
+        c = complex(draw(st.floats(0.02, 0.4)) * np.exp(
+            1j * draw(st.floats(0.0, 2.0 * math.pi))))
+        terms += [(a, c), (-a, c.conjugate())]
+    return Potential(alpha=1.0, terms=tuple(terms),
+                     c0=draw(st.floats(-0.5, 0.5)))
+
+
+class TestGateDecision:
+    @settings(max_examples=40, deadline=None)
+    @given(V=two_pair_potentials(), n=st.integers(0, 40),
+           eps=st.floats(0.1, 0.9))
+    def test_refuses_where_dense_oracle_reaches_one(self, V, n, eps):
+        # the Gram form refuses exactly where the complex (VR)^2 of the
+        # dense oracle reaches 1, and otherwise gives its value
+        contour = Contour(n=n, alpha=V.alpha, epsilon=eps)
+        dense = dense_contraction(v_matrix(V, basis_size(n)), contour)
+        assume(abs(dense - 1.0) > 1e-12)
+        if dense >= 1.0:
+            with pytest.raises(NeumannDivergence):
+                trace_eigenvalue(V, n, eps, jmax=1)
+        else:
+            assert trace_eigenvalue(V, n, eps, jmax=1).contraction == \
+                pytest.approx(dense, rel=1e-12, abs=0)
 
 
 class TestAssemblyMemo:
