@@ -22,7 +22,15 @@ prefactored Laguerre recurrence, `_magnitudes`, run on one offset for a
 single element and, in `_v_blocks`, on a vector of offsets for all
 {a, -a} pairs at once, cut at each step to the offsets still written.
 Its iterates are exactly the (signed) element magnitudes, so every
-intermediate stays bounded by 1 and basis sizes of 10^4 never overflow.
+intermediate stays bounded by 1 and basis sizes of 10^4 never overflow;
+a start below the float range carries its exponent apart until the
+iterate is back in range.
+
+One rule, `_coupling_band`, says where V's entries end: from Szego's
+bound it gives the offset past which the entries of rows below N sum to
+at most a target.  `spectral` sizes its coupling block with it, and
+`_v_blocks` cuts every row k at its band for target _REACH_TOL and the
+power of 2 past k (`_reach`), a cut whose norm `_cut_norm` bounds.
 Only the oracle needs scipy (`scipy.special.roots_hermite`), and imports
 it on its first call.
 """
@@ -59,6 +67,18 @@ ORACLE_INDEX_MAX = 300
 # 3000): 19.6 for cos x's two real blocks, 23.6 for one real block or two
 # complex ones, 31.4 for one complex block.
 _V_MATRIX_BYTES_PER_ENTRY = 32
+# The target past which `_v_blocks` cuts each row (`_reach`).  At 1e-30
+# the `oscspec compute` CSVs of cos x (nmax 800 and 2000) and quasi seed 3
+# (nmax 600), and `oscspec trace` of cos x at n = 64, 72 and 80, are those
+# of a fill that keeps every entry down to subnormals; at 1e-20 their
+# eigenvalues moved by up to 3.9e-12, through LAPACK's rounding.
+_REACH_TOL = 1e-30
+# A magnitude start below 2^_CARRY_START carries its exponent apart, with
+# its value held near 2^_CARRY_LEVEL until the true value gets there
+# (`_magnitudes`).
+_CARRY_START = -900
+_CARRY_LEVEL = -300
+_LN2 = math.log(2.0)
 
 
 def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
@@ -96,31 +116,70 @@ def _magnitudes(r, m, kmax: int, widths=None):
     so one loop serves floats and arrays, and each step's denominator
     sqrt((j+1)(j+1+m)) is the next step's sqrt(j(j+m)).  Given `widths`,
     row k of the caller writes the first widths[k] offsets, and each
-    iterate is cut to the offsets a row from it on still writes.  An
-    offset whose start value underflows to 0 for every pair stays exactly
-    0, so those past the last nonzero one are cut from the start.
+    iterate is cut to the offsets a row from it on still writes.
+
+    A start below 2^_CARRY_START, which would lose digits as a subnormal
+    or underflow to 0 while the true element at row k grows like
+    J_m(2r sqrt(2k)) (Szego, Orthogonal Polynomials, 8.22), carries an
+    integer exponent e: the iterate holds g 2^e, started near
+    2^_CARRY_LEVEL, and yields g 2^-e (the extended exponent of Fukushima,
+    J. Geodesy 86, 2012).  The recurrence is linear, so scaling by powers
+    of 2 (`_carry`) changes nothing but the exponent.  Offsets that carry
+    nothing run the same arithmetic, and once no offset carries the loop
+    is the plain one.
     """
     x = 2.0 * r * r
-    g = np.exp(m * _elementwise(math.log, math.sqrt(2.0) * r) - r * r
-               - 0.5 * _log_factorial(m))
+    log_g = (m * _elementwise(math.log, math.sqrt(2.0) * r) - r * r
+             - 0.5 * _log_factorial(m))
+    low = log_g < _CARRY_START * _LN2
+    e = None
+    if isinstance(log_g, np.ndarray):
+        ldexp = np.ldexp
+        if low.any():
+            e = np.where(low, np.ceil(_CARRY_LEVEL - log_g / _LN2), 0).astype(int)
+    else:
+        ldexp = math.ldexp
+        if low:
+            e = math.ceil(_CARRY_LEVEL - log_g / _LN2)
+    g = np.exp(log_g if e is None else log_g + e * _LN2)
     if widths is not None:
-        nonzero = np.flatnonzero(np.any(np.atleast_2d(g) != 0.0, axis=0))
-        last = int(nonzero[-1]) + 1 if nonzero.size else 0
-        keep = np.minimum(np.maximum.accumulate(widths[::-1])[::-1],
-                          last).tolist()
+        keep = np.maximum.accumulate(widths[::-1])[::-1].tolist()
         g, m = g[..., :keep[0]], m[:keep[0]]
+        if e is not None:
+            e = e[..., :keep[0]]
     prev = root = 0.0   # g_{-1} and sqrt(j (j + m)) at j = 0
-    yield g
+    yield g if e is None else ldexp(g, -e)
     for j in range(kmax):
         if widths is not None and keep[j + 1] < len(m):
             w = keep[j + 1]
             g, m = g[..., :w], m[:w]
             if j:
                 prev, root = prev[..., :w], root[:w]
+            if e is not None:
+                e = e[..., :w]
         denominator = ((j + 1) * (j + 1 + m)) ** 0.5
         prev, g = g, ((2 * j + 1 + m - x) * g - root * prev) / denominator
         root = denominator
-        yield g
+        if e is not None:
+            g, prev, e = _carry(g, prev, e)
+        yield g if e is None else ldexp(g, -e)
+
+
+def _carry(g, prev, e):
+    """Move what fits of the exponents e carried by the iterates g and prev
+    into their values: per offset, the larger of |g| and |prev| is brought
+    back to about 2^_CARRY_LEVEL, or e goes to 0.  Both are multiplied by
+    2^-s, s <= e, which is exact while prev stays normal (a prev that does
+    not is below 2^-720 of g and no longer counts).  Returns g, prev and
+    e, e being None once it is 0 everywhere.  A float g runs in `math`.
+    """
+    if isinstance(g, np.ndarray):
+        top = np.frexp(np.maximum(np.abs(g), np.abs(prev)))[1]
+        s = np.minimum(e, np.maximum(top - _CARRY_LEVEL, 0))
+        e = e - s
+        return np.ldexp(g, -s), np.ldexp(prev, -s), e if e.any() else None
+    s = min(e, max(math.frexp(max(abs(g), abs(prev)))[1] - _CARRY_LEVEL, 0))
+    return math.ldexp(g, -s), math.ldexp(prev, -s), e - s or None
 
 
 def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
@@ -337,6 +396,87 @@ def _block_kinds(V: Potential) -> tuple[bool, bool]:
     return split, real
 
 
+def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
+    """Smallest band b whose dropped coupling is bounded by `target`, and
+    that bound.
+
+    Entries of V between index j < N and k = j + m >= N are bounded by
+    sum_a |c_a| T_a(m), T_a(m) = (sqrt2 r_a)^m (N+m)^(m/2) / m!, from
+    Szego's |L_j^(m)(x)| <= binom(j+m, j) e^(x/2) (Orthogonal Polynomials,
+    (7.21.3)).  The ratio T_a(m+1)/T_a(m) is at most
+    q = sqrt2 r_a sqrt(e (N+m+1)) / (m+1), which falls with m, so the
+    offsets m > b sum to at most T_a(b+1) / (1 - q).  That sum bounds
+    the entries past offset b of every row below N: in `spectral`, every
+    row and column sum of the entries outside the coupling block
+    E = V[N:N+b, N-b:N] that `_certify` keeps, hence (Schur test) their
+    operator norm; in `_reach`, what a row's cut drops.  Each term is
+    compared with `target` by its log first, so one past the float range
+    (large r_a sqrt(N)) widens b as any term over the target does.  Terms
+    with c_a = 0 bound nothing and are left out.  Once q < 1 every term's
+    bound falls with b, so "the bound of b is at most target" is false and
+    then true: b is found by doubling, then bisection, in O(log b)
+    evaluations.
+    """
+    terms = [(math.sqrt(2.0) * rho_of(p, V.alpha), abs(c)) for p, c in V.terms
+             if c != 0]
+    if not terms:
+        return 0, 0.0
+    log_target = math.log(target)
+
+    def dropped(b: int) -> float:
+        m = b + 1
+        total = 0.0
+        for z, c in terms:
+            q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
+            if q >= 1.0:
+                return math.inf
+            log_t = m * math.log(z) + 0.5 * m * math.log(N + m) - math.lgamma(m + 1)
+            if log_t + math.log(c / (1.0 - q)) > log_target:
+                return math.inf
+            total += c * math.exp(log_t) / (1.0 - q)
+        return total
+
+    hi = 0
+    while not dropped(hi) <= target:
+        hi = 2 * hi + 1
+    # (hi - 1) // 2 is the size doubled last, or -1 (no band) for hi = 0
+    b = _bisect(lambda b: dropped(b) <= target, (hi - 1) // 2, hi)
+    return b, dropped(b)
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """The k in (lo, hi] where pred, false at lo and true at hi, turns true."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+def _reach(V: Potential, lo: int, hi: int) -> np.ndarray:
+    """The last offset each row k = lo .. hi-1 of V keeps: the band of
+    `_coupling_band` at target _REACH_TOL and basis size 2^bit_length(k),
+    the least power of 2 past k.  Past it, row k's entries sum to at most
+    _REACH_TOL.  It depends on k alone, so a fill of rows lo .. hi-1 cuts
+    each row as a fill from 0 does; rows 2^(j-1) .. 2^j - 1 share a band.
+    """
+    reach = np.empty(hi - lo, dtype=int)
+    for j in range(lo.bit_length(), (hi - 1).bit_length() + 1):
+        first = max((1 << j) >> 1, lo)
+        reach[first - lo:(1 << j) - lo] = _coupling_band(V, 1 << j,
+                                                         _REACH_TOL)[0]
+    return reach
+
+
+def _cut_norm(N: int) -> float:
+    """Bound on the norm of the entries of V that `_reach` cuts from rows
+    below N.  In the upper triangle each row's cut sums to at most
+    _REACH_TOL, and each column's to at most _REACH_TOL per group of rows
+    sharing a band, of which rows below N make 1 + ceil(log2 N).  By the
+    Schur test that triangle's norm is at most _REACH_TOL sqrt(1 +
+    ceil(log2 N)), and the Hermitian cut's twice that."""
+    return 2.0 * _REACH_TOL * math.sqrt((N - 1).bit_length() + 1)
+
+
 @dataclass(frozen=True)
 class SolverBlocks:
     """The N x N truncation A_N of H + V in the storage its eigensolver
@@ -369,9 +509,12 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
     lower triangle is conj(V_{k, k+m}), so row k of the recurrence fills
     one column segment, which is split at the block's last row between
     column k - lo of its parity block and a column of its coupling.  A
-    split matrix runs the recurrence on the even offsets only.  The lower
-    triangles are bitwise those of `tests/dense_oracle.py` read through
-    `tests/parity_oracle.py`, and a window's the rows of the fill from 0.
+    split matrix runs the recurrence on the even offsets only.  Row k is
+    cut past offset `_reach`(k), which drops at most _REACH_TOL from it
+    and depends on k alone.  The lower triangles are bitwise those of the
+    uncut `tests/dense_oracle.py` read through `tests/parity_oracle.py`
+    wherever they are nonzero, and 0 where that entry is at most
+    _REACH_TOL; a window's are the rows of the fill from 0.
     """
     if not 0 <= lo < hi or band < 0:
         raise ValueError("rows need 0 <= lo < hi and band nonnegative")
@@ -395,9 +538,10 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
     if pairs:
         rows = np.arange(hi)
         # row k >= lo writes offsets m < hi - k, and the band past hi from
-        # elo on
+        # elo on, out to its reach
         widths = -(-(hi - rows + np.where(rows >= elo, band, 0)) // step)
         widths[:lo] = 0
+        widths[lo:] = np.minimum(widths[lo:], _reach(V, lo, hi) // step + 1)
         m = step * np.arange(widths.max(), dtype=float)
         r, coeff = _pair_terms(pairs, V.alpha, m)
         # the lower triangle's conj(V_{k, k+m}); real blocks drop the
@@ -407,7 +551,7 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
             if k < lo:
                 continue
             t, c = (k - lo) % step, (k - lo) // step
-            w = min(widths[k], g.shape[1])
+            w = widths[k]
             terms = lower[:, :w] * g[:, :w]
             inside = len(blocks[t]) - c
             _add_rows(blocks[t][c:, c][:w], terms[:, :inside])
@@ -425,8 +569,9 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
     from `_v_blocks`, with alpha(2k+1) added to their diagonal.
 
     The blocks, their couplings and the diagonal are bitwise those of
-    `tests/dense_oracle.py`'s dense `build_matrix` read through
-    `tests/parity_oracle.py`, without its complex N x N matrix.
+    `tests/dense_oracle.py`'s uncut dense `build_matrix` read through
+    `tests/parity_oracle.py`, without its complex N x N matrix, except
+    for the entries of at most _REACH_TOL that `_v_blocks` cuts to 0.
     """
     blocks = _v_blocks(V, 0, N, band)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)

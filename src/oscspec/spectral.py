@@ -41,9 +41,10 @@ import numpy as np
 # build_matrix has no use here; perfbench's tracer tests wrap it under
 # this module's name until the benchmark is refitted (ROADMAP item 3)
 from .matelem import build_matrix  # noqa: F401
-from .matelem import SolverBlocks, _block_kinds, solver_blocks
+from .matelem import (SolverBlocks, _bisect, _block_kinds, _coupling_band,
+                      _cut_norm, solver_blocks)
 from . import specialfn
-from .model import Potential, rho
+from .model import Potential
 from .specialfn import _check_byte_budget
 
 __all__ = ["Spectrum", "TruncationError", "eigensolve", "spectrum"]
@@ -234,60 +235,6 @@ def _rounding(V: Potential, N: int) -> float:
     return math.sqrt(N) * _EPS * norm
 
 
-def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
-    """Smallest band b whose dropped coupling is bounded by `target`, and
-    that bound.
-
-    Entries of V between index j < N and k = j + m >= N are bounded by
-    sum_a |c_a| T_a(m), T_a(m) = (sqrt2 r_a)^m (N+m)^(m/2) / m!, from
-    Szego's |L_j^(m)(x)| <= binom(j+m, j) e^(x/2) (Orthogonal Polynomials,
-    (7.21.3)).  The ratio T_a(m+1)/T_a(m) is at most
-    q = sqrt2 r_a sqrt(e (N+m+1)) / (m+1), which falls with m, so the
-    offsets m > b sum to at most T_a(b+1) / (1 - q).  That sum bounds every
-    row and column sum of the entries outside the block
-    E = V[N:N+b, N-b:N] that `_certify` keeps, hence (Schur test) their
-    operator norm.  Each term is compared with `target` by its log first,
-    so one past the float range (large r_a sqrt(N)) widens b as any term
-    over the target does.  Terms with c_a = 0 bound nothing and are left
-    out.  Once q < 1 every term's bound falls with b, so "the bound of b
-    is at most target" is false and then true: b is found by doubling,
-    then bisection, in O(log b) evaluations.
-    """
-    terms = [(math.sqrt(2.0) * rho(p, V.alpha), abs(c)) for p, c in V.terms
-             if c != 0]
-    if not terms:
-        return 0, 0.0
-    log_target = math.log(target)
-
-    def dropped(b: int) -> float:
-        m = b + 1
-        total = 0.0
-        for z, c in terms:
-            q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
-            if q >= 1.0:
-                return math.inf
-            log_t = m * math.log(z) + 0.5 * m * math.log(N + m) - math.lgamma(m + 1)
-            if log_t + math.log(c / (1.0 - q)) > log_target:
-                return math.inf
-            total += c * math.exp(log_t) / (1.0 - q)
-        return total
-
-    hi = 0
-    while not dropped(hi) <= target:
-        hi = 2 * hi + 1
-    # (hi - 1) // 2 is the size doubled last, or -1 (no band) for hi = 0
-    b = _bisect(lambda b: dropped(b) <= target, (hi - 1) // 2, hi)
-    return b, dropped(b)
-
-
-def _bisect(pred, lo: int, hi: int) -> int:
-    """The k in (lo, hi] where pred, false at lo and true at hi, turns true."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-    return hi
-
-
 def _certify(V: Potential, N: int, dropped: float, ritz: list,
              nmax: int) -> np.ndarray:
     """Bounds on |lambda_n(H+V) - theta_n| for n = 0..nmax.
@@ -304,8 +251,9 @@ def _certify(V: Potential, N: int, dropped: float, ritz: list,
     unitary, and its coupling to the other Ritz vectors is a part of QVP.
     For index n, m is the smallest index >= n whose gap eta_n = that
     lower bound - theta_n is positive, and |lambda_n - theta_n| <=
-    ||F||_F^2 / eta_n.  To that come the dropped coupling (Weyl) and the
-    eigensolver's rounding (`_rounding`).
+    ||F||_F^2 / eta_n.  To that come, by Weyl, the dropped coupling and
+    the entries `matelem._v_blocks` cut from the rows below N
+    (`_cut_norm`), and the eigensolver's rounding (`_rounding`).
     """
     sigma = V.coefficient_sum()
     theta = np.concatenate([w for w, _ in ritz])
@@ -321,7 +269,7 @@ def _certify(V: Potential, N: int, dropped: float, ritz: list,
     quadratic = np.full(nmax + 1, np.inf)
     ok = eta > 0
     quadratic[ok] = cum[past[ok] - 1] / eta[ok]
-    return quadratic + dropped + _rounding(V, N)
+    return quadratic + (dropped + _cut_norm(N)) + _rounding(V, N)
 
 
 @dataclass(frozen=True)
@@ -419,17 +367,18 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     eigenvalues of perturbed Hermitian matrices", Linear Algebra Appl. 395
     (2005), in the Kato-Temple line of Parlett, "The Symmetric Eigenvalue
     Problem").  It holds on every finite section of H+V past N + b and so
-    in the limit.  The dropped coupling is added by Weyl's inequality and
-    the eigensolver's rounding by the probabilistic model sqrt(N) eps
-    ||A_N|| of `_rounding`, so the bound is rigorous for the truncation
-    and modelled for the rounding.  While some bound exceeds
-    convergence_tol, N grows by half.  The start size and each larger one
-    are capped at the largest size whose plan with its band
-    (`_planned_bytes`) fits the dense byte budget (`_fitted_size`); once
-    N can grow no further, TruncationError names the first index that
-    fails.  An nmax that leaves no room for nmax + 1 Ritz values under the
-    budget is refused before assembly.  `Spectrum.basis_sizes` lists
-    every size tried.
+    in the limit.  The coupling dropped past the band, and the entries of
+    at most 1e-30 a row that the fill cuts (`matelem._cut_norm`), are
+    added by Weyl's inequality, and the eigensolver's rounding by the
+    probabilistic model sqrt(N) eps ||A_N|| of `_rounding`, so the bound
+    is rigorous for the truncation and modelled for the rounding.  While
+    some bound exceeds convergence_tol, N grows by half.  The start size
+    and each larger one are capped at the largest size whose plan with
+    its band (`_planned_bytes`) fits the dense byte budget
+    (`_fitted_size`); once N can grow no further, TruncationError names
+    the first index that fails.  An nmax that leaves no room for nmax + 1
+    Ritz values under the budget is refused before assembly.
+    `Spectrum.basis_sizes` lists every size tried.
     Warns, naming the indices, where sorted order may not be the
     perturbative labelling.
     """

@@ -1,19 +1,36 @@
-"""Test oracle: the dense complex fill of V that `matelem._v_blocks` replaced.
+"""Test oracle: the uncut dense complex fill of V that `matelem._v_blocks`
+replaced.
 
 `matelem` fills V once, into parity-block storage of a row range, for
-`spectrum`, the trace route, `window_sup` and `v_matrix`.  This oracle
-keeps the fill as it stood before: one pass of the magnitude recurrence
-into the upper triangle of a dense complex block from row lo, every pair
-added in order, the strict upper triangle mirrored down with conjugation.
-It shares only the recurrence and the pairs' coefficients with `matelem`;
-tests compare the two fills.
+`spectrum`, the trace route, `window_sup` and `v_matrix`, and cuts each
+row where its entries past the reach sum to at most `matelem._REACH_TOL`.
+This oracle keeps the fill as it stood before, and uncut: one pass of the
+magnitude recurrence into the upper triangle of a dense complex block
+from row lo, every row out to the block's edge, every pair added in
+order, the strict upper triangle mirrored down with conjugation.  It
+shares only the recurrence and the pairs' coefficients with `matelem`;
+tests compare the two fills where the fill is nonzero, and bound the
+oracle's entries where the cut left 0.
 """
 
 import math
 
 import numpy as np
 
-from oscspec.matelem import _add_rows, _magnitudes, _pair_terms
+from oscspec.matelem import _REACH_TOL, _add_rows, _magnitudes, _pair_terms
+
+
+def assert_cut_fill(got, want):
+    """Assert that the fill `got` is the uncut `want` as `_v_blocks` cuts
+    it: bitwise equal wherever `got` is nonzero, and where `got` holds 0,
+    `want`'s entry at most _REACH_TOL in modulus.  Returns how many
+    nonzero entries of `want` were cut."""
+    got, want = np.asarray(got), np.asarray(want)
+    kept = got != 0
+    np.testing.assert_array_equal(got[kept], want[kept])
+    cut = want[~kept]
+    assert np.all(np.abs(cut) <= _REACH_TOL), np.max(np.abs(cut))
+    return int(np.count_nonzero(cut))
 
 
 def _accumulate_pairs(out, V, lo):

@@ -17,7 +17,7 @@ from contour_oracle import contour_order_j, contour_traces
 from test_spectral import quasi_potential as seeded_quasi
 from trace_oracle import (dense_contraction, dense_rs_orders,
                           dense_rvr_norms, dense_trace_eigenvalue)
-from dense_oracle import v_matrix
+from dense_oracle import assert_cut_fill, v_matrix
 from oscspec import matelem, resolvent
 from parity_oracle import dense_blocks, parity_blocks
 from oscspec.model import PhasePoint, Potential
@@ -438,9 +438,11 @@ class TestMatchesDenseOracle:
             rel=1e-13, abs=0)
 
     def test_blocks_are_the_dense_blocks(self):
-        # the lower triangle of each block is bitwise the dense one, and
-        # the mirrored upper triangle its transpose (conjugate); each
+        # the lower triangle of each block is the uncut dense one, bitwise
+        # where it is nonzero and at most _REACH_TOL where the fill cut it,
+        # and the mirrored upper triangle its transpose (conjugate); each
         # block's levels are alpha(2k+1) of its indices
+        cut = 0
         for V in (cos_potential(), split_complex_potential(),
                   seeded_quasi(3)):
             vm = v_matrix(V, 61)
@@ -451,10 +453,19 @@ class TestMatchesDenseOracle:
                 np.testing.assert_array_equal(
                     levels, V.alpha * (2.0 * index + 1.0))
                 assert v.dtype == d.dtype
-                np.testing.assert_array_equal(np.tril(v), np.tril(d))
+                cut += assert_cut_fill(np.tril(v), np.tril(d))
                 np.testing.assert_array_equal(v, v.T.conj())
                 np.testing.assert_array_equal(
                     index, np.arange(61)[index[0]::len(tb.blocks)])
+        assert cut > 0
+
+    def test_no_subnormal_entries(self):
+        # the fill cuts each row where its rest sums to 1e-30, so products
+        # of the blocks never reach subnormal numbers; uncut, cos x's
+        # blocks at n = 72 held entries down to 2.3e-317
+        tb = _trace_blocks(cos_potential(), 72)
+        smallest = min(np.min(np.abs(v[v != 0])) for _, _, v in tb.blocks)
+        assert smallest > 1e-300
 
     def test_rs_orders_match_dense_recursion(self):
         V, n = seeded_quasi(3), 24
