@@ -11,26 +11,28 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 
 One fill, `_v_blocks`, assembles V's rows lo .. hi-1 straight into their
 parity blocks, typed and split as `_block_kinds` decides from V, and each
-block's coupling to the next `band` rows: from row 0 for `resolvent`;
-from row 0 with the couplings for `solver_blocks`, which adds H and gives
-`spectral`'s eigensolver its LAPACK storage; a window of rows for
-`window_sup`, which bounds the elements near the diagonal; and from row 0
-for `v_matrix` and `build_matrix`, which scatter the blocks into the
-dense matrix of V and of H+V.  One mirror, `_mirror`, fills an upper
-triangle from the lower.  Every closed-form magnitude comes from one
-prefactored Laguerre recurrence, `_magnitudes`, run on one offset for a
-single element and, in `_v_blocks`, on a vector of offsets for all
-{a, -a} pairs at once, cut at each step to the offsets still written.
-Its iterates are exactly the (signed) element magnitudes, so every
-intermediate stays bounded by 1 and basis sizes of 10^4 never overflow;
-a start below the float range carries its exponent apart until the
-iterate is back in range.
+block's coupling, V continued past row hi-1 out to every entry the fill
+keeps: from row 0 for `resolvent`; from row 0 for `solver_blocks`, which
+adds H and gives `spectral`'s eigensolver its LAPACK storage and its
+coupling blocks; a window of rows for `window_sup`, which bounds the
+elements near the diagonal; and from row 0 for `v_matrix` and
+`build_matrix`, which scatter the blocks into the dense matrix of V and
+of H+V.  One mirror, `_mirror`, fills an upper triangle from the lower.
+Every closed-form magnitude comes from one prefactored Laguerre
+recurrence, `_magnitudes`, run on one offset for a single element and,
+in `_v_blocks`, on a vector of offsets for all {a, -a} pairs at once,
+cut at each step to the offsets still written.  Its iterates are exactly
+the (signed) element magnitudes, so every intermediate stays bounded by
+1 and basis sizes of 10^4 never overflow; a start below the float range
+carries its exponent apart until the iterate is back in range.
 
-One rule, `_coupling_band`, says where V's entries end: from Szego's
-bound it gives the offset past which the entries of rows below N sum to
-at most a target.  `spectral` sizes its coupling block with it, and
-`_v_blocks` cuts every row k at its band for target _REACH_TOL and the
-power of 2 past k (`_reach`), a cut whose norm `_cut_norm` bounds.
+This module alone says where V's entries end.  From Szego's bound,
+`_coupling_band` gives the offset past which the entries of rows below N
+sum to at most a target, and `_row_reach` cuts every row k at its band
+for target _REACH_TOL and the power of 2 past k, a cut whose norm
+`_cut_norm` bounds.  The reach never falls with k, so a fill's coupling
+runs to the reach of its last row and holds every entry the fill keeps
+past it.
 Only the oracle needs scipy (`scipy.special.roots_hermite`), and imports
 it on its first call.
 """
@@ -67,7 +69,7 @@ ORACLE_INDEX_MAX = 300
 # 3000): 19.6 for cos x's two real blocks, 23.6 for one real block or two
 # complex ones, 31.4 for one complex block.
 _V_MATRIX_BYTES_PER_ENTRY = 32
-# The target past which `_v_blocks` cuts each row (`_reach`).  At 1e-30
+# The target past which `_v_blocks` cuts each row (`_row_reach`).  At 1e-30
 # the `oscspec compute` CSVs of cos x (nmax 800 and 2000) and quasi seed 3
 # (nmax 600), and `oscspec trace` of cos x at n = 64, 72 and 80, are those
 # of a fill that keeps every entry down to subnormals; at 1e-20 their
@@ -358,7 +360,7 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
         raise ValueError("N must be positive")
     _check_dense_budget(N, _V_MATRIX_BYTES_PER_ENTRY)
     mat = np.zeros((N, N), dtype=complex)
-    for s, block, _ in _v_blocks(V, 0, N, 0):
+    for s, block, _ in _v_blocks(V, 0, N):
         mat[s, s] = block
     _mirror(mat)
     return mat
@@ -396,9 +398,9 @@ def _block_kinds(V: Potential) -> tuple[bool, bool]:
     return split, real
 
 
-def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
-    """Smallest band b whose dropped coupling is bounded by `target`, and
-    that bound.
+def _coupling_band(V: Potential, N: int, target: float) -> int:
+    """Smallest band b past which the entries of each row below N sum to
+    at most `target`.
 
     Entries of V between index j < N and k = j + m >= N are bounded by
     sum_a |c_a| T_a(m), T_a(m) = (sqrt2 r_a)^m (N+m)^(m/2) / m!, from
@@ -406,21 +408,20 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
     (7.21.3)).  The ratio T_a(m+1)/T_a(m) is at most
     q = sqrt2 r_a sqrt(e (N+m+1)) / (m+1), which falls with m, so the
     offsets m > b sum to at most T_a(b+1) / (1 - q).  That sum bounds
-    the entries past offset b of every row below N: in `spectral`, every
-    row and column sum of the entries outside the coupling block
-    E = V[N:N+b, N-b:N] that `_certify` keeps, hence (Schur test) their
-    operator norm; in `_reach`, what a row's cut drops.  Each term is
-    compared with `target` by its log first, so one past the float range
-    (large r_a sqrt(N)) widens b as any term over the target does.  Terms
-    with c_a = 0 bound nothing and are left out.  Once q < 1 every term's
-    bound falls with b, so "the bound of b is at most target" is false and
-    then true: b is found by doubling, then bisection, in O(log b)
-    evaluations.
+    the entries past offset b of every row below N: in `_row_reach`, what
+    a row's cut drops, and in `spectral`, the reach of the Ritz vectors
+    that sizes its start basis.  It grows with N, and so does b.  Each
+    term is compared with `target` by its log first, so one past the
+    float range (large r_a sqrt(N)) widens b as any term over the target
+    does.  Terms with c_a = 0 bound nothing and are left out.  Once q < 1
+    every term's bound falls with b, so "the bound of b is at most
+    target" is false and then true: b is found by doubling, then
+    bisection, in O(log b) evaluations.
     """
     terms = [(math.sqrt(2.0) * rho_of(p, V.alpha), abs(c)) for p, c in V.terms
              if c != 0]
     if not terms:
-        return 0, 0.0
+        return 0
     log_target = math.log(target)
 
     def dropped(b: int) -> float:
@@ -440,8 +441,7 @@ def _coupling_band(V: Potential, N: int, target: float) -> tuple[int, float]:
     while not dropped(hi) <= target:
         hi = 2 * hi + 1
     # (hi - 1) // 2 is the size doubled last, or -1 (no band) for hi = 0
-    b = _bisect(lambda b: dropped(b) <= target, (hi - 1) // 2, hi)
-    return b, dropped(b)
+    return _bisect(lambda b: dropped(b) <= target, (hi - 1) // 2, hi)
 
 
 def _bisect(pred, lo: int, hi: int) -> int:
@@ -452,23 +452,29 @@ def _bisect(pred, lo: int, hi: int) -> int:
     return hi
 
 
+def _row_reach(V: Potential, k: int) -> int:
+    """The last offset row k of V keeps: the band of `_coupling_band` at
+    target _REACH_TOL and basis size 2^bit_length(k), the least power of
+    2 past k.  Past it, row k's entries sum to at most _REACH_TOL.  It
+    never falls with k, so a fill of rows below hi keeps no entry past
+    row hi - 1 + `_row_reach`(V, hi - 1): the band of its coupling."""
+    return _coupling_band(V, 1 << k.bit_length(), _REACH_TOL)
+
+
 def _reach(V: Potential, lo: int, hi: int) -> np.ndarray:
-    """The last offset each row k = lo .. hi-1 of V keeps: the band of
-    `_coupling_band` at target _REACH_TOL and basis size 2^bit_length(k),
-    the least power of 2 past k.  Past it, row k's entries sum to at most
-    _REACH_TOL.  It depends on k alone, so a fill of rows lo .. hi-1 cuts
-    each row as a fill from 0 does; rows 2^(j-1) .. 2^j - 1 share a band.
+    """`_row_reach` of each row k = lo .. hi-1.  It depends on k alone, so
+    a fill of rows lo .. hi-1 cuts each row as a fill from 0 does; rows
+    2^(j-1) .. 2^j - 1 share a band.
     """
     reach = np.empty(hi - lo, dtype=int)
     for j in range(lo.bit_length(), (hi - 1).bit_length() + 1):
         first = max((1 << j) >> 1, lo)
-        reach[first - lo:(1 << j) - lo] = _coupling_band(V, 1 << j,
-                                                         _REACH_TOL)[0]
+        reach[first - lo:(1 << j) - lo] = _row_reach(V, first)
     return reach
 
 
 def _cut_norm(N: int) -> float:
-    """Bound on the norm of the entries of V that `_reach` cuts from rows
+    """Bound on the norm of the entries of V that `_row_reach` cuts from rows
     below N.  In the upper triangle each row's cut sums to at most
     _REACH_TOL, and each column's to at most _REACH_TOL per group of rows
     sharing a band, of which rows below N make 1 + ceil(log2 N).  By the
@@ -480,48 +486,55 @@ def _cut_norm(N: int) -> float:
 @dataclass(frozen=True)
 class SolverBlocks:
     """The N x N truncation A_N of H + V in the storage its eigensolver
-    reads, with each block's coupling in A_{N+b}.
+    reads, with each block's coupling in A_{N+b}, b the fill's band
+    `_row_reach`(V, N - 1).
 
     `blocks` holds one (slice, matrix, coupling) triple per parity block
     (`_block_kinds`): the block A_N[s, s] as a Fortran-ordered array,
     float64 when real, with only its lower triangle filled (LAPACK's UPLO
     = 'L'); and its coupling, the rows N .. N+b-1 of A_{N+b} of the
     block's parity against its columns from max(0, N-b) on, in the
-    block's dtype.  `diagonal` holds alpha(2k+1) + V_kk, k < N.
+    block's dtype: every entry the fill keeps between the block and the
+    rows past N.  `diagonal` holds alpha(2k+1) + V_kk, k < N.
     """
 
     blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
     diagonal: np.ndarray
 
 
-def _v_blocks(V: Potential, lo: int, hi: int, band: int):
+def _v_blocks(V: Potential, lo: int, hi: int):
     """V's rows and columns lo .. hi-1 as parity blocks, each with its
-    coupling to rows hi .. hi+band-1, from one stacked pass of the
+    coupling to the rows past hi - 1, from one stacked pass of the
     magnitude recurrence over rows k < hi, of which rows before lo write
     nothing.
 
     Returns ((slice, block, coupling), ...), the slices relative to lo.
     Each block is Fortran-ordered, float64 when real (`_block_kinds`),
-    with only its lower triangle filled, c0 on its diagonal.  Its coupling
-    is the block continued past row hi - 1: V's rows hi .. hi+band-1 of
-    the block's parity against the block's columns from max(lo, hi-band)
-    on, Fortran-ordered and of the block's dtype.  Entry (k + m, k) of the
-    lower triangle is conj(V_{k, k+m}), so row k of the recurrence fills
-    one column segment, which is split at the block's last row between
-    column k - lo of its parity block and a column of its coupling.  A
-    split matrix runs the recurrence on the even offsets only.  Row k is
-    cut past offset `_reach`(k), which drops at most _REACH_TOL from it
-    and depends on k alone.  The lower triangles are bitwise those of the
+    with only its lower triangle filled, c0 on its diagonal.  Row k is
+    cut past offset `_row_reach`(V, k), which drops at most _REACH_TOL
+    from it and depends on k alone.  The coupling is the block continued
+    out to that reach: with band = `_row_reach`(V, hi - 1), which no row
+    below hi passes, V's rows hi .. hi+band-1 of the block's parity
+    against the block's columns from max(lo, hi-band) on, Fortran-ordered
+    and of the block's dtype, holding every entry the fill keeps past row
+    hi - 1.  Entry (k + m, k) of the lower triangle is conj(V_{k, k+m}),
+    so row k of the recurrence fills one column segment, which is split
+    at the block's last row between column k - lo of its parity block and
+    a column of its coupling.  A split matrix runs the recurrence on the
+    even offsets only.  The lower triangles are bitwise those of the
     uncut `tests/dense_oracle.py` read through `tests/parity_oracle.py`
     wherever they are nonzero, and 0 where that entry is at most
-    _REACH_TOL; a window's are the rows of the fill from 0.
+    _REACH_TOL; a window's are the rows of the fill from 0.  The blocks
+    and couplings are refused over the byte budget before allocation.
     """
-    if not 0 <= lo < hi or band < 0:
-        raise ValueError("rows need 0 <= lo < hi and band nonnegative")
+    if not 0 <= lo < hi:
+        raise ValueError("rows need 0 <= lo < hi")
     split, real = _block_kinds(V)
     dtype = float if real else complex
     n = hi - lo
-    _check_dense_budget(n, np.dtype(dtype).itemsize)
+    band = _row_reach(V, hi - 1)
+    _check_byte_budget(np.dtype(dtype).itemsize * (n * n + band * min(band, n)),
+                       f"basis size {n}")
     step = 2 if split else 1
     slices = ((slice(0, None, 2), slice(1, None, 2)) if split and n > 1
               else (slice(None),))
@@ -536,12 +549,9 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
              size - len(range(p, elo - lo, step))), dtype=dtype, order="F"))
     pairs = V.pairs()
     if pairs:
-        rows = np.arange(hi)
-        # row k >= lo writes offsets m < hi - k, and the band past hi from
-        # elo on, out to its reach
-        widths = -(-(hi - rows + np.where(rows >= elo, band, 0)) // step)
-        widths[:lo] = 0
-        widths[lo:] = np.minimum(widths[lo:], _reach(V, lo, hi) // step + 1)
+        # row k >= lo writes its offsets out to its reach
+        widths = np.zeros(hi, dtype=int)
+        widths[lo:] = _reach(V, lo, hi) // step + 1
         m = step * np.arange(widths.max(), dtype=float)
         r, coeff = _pair_terms(pairs, V.alpha, m)
         # the lower triangle's conj(V_{k, k+m}); real blocks drop the
@@ -564,16 +574,17 @@ def _v_blocks(V: Potential, lo: int, hi: int, band: int):
     return tuple(zip(slices, blocks, couplings))
 
 
-def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
-    """A_N and each block's coupling in A_{N + band}: the blocks of V
-    from `_v_blocks`, with alpha(2k+1) added to their diagonal.
+def solver_blocks(V: Potential, N: int) -> SolverBlocks:
+    """A_N and each block's coupling in A_{N+b}, b = `_row_reach`(V,
+    N - 1): the blocks of V from `_v_blocks`, with alpha(2k+1) added to
+    their diagonal.
 
     The blocks, their couplings and the diagonal are bitwise those of
     `tests/dense_oracle.py`'s uncut dense `build_matrix` read through
     `tests/parity_oracle.py`, without its complex N x N matrix, except
     for the entries of at most _REACH_TOL that `_v_blocks` cuts to 0.
     """
-    blocks = _v_blocks(V, 0, N, band)
+    blocks = _v_blocks(V, 0, N)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     diagonal = np.empty(N)
     for s, block, _ in blocks:
@@ -586,6 +597,6 @@ def solver_blocks(V: Potential, N: int, band: int) -> SolverBlocks:
 def window_sup(V: Potential, n: int) -> float:
     """sup |<V phi_k, phi_k'>| over the window |k-n|, |k'-n| <= kappa sqrt(n)."""
     half = int(math.floor(V.kappa() * math.sqrt(n)))
-    blocks = _v_blocks(V, max(0, n - half), n + half + 1, 0)
+    blocks = _v_blocks(V, max(0, n - half), n + half + 1)
     # the lower triangles hold every modulus, since V is Hermitian
     return float(max(np.max(np.abs(block)) for _, block, _ in blocks))

@@ -191,7 +191,7 @@ def _assemble(V: Potential, N: int) -> _TraceBlocks:
     """V's parity blocks from `matelem._v_blocks`, the lower triangle of
     each mirrored into its upper one in place."""
     parts = []
-    for s, block, _ in _v_blocks(V, 0, N, 0):
+    for s, block, _ in _v_blocks(V, 0, N):
         _mirror(block)
         if np.isrealobj(block):
             block = block.T   # symmetric: the same matrix, C-ordered

@@ -4,15 +4,18 @@
 every Ritz value theta_n, n <= nmax, from the eigenvalue lambda_n of the
 full operator by a quadratic residual bound.  The Ritz vectors reach the
 rest of the basis only through a corner block of V whose entries decay
-super-exponentially past a band b, so their residuals cost one small
-block, and the rest of the spectrum is bounded below a priori.  One pass
-of `matelem.solver_blocks` assembles both, straight into the storage the
-eigensolver reads: the parity blocks of A_N, their lower triangle only, in
-Fortran order, float64 when real; and with each block its coupling E_s,
-its parity's rows N..N+b-1 of A_{N+b}, of the block's dtype.  No complex
-N x N matrix and no Hermitian mirror is built.  That
-part of the bound is rigorous in exact arithmetic; the eigensolver's rounding
-is added by a probabilistic model (`_rounding`), not a worst-case bound.
+super-exponentially, so their residuals cost one small block, and the rest
+of the spectrum is bounded below a priori.  Where V's entries end is
+`matelem`'s one decision: its fill cuts each row at its reach, and the
+coupling runs to the band b of row N-1, past which the fill keeps nothing.
+One pass of `matelem.solver_blocks` assembles both, straight into the
+storage the eigensolver reads: the parity blocks of A_N, their lower
+triangle only, in Fortran order, float64 when real; and with each block
+its coupling E_s, its parity's rows N..N+b-1 of A_{N+b}, of the block's
+dtype.  No complex N x N matrix and no Hermitian mirror is built.  That
+part of the bound is rigorous in exact arithmetic, with the fill's cut
+added (`matelem._cut_norm`); the eigensolver's rounding is added by a
+probabilistic model (`_rounding`), not a worst-case bound.
 When the bound misses the tolerance, N grows geometrically up to the
 largest size whose dense arrays, with the coupling block, fit
 `specialfn.DENSE_BYTE_BUDGET`.
@@ -42,7 +45,7 @@ import numpy as np
 # this module's name until the benchmark is refitted (ROADMAP item 3)
 from .matelem import build_matrix  # noqa: F401
 from .matelem import (SolverBlocks, _bisect, _block_kinds, _coupling_band,
-                      _cut_norm, solver_blocks)
+                      _cut_norm, _row_reach, solver_blocks)
 from . import specialfn
 from .model import Potential
 from .specialfn import _check_byte_budget
@@ -166,7 +169,8 @@ def _factored_eigh(a: np.ndarray, e: np.ndarray):
 
 def _start_size(V: Potential, nmax: int) -> int:
     """First basis size `spectrum` tries: nmax plus a padding sized from
-    b0, the coupling band of V at N = nmax.
+    b0, the band past which V's entries of rows below nmax sum to at most
+    eps ||A_nmax||, a sqrt(nmax)-th of the rounding (`_coupling_band`).
 
     A Ritz vector of index n <= nmax reaches past row n by about the
     Bessel turning point 2 r_a sqrt(2n) of V's matrix elements (Szego,
@@ -182,7 +186,7 @@ def _start_size(V: Potential, nmax: int) -> int:
     to 16 it rose to 2.5 b0 (alpha = 1/4, nmax = 1000).  A band far wider
     than nmax (a = (+-20, 0): b0 = 1543 at nmax = 10, 1975 at 600) needed
     0.6 to 1.05 b0, so there the start overshoots."""
-    b0, _ = _band(V, nmax)
+    b0 = _coupling_band(V, nmax, _rounding(V, nmax) / math.sqrt(nmax))
     strength = 2.0 * max((abs(c) for _, c in V.terms), default=0.0) / V.alpha
     scale = 1.0 + 0.5 * math.log2(max(1.0, strength))
     return nmax + math.ceil(1.5 * scale * b0) + 16
@@ -190,7 +194,7 @@ def _start_size(V: Potential, nmax: int) -> int:
 
 def _planned_bytes(V: Potential, N: int, b: int) -> int:
     """Planned peak bytes of one attempt of `spectrum` at basis size N
-    and band b.
+    and band b, the band of its fill (`matelem._row_reach`).
 
     Peak bytes per entry of the N x N basis, measured in a child process
     at N = 1653-4570: 14.3-15.6 when the matrix splits, with real blocks
@@ -210,9 +214,10 @@ def _planned_bytes(V: Potential, N: int, b: int) -> int:
     peaks (b well below N), and the plan's headroom holds it while it
     stays small.  A band near or past N (large r_a sqrt(N)) is
     counted on top of the largest measurement, 16 bytes per entry when
-    split and 42 for one block: at N = 2903, b = 2968 (a pair at
-    a = (+-20, 0)) the peak grew by 228 MB, 27 per entry, while 24 per
-    entry plans 202 MB and this 273 MB.
+    split and 42 for one block: at N = 2903, b = 3389 (a pair at
+    a = (+-20, 0)) one `_solve_and_certify` in a fresh process grew the
+    peak by 157 MB, 19 per entry, while 24 per entry plans 202 MB and
+    this 292 MB.
     """
     split, _ = _block_kinds(V)
     per_entry, measured = (24, 16) if split else (56, 42)
@@ -235,14 +240,14 @@ def _rounding(V: Potential, N: int) -> float:
     return math.sqrt(N) * _EPS * norm
 
 
-def _certify(V: Potential, N: int, dropped: float, ritz: list,
-             nmax: int) -> np.ndarray:
+def _certify(V: Potential, N: int, ritz: list, nmax: int) -> np.ndarray:
     """Bounds on |lambda_n(H+V) - theta_n| for n = 0..nmax.
 
     `ritz` holds each parity block's (theta, residuals) pair from
     `eigensolve`: the residual of Ritz vector x_i is ||E x_i||^2, for E =
-    V[N:N+b, max(0, N-b):N] the coupling block of the band b of
-    `_coupling_band`, whose dropped coupling is `dropped`.  For the Ritz
+    V[N:N+b, max(0, N-b):N] the coupling block of the fill
+    (`matelem.solver_blocks`), which holds every entry the fill keeps
+    between rows below N and rows past it.  For the Ritz
     vectors X = x_0..x_m of A_N the coupling to everything else is F =
     [0; E X]: zero towards the other Ritz vectors, the residuals E x_i
     towards the rest of the basis.  The complement is bounded below by
@@ -251,9 +256,9 @@ def _certify(V: Potential, N: int, dropped: float, ritz: list,
     unitary, and its coupling to the other Ritz vectors is a part of QVP.
     For index n, m is the smallest index >= n whose gap eta_n = that
     lower bound - theta_n is positive, and |lambda_n - theta_n| <=
-    ||F||_F^2 / eta_n.  To that come, by Weyl, the dropped coupling and
-    the entries `matelem._v_blocks` cut from the rows below N
-    (`_cut_norm`), and the eigensolver's rounding (`_rounding`).
+    ||F||_F^2 / eta_n.  To that come, by Weyl, the entries
+    `matelem._v_blocks` cut from the rows below N (`_cut_norm`), and the
+    eigensolver's rounding (`_rounding`).
     """
     sigma = V.coefficient_sum()
     theta = np.concatenate([w for w, _ in ritz])
@@ -269,7 +274,7 @@ def _certify(V: Potential, N: int, dropped: float, ritz: list,
     quadratic = np.full(nmax + 1, np.inf)
     ok = eta > 0
     quadratic[ok] = cum[past[ok] - 1] / eta[ok]
-    return quadratic + (dropped + _cut_norm(N)) + _rounding(V, N)
+    return quadratic + _cut_norm(N) + _rounding(V, N)
 
 
 @dataclass(frozen=True)
@@ -284,7 +289,7 @@ class Spectrum:
     # >= |lambda_n(H+V) - eigenvalues[n]|, n <= trusted_max: the truncation
     # part rigorously, the eigensolver's rounding by the model of `_rounding`
     bounds: np.ndarray
-    coupling_band: int      # offsets of V the residuals keep
+    coupling_band: int      # offsets of V the fill and residuals keep
     stage_seconds: dict     # assembly, solve, certificate; all sizes tried
 
     @property
@@ -300,50 +305,40 @@ class Spectrum:
         return self.eigenvalues[: self.trusted_max + 1]
 
 
-def _band(V: Potential, N: int) -> tuple[int, float]:
-    """The band b of basis size N and the coupling it drops, kept to
-    eps ||A_N||, a sqrt(N)-th of the rounding (`_coupling_band`)."""
-    return _coupling_band(V, N, _rounding(V, N) / math.sqrt(N))
-
-
-def _fitted_size(V: Potential, N: int, nmax: int):
-    """N and its band when the plan of N with that band
-    (`_planned_bytes`) fits the byte budget; else the largest size in
-    (nmax, N) whose plan fits, and its band.
+def _fitted_size(V: Potential, N: int, nmax: int) -> int:
+    """N when its plan (`_planned_bytes`) with the band of its fill fits
+    the byte budget; else the largest size in (nmax, N) whose plan fits.
 
     The band, and with it the plan, grows with N, so the size is found by
     bisection.  Where no size fits, nmax + 1 is returned, the smallest
     basis with nmax + 1 Ritz values, and `_solve_and_certify` refuses it.
     """
-    def over(size, band):
-        return _planned_bytes(V, size, band[0]) > specialfn.DENSE_BYTE_BUDGET
+    def over(size):
+        return (_planned_bytes(V, size, _row_reach(V, size - 1))
+                > specialfn.DENSE_BYTE_BUDGET)
 
-    band = _band(V, N)
-    if N > nmax + 1 and over(N, band):
-        N = _bisect(lambda size: over(size, _band(V, size)), nmax + 1, N) - 1
-        band = _band(V, N)
-    return N, band
+    if N > nmax + 1 and over(N):
+        N = _bisect(over, nmax + 1, N) - 1
+    return N
 
 
-def _solve_and_certify(V: Potential, N: int, band: tuple[int, float],
-                       nmax: int, seconds: dict):
+def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     """Eigenvalues of A_N, its diagonal alpha(2k+1) + V_kk and the bounds
-    for n <= nmax, at the band b and dropped coupling `band` of `_band`;
-    stage times are added to `seconds`.  A_N, in the parity blocks and
-    storage the eigensolver reads, and each block's coupling in A_{N+b}
-    come from one pass of `solver_blocks`; the solve stage includes the
-    residual products E_s X.  The blocks and the eigenvectors (or
-    reflectors) of one basis size are freed on return, before `spectrum`
-    tries a larger one."""
-    b, dropped = band
-    _check_byte_budget(_planned_bytes(V, N, b), f"basis size {N}")
+    for n <= nmax; stage times are added to `seconds`.  A_N, in the parity
+    blocks and storage the eigensolver reads, and each block's coupling
+    in A_{N+b}, b the band of the fill, come from one pass of
+    `solver_blocks`; the solve stage includes the residual products
+    E_s X.  The blocks and the eigenvectors (or reflectors) of one basis
+    size are freed on return, before `spectrum` tries a larger one."""
+    _check_byte_budget(_planned_bytes(V, N, _row_reach(V, N - 1)),
+                       f"basis size {N}")
     t0 = time.perf_counter()
-    blocks = solver_blocks(V, N, b)
+    blocks = solver_blocks(V, N)
     t1 = time.perf_counter()
     ritz = []
     ev = eigensolve(blocks, ritz=ritz)
     t2 = time.perf_counter()
-    bounds = _certify(V, N, dropped, ritz, nmax)
+    bounds = _certify(V, N, ritz, nmax)
     t3 = time.perf_counter()
     seconds["assembly"] += t1 - t0
     seconds["solve"] += t2 - t1
@@ -367,14 +362,15 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     eigenvalues of perturbed Hermitian matrices", Linear Algebra Appl. 395
     (2005), in the Kato-Temple line of Parlett, "The Symmetric Eigenvalue
     Problem").  It holds on every finite section of H+V past N + b and so
-    in the limit.  The coupling dropped past the band, and the entries of
-    at most 1e-30 a row that the fill cuts (`matelem._cut_norm`), are
-    added by Weyl's inequality, and the eigensolver's rounding by the
-    probabilistic model sqrt(N) eps ||A_N|| of `_rounding`, so the bound
-    is rigorous for the truncation and modelled for the rounding.  While
+    in the limit.  E holds every entry the fill keeps between A_N and the
+    rest; the entries of at most 1e-30 a row that the fill cuts
+    (`matelem._cut_norm`) are added by Weyl's inequality, and the
+    eigensolver's rounding by the probabilistic model sqrt(N) eps ||A_N||
+    of `_rounding`, so the bound is rigorous for the truncation and
+    modelled for the rounding.  While
     some bound exceeds convergence_tol, N grows by half.  The start size
     and each larger one are capped at the largest size whose plan with
-    its band (`_planned_bytes`) fits the dense byte budget
+    its fill's band (`_planned_bytes`) fits the dense byte budget
     (`_fitted_size`); once N can grow no further, TruncationError names
     the first index that fails.  An nmax that leaves no room for nmax + 1
     Ritz values under the budget is refused before assembly.
@@ -387,19 +383,19 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     # nmax + 1 is the smallest basis with nmax + 1 Ritz values; refusing
     # it in integers first keeps huge nmax away from math.sqrt
     _check_byte_budget(_planned_bytes(V, nmax + 1, 0), f"basis size {nmax + 1}")
-    N, band = _fitted_size(V, _start_size(V, nmax), nmax)
+    N = _fitted_size(V, _start_size(V, nmax), nmax)
     seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
     sizes = []
     while True:
         sizes.append(N)
-        ev, first_order, bounds = _solve_and_certify(V, N, band, nmax, seconds)
+        ev, first_order, bounds = _solve_and_certify(V, N, nmax, seconds)
         failing = np.flatnonzero(~(bounds <= convergence_tol))
         if not failing.size:
             break
         # the rounding term grows with N: past the tolerance, no N can pass
         grown = N
         if _rounding(V, N) <= convergence_tol:
-            grown, next_band = _fitted_size(V, math.ceil(_GROWTH * N), nmax)
+            grown = _fitted_size(V, math.ceil(_GROWTH * N), nmax)
         if grown <= N:
             first = int(failing[0])
             raise TruncationError(
@@ -407,7 +403,7 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
                 f"{bounds[first]:.3e} > {convergence_tol:.3e} "
                 f"(requested {nmax} at basis size {N})"
             )
-        N, band = grown, next_band
+        N = grown
 
     if V.coefficient_sum() >= V.alpha:
         # Below this bound Weyl's inequality keeps lambda_n within half the
@@ -431,6 +427,6 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
         eigenvalues=ev,
         convergence_tol=convergence_tol,
         bounds=bounds,
-        coupling_band=band[0],
+        coupling_band=_row_reach(V, N - 1),
         stage_seconds=seconds,
     )

@@ -6,12 +6,12 @@ and a product with the tridiagonal's eigenvectors, all in scipy's LAPACK
 and BLAS, so that the solve and its product share one OpenBLAS.  This
 oracle is the certificate as it stood before: every parity block solved by
 `np.linalg.eigh` with all N x N eigenvectors, and E X taken from the rows
-of those at or past lo.  Band and rounding term come from `spectral`; the
-coupling block E is read from the dense `dense_oracle.v_matrix` of order
-N + b, and the residuals and the quadratic bound are computed here.
+of those at or past lo.  The band b is the fill's, given by the caller,
+and the rounding term comes from `spectral`; the coupling block E is read
+from the dense `dense_oracle.v_matrix` of order N + b, and the residuals
+and the quadratic bound are computed here.  The fill's cut, below 1e-28,
+is left out.
 """
-
-import math
 
 import numpy as np
 
@@ -20,12 +20,10 @@ from oscspec import spectral
 from parity_oracle import parity_blocks
 
 
-def full_eigenvector_bounds(V, N, nmax):
-    """The bounds for n <= nmax and the band at basis size N."""
+def full_eigenvector_bounds(V, N, b, nmax):
+    """The bounds for n <= nmax at basis size N and band b."""
     m = build_matrix(V, N)
     sigma = V.coefficient_sum()
-    rounding = spectral._rounding(V, N)
-    b, dropped = spectral._coupling_band(V, N, rounding / math.sqrt(N))
     lo = max(0, N - b)
     E = v_matrix(V, N + b)[N:, lo:N]
     thetas, res2 = [], []
@@ -47,4 +45,4 @@ def full_eigenvector_bounds(V, N, nmax):
     quadratic = np.full(nmax + 1, np.inf)
     ok = eta > 0
     quadratic[ok] = cum[past[ok] - 1] / eta[ok]
-    return quadratic + dropped + rounding, b
+    return quadratic + spectral._rounding(V, N)

@@ -16,6 +16,6 @@ from oscspec.resolvent import basis_size
 
 def doubling_eigenvalues(V, nmax):
     """Eigenvalues 0..nmax of the 2 basis_size(nmax) truncation."""
-    blocks = solver_blocks(V, 2 * basis_size(nmax), 0).blocks
+    blocks = solver_blocks(V, 2 * basis_size(nmax)).blocks
     return np.sort(np.concatenate(
         [np.linalg.eigvalsh(block) for _, block, _ in blocks]))[: nmax + 1]

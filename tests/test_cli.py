@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscspec import matelem, resolvent, spectral
+from oscspec import cli, matelem, resolvent, spectral
 from oscspec.cli import main, parse_config, run_compute, run_verify
 from oscspec.model import ValidationError
+from test_spectral import quasi_potential
 
 GOOD_CONFIG = {
     "alpha": 1.0,
@@ -363,6 +364,20 @@ class TestMain:
         assert captured.err.startswith("error: oracle quadrature")
         assert "sqrt(2 * 204) = 20.2" in captured.err
 
+    def test_matelem_oracle_cap_before_any_route(self, capsys, monkeypatch):
+        # k = k' = 2e7 is past the oracle's index cap of 300: refused
+        # before the closed form, whose recurrence would run 2e7 steps
+        def refuse(*args):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(cli, "u_element", refuse)
+        monkeypatch.setattr(cli, "u_element_bessel", refuse)
+        assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "20000000",
+                     "--kprime", "20000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oracle quadrature capped at index 300\n"
+
     def test_matelem_huge_bessel_argument_exit_two(self):
         # the series argument 2 rho sqrt(k'+k+1) is 1.4e17, past 2^53: the
         # Bessel kernel refuses it instead of sizing a rule for it, and the
@@ -395,6 +410,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("PASS window")
 
+    def test_verify_window_suite_with_c0(self, tmp_path, capsys):
+        # quasi seed 3 has c0 = 0.25, whose c0 I does not decay like
+        # n^(-1/4): the suite reads sum c_a U_a alone, [0.5709, 0.6934,
+        # 0.7171], where with c0 the sups were [0.5897, 0.5483, 2.1108]
+        V = quasi_potential(3)
+        terms = [[p.a_x, p.a_xi, c.real, c.imag] for p, c in V.terms]
+        cfg_path = write_config(tmp_path, {**GOOD_CONFIG, "c0": V.c0.real,
+                                           "terms": terms})
+        assert main(["verify", "--config", str(cfg_path),
+                     "--suite", "window"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS window: sup|V_kk'| n^(1/4) over n in (64,256,1024) = "
+            "[0.5709, 0.6934, 0.7171]\n")
+
     def test_verify_resolvent_suite(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["verify", "--config", str(cfg_path),
@@ -418,7 +447,7 @@ class TestMain:
         # is refused before any matrix is built
         built = []
         monkeypatch.setattr(spectral, "solver_blocks",
-                            lambda V, N, band: built.append(N))
+                            lambda V, N: built.append(N))
         complex_terms = [[1.0, 0.0, 0.3, 0.2], [-1.0, 0.0, 0.3, -0.2]]
         cfg_path = write_config(tmp_path, {**GOOD_CONFIG,
                                            "terms": complex_terms})
@@ -437,7 +466,7 @@ class TestMain:
         # any matrix is built
         built = []
         monkeypatch.setattr(resolvent, "_v_blocks",
-                            lambda V, lo, hi, band: built.append(hi))
+                            lambda V, lo, hi: built.append(hi))
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["trace", "--config", str(cfg_path), "--n", "8000"]) == 2
         err = capsys.readouterr().err
@@ -451,7 +480,7 @@ class TestMain:
         # refused after the byte guard and before any matrix is built
         built = []
         monkeypatch.setattr(resolvent, "_v_blocks",
-                            lambda V, lo, hi, band: built.append(hi))
+                            lambda V, lo, hi: built.append(hi))
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["trace", "--config", str(cfg_path), "--n", "3000",
                      "--epsilon", "2"]) == 2

@@ -14,7 +14,7 @@ import dense_oracle
 from laguerre_oracle import laguerre
 from parity_oracle import block_coupling
 from oscspec import spectral
-from oscspec.matelem import (_block_kinds, _magnitudes, _v_blocks,
+from oscspec.matelem import (_block_kinds, _magnitudes, _row_reach, _v_blocks,
                              build_matrix, u_element,
                              u_element_bessel, u_element_oracle, v_element,
                              v_matrix, window_sup)
@@ -182,7 +182,7 @@ class TestUnderflowedStart:
 
         V = Potential.cosine(alpha=1.0, amplitude=0.5, frequency=10.0)
         lo = 2900
-        blocks = _v_blocks(V, lo, 4901, 0)
+        blocks = _v_blocks(V, lo, 4901)
         for k, kp in ((3000, 3820), (4000, 4900), (2900, 3700)):
             with mpmath.workdps(40):
                 m, r = kp - k, mpmath.mpf(5)
@@ -460,41 +460,59 @@ class TestRowRangeFill:
         # of a fill to 2N, bit for bit, so no row's cut depends on lo or
         # hi; against the uncut oracle they differ only where cut to 0
         N = 120
-        b = spectral._band(V, N)[0]
+        b = _row_reach(V, N - 1)
+        assert N + b <= 2 * N
         step = 2 if _block_kinds(V)[0] else 1
-        wide = scattered(_v_blocks(V, 0, 2 * N, 0), 2 * N)
+        wide = scattered(_v_blocks(V, 0, 2 * N), 2 * N)
+        full = _v_blocks(V, 0, N)
+        dense = scattered(full, N)
+        np.testing.assert_array_equal(dense, wide[:N, :N])
+        wider = dense_oracle.v_matrix(V, N + b)
         cut = 0
-        for band in (0, b):
-            full = _v_blocks(V, 0, N, band)
-            dense = scattered(full, N)
-            np.testing.assert_array_equal(dense, wide[:N, :N])
-            wider = dense_oracle.v_matrix(V, N + band)
-            for lo in sorted({0, b, N // 2, N - 5}):   # N - 5 is odd
-                blocks = _v_blocks(V, lo, N, band)
-                assert ([block.dtype for _, block, _ in blocks]
-                        == [block.dtype for _, block, _ in full])
-                assert all(block.flags.f_contiguous for _, block, _ in blocks)
-                np.testing.assert_array_equal(scattered(blocks, N - lo),
-                                              dense[lo:, lo:])
-                # each block's coupling as the fill to 2N holds it, bit
-                # for bit, and as the uncut fill of order N + band does
-                for s, block, e in blocks:
-                    index = lo + np.arange(N - lo)[s]
-                    assert e.dtype == block.dtype and e.flags.f_contiguous
-                    want = block_coupling(wide[:N + band, :N + band], index,
-                                          N, step)
-                    np.testing.assert_array_equal(
-                        e, want.real if np.isrealobj(e) else want)
-                    want = block_coupling(wider, index, N, step)
-                    cut += dense_oracle.assert_cut_fill(
-                        e, want.real if np.isrealobj(e) else want)
+        for lo in sorted({0, b, N // 2, N - 5}):   # N - 5 is odd
+            blocks = _v_blocks(V, lo, N)
+            assert ([block.dtype for _, block, _ in blocks]
+                    == [block.dtype for _, block, _ in full])
+            assert all(block.flags.f_contiguous for _, block, _ in blocks)
+            np.testing.assert_array_equal(scattered(blocks, N - lo),
+                                          dense[lo:, lo:])
+            # each block's coupling as the fill to 2N holds it, bit for
+            # bit, and as the uncut fill of order N + b does
+            for s, block, e in blocks:
+                index = lo + np.arange(N - lo)[s]
+                assert e.dtype == block.dtype and e.flags.f_contiguous
+                want = block_coupling(wide[:N + b, :N + b], index, N, step)
+                np.testing.assert_array_equal(
+                    e, want.real if np.isrealobj(e) else want)
+                want = block_coupling(wider, index, N, step)
+                cut += dense_oracle.assert_cut_fill(
+                    e, want.real if np.isrealobj(e) else want)
         assert cut > 0
 
-    @pytest.mark.parametrize("lo, hi, band", [(5, 5, 0), (-1, 3, 0),
-                                              (0, 3, -1)])
-    def test_rejects_bad_rows(self, lo, hi, band):
+    @pytest.mark.parametrize("V", ROW_RANGE, ids=ROW_RANGE_IDS)
+    @pytest.mark.parametrize("N", [61, 120, 300])
+    def test_coupling_holds_every_kept_entry(self, V, N):
+        # the coupling runs to the band b of row N - 1: bit for bit the
+        # rows N .. N+b-1 of a fill to N + 2b against the block's columns
+        # from N - b on, and that fill keeps nothing else between the rows
+        # past N - 1 and the columns below N
+        b = _row_reach(V, N - 1)
+        step = 2 if _block_kinds(V)[0] else 1
+        wide = scattered(_v_blocks(V, 0, N + 2 * b), N + 2 * b)
+        for s, block, e in _v_blocks(V, 0, N):
+            want = block_coupling(wide[:N + b, :N + b], np.arange(N)[s], N,
+                                  step)
+            np.testing.assert_array_equal(
+                e, want.real if np.isrealobj(e) else want)
+        assert np.any(wide[N + b - 2:N + b, :N])
+        outside = wide[N:, :N].copy()
+        outside[:b, max(0, N - b):] = 0
+        assert not np.any(outside)
+
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (-1, 3)])
+    def test_rejects_bad_rows(self, lo, hi):
         with pytest.raises(ValueError, match="0 <= lo < hi"):
-            _v_blocks(cosx(), lo, hi, band)
+            _v_blocks(cosx(), lo, hi)
 
     @pytest.mark.parametrize("V", ROW_RANGE, ids=ROW_RANGE_IDS)
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -503,9 +521,11 @@ class TestRowRangeFill:
         assert window_sup(V, n) == want
 
     def test_window_refused_over_budget(self):
-        # 2 floor(kappa sqrt(n)) + 1 = 25819 rows plan 5.0 GiB; refused
-        # before the recurrence's arrays of n rows are built
-        with pytest.raises(ValueError, match="25819 plans 5.0 GiB"):
+        # 2 floor(kappa sqrt(n)) + 1 = 25819 rows and their coupling to
+        # the 89137 rows past them plan 22.1 GiB; refused before the
+        # recurrence's arrays of n rows are built
+        assert _row_reach(cosx(), 2 * 10**9 + 12909) == 89137
+        with pytest.raises(ValueError, match="25819 plans 22.1 GiB"):
             window_sup(cosx(), 2 * 10**9)
 
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)

@@ -350,7 +350,7 @@ class TestDenseBudget:
         class Built(Exception):
             pass
 
-        def refuse(V, lo, hi, band):
+        def refuse(V, lo, hi):
             raise Built(hi)
 
         monkeypatch.setattr(resolvent, "_v_blocks", refuse)
@@ -519,10 +519,10 @@ class TestAssemblyMemo:
         built = []
         fill = matelem._v_blocks
 
-        def record(V, lo, hi, band):
-            assert (lo, band) == (0, 0)
+        def record(V, lo, hi):
+            assert lo == 0
             built.append((V, hi))
-            return fill(V, lo, hi, band)
+            return fill(V, lo, hi)
 
         monkeypatch.setattr(resolvent, "_last", [])
         monkeypatch.setattr(resolvent, "_v_blocks", record)
@@ -556,9 +556,9 @@ class TestAssemblyMemo:
         alive = []
         fill = resolvent._v_blocks
 
-        def check(V, lo, hi, band):
+        def check(V, lo, hi):
             alive.append([r() is not None for r in refs])
-            return fill(V, lo, hi, band)
+            return fill(V, lo, hi)
 
         monkeypatch.setattr(resolvent, "_v_blocks", check)
         _trace_blocks(V, 0, 41)

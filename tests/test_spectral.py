@@ -120,12 +120,12 @@ class TestEigensolve:
         # blocks for cos x, one complex (factored) block for four pairs.
         # The residuals are ||E_s x||^2 for the eigenvectors x of the
         # dense block and its coupling E_s in the dense matrix of order
-        # N + band
-        N, band = 60, 12
+        # N + b, b the band of the fill
+        N = 60
         for V in (Potential.cosine(alpha=1.0), COMPLEX_FOUR_PAIRS):
-            full = build_matrix(V, N + band)
+            full = build_matrix(V, N + matelem._row_reach(V, N - 1))
             m = full[:N, :N]
-            blocks = solver_blocks(V, N, band)
+            blocks = solver_blocks(V, N)
             ritz = []
             ev = eigensolve(blocks, ritz=ritz)
             slices = parity_blocks(m)
@@ -165,7 +165,7 @@ class TestFactoredEigh:
         np.array([[2.5 + 0j]]),
         np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -1.0]]),
         tridiagonal_with_real_steps(40),
-        solver_blocks(Potential.cosine(alpha=1.0), 300, 20).blocks[0][1],
+        solver_blocks(Potential.cosine(alpha=1.0), 300).blocks[0][1],
         np.array([[2.5]]),
     ], ids=["four pairs N=60", "quasi N=300", "1x1", "2x2", "tau=0",
             "real lower triangle", "real 1x1"])
@@ -185,7 +185,7 @@ class TestFactoredEigh:
                 rtol=0, atol=1e-12 * math.sqrt(n - start))
 
     @pytest.mark.parametrize("a", [
-        solver_blocks(Potential.cosine(alpha=1.0), 300, 20).blocks[0][1],
+        solver_blocks(Potential.cosine(alpha=1.0), 300).blocks[0][1],
         build_matrix(quasi_potential(3), 300),
     ], ids=["real", "complex"])
     def test_rows_multiply_any_left(self, a):
@@ -225,10 +225,10 @@ class TestFactoredEigh:
 
         monkeypatch.setattr(lapack, routine, failing)
         monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", 1)
-        # a band > 0: each block has a coupling for zunmqr (dormqr) to act on
+        # each block has a coupling for zunmqr (dormqr) to act on
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"LAPACK {routine} failed \(info=1\)"):
-            eigensolve(solver_blocks(V, 20, 5), ritz=[])
+            eigensolve(solver_blocks(V, 20), ritz=[])
 
     def test_real_path_does_not_import_scipy_linalg(self):
         # scipy.linalg is imported only for complex blocks
@@ -272,7 +272,7 @@ class TestParityBlocks:
     @staticmethod
     def assert_matches_full_solve(V, N):
         m = build_matrix(V, N)
-        blocks = solver_blocks(V, N, 0)
+        blocks = solver_blocks(V, N)
         assert [s for s, _, _ in blocks.blocks] == list(parity_blocks(m))
         ev = eigensolve(blocks, ritz=[])
         full = np.linalg.eigvalsh(m)
@@ -347,34 +347,34 @@ class TestSolverBlocks:
     def test_bitwise_equal_to_full_assembly(self, V, kind, N):
         # blocks, their couplings and diagonal as the uncut dense fill of
         # dense_oracle read through parity_blocks and real_if_real gives
-        # them, at the band spectrum uses, at no band and at a band past N:
-        # bit for bit where the blocks are nonzero, and at most _REACH_TOL
-        # where they hold 0, which some entry does from N = 61 on
-        b = spectral._coupling_band(V, N, spectral._rounding(V, N)
-                                    / math.sqrt(N))[0]
+        # them, at the band of the fill: bit for bit where the blocks are
+        # nonzero, and at most _REACH_TOL where they hold 0.  One row keeps
+        # all it has out to the band; a row before the last reaches less
+        # far than the coupling, and some such entry is cut for every kind
+        # from N = 61 on (at N = 2 for three of the four)
+        full = build_matrix(V, N + matelem._row_reach(V, N - 1))
+        m = full[:N, :N]
+        got = solver_blocks(V, N)
+        assert [s for s, _, _ in got.blocks] == list(parity_blocks(m))
         cut = 0
-        for band in sorted({0, b, N + 3}):
-            full = build_matrix(V, N + band)
-            m = full[:N, :N]
-            got = solver_blocks(V, N, band)
-            assert [s for s, _, _ in got.blocks] == list(parity_blocks(m))
-            for s, block, e in got.blocks:
-                want = real_if_real(m[s, s])
-                if N > 2:   # a 1 x 1 block is real to any tolerance
-                    assert np.isrealobj(block) == np.isrealobj(want)
-                assert block.dtype == (float if kind[1] else complex)
-                assert block.flags.f_contiguous
-                cut += assert_cut_fill(np.tril(block),
-                                       np.tril(want.astype(block.dtype)))
-                assert not np.any(np.triu(block, 1))
-                want = block_coupling(full, np.arange(N)[s], N,
-                                      2 if kind[0] else 1)
-                assert e.dtype == block.dtype and e.flags.f_contiguous
-                cut += assert_cut_fill(
-                    e, want.real if np.isrealobj(e) else want)
-            np.testing.assert_array_equal(got.diagonal,
-                                          full.diagonal()[:N].real)
-        assert (cut > 0) == (N >= 61)
+        for s, block, e in got.blocks:
+            want = real_if_real(m[s, s])
+            if N > 2:   # a 1 x 1 block is real to any tolerance
+                assert np.isrealobj(block) == np.isrealobj(want)
+            assert block.dtype == (float if kind[1] else complex)
+            assert block.flags.f_contiguous
+            cut += assert_cut_fill(np.tril(block),
+                                   np.tril(want.astype(block.dtype)))
+            assert not np.any(np.triu(block, 1))
+            want = block_coupling(full, np.arange(N)[s], N,
+                                  2 if kind[0] else 1)
+            assert e.dtype == block.dtype and e.flags.f_contiguous
+            cut += assert_cut_fill(e, want.real if np.isrealobj(e) else want)
+        np.testing.assert_array_equal(got.diagonal, full.diagonal()[:N].real)
+        if N == 1:
+            assert cut == 0
+        if N >= 61:
+            assert cut > 0
 
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
     def test_kind_matches_tolerance_decision(self, V, kind):
@@ -392,7 +392,7 @@ class TestSolverBlocks:
         # eigensolve takes the blocks as assembled and reduces complex ones
         # in place (zhetrd makes no copy); spectrum never builds the
         # complex N x N matrix
-        blocks = solver_blocks(V, 80, 10)
+        blocks = solver_blocks(V, 80)
         before = [block.copy() for _, block, _ in blocks.blocks]
         ev = eigensolve(blocks, ritz=[])
         np.testing.assert_allclose(
@@ -483,20 +483,19 @@ class TestSpectrum:
 
     @pytest.fixture
     def bands(self, monkeypatch):
-        """The bands b of `_coupling_band`, in order: `spectrum` solves
-        basis size N by assembling N + b."""
+        """The bands b of `spectral._coupling_band`, in order: only the
+        start size reads one; the fill sizes its own coupling."""
         found = []
         band = spectral._coupling_band
 
         def record(V, N, target):
-            b, dropped = band(V, N, target)
-            found.append(b)
-            return b, dropped
+            found.append(band(V, N, target))
+            return found[-1]
 
         monkeypatch.setattr(spectral, "_coupling_band", record)
         return found
 
-    def test_basis_limit_checked_before_assembly(self, bands, monkeypatch):
+    def test_basis_limit_checked_before_assembly(self, monkeypatch):
         # at 24 bytes per entry (real c_a, split) the 4 GiB budget admits
         # N <= 13377; at 56 (complex c_a) N <= 8757.  The start size is
         # fitted under it, and from nmax = N on, where the basis cannot
@@ -504,8 +503,7 @@ class TestSpectrum:
         class Built(Exception):
             pass
 
-        def refuse(V, N, band):
-            assert band == bands[-1]
+        def refuse(V, N):
             raise Built(N)
 
         monkeypatch.setattr(spectral, "solver_blocks", refuse)
@@ -523,21 +521,24 @@ class TestSpectrum:
         # at small offsets: they widen b, they do not overflow
         N = 2327
         target = spectral._rounding(WIDE_PAIR, N) / math.sqrt(N)
-        b, dropped = spectral._coupling_band(WIDE_PAIR, N, target)
-        assert b > N and 0 < dropped <= target
+        b = spectral._coupling_band(WIDE_PAIR, N, target)
+        assert b > N
 
-        # the bound of band b - 1 (offsets m >= b), summed in log space
+        # the bound of band b (offsets m >= b + 1) and of band b - 1
+        # (offsets m >= b), summed in log space
         def log_term(z, c, m):
             q = z * math.sqrt(math.e * (N + m + 1)) / (m + 1)
             assert q < 1.0
             return (math.log(c / (1.0 - q)) + m * math.log(z)
                     + 0.5 * m * math.log(N + m) - math.lgamma(m + 1))
 
-        logs = [log_term(math.sqrt(2.0) * rho(p, 1.0), abs(c), b)
-                for p, c in WIDE_PAIR.terms]
-        top = max(logs)
-        assert top + math.log(sum(math.exp(x - top) for x in logs)) > \
-            math.log(target)
+        def log_bound(m):
+            logs = [log_term(math.sqrt(2.0) * rho(p, 1.0), abs(c), m)
+                    for p, c in WIDE_PAIR.terms]
+            top = max(logs)
+            return top + math.log(sum(math.exp(x - top) for x in logs))
+
+        assert log_bound(b + 1) <= math.log(target) < log_bound(b)
         # a pair with zero coefficients (a valid config) bounds nothing
         cos = Potential.cosine(alpha=1.0)
         zero_pair = Potential(alpha=1.0, terms=cos.terms + tuple(
@@ -585,76 +586,77 @@ class TestSpectrum:
     ], ids=["cos x", "0.4 cos 8x", "alpha 1/4", "alpha 4", "(+-20, 0)",
             "(+-60, 0)", "four pairs"])
     def test_coupling_band_matches_linear_scan(self, V):
-        # the same (b, dropped), bit for bit, as the scan over every b
+        # the same b as the scan over every b, whose Szego sum is within
+        # the target
         for N in (1, 2, 10, 145, 2327, 13377):
             for target in (1e-300, 1e-100, 1e-13, 1e-8, 1e-3, 1.0):
-                assert (spectral._coupling_band(V, N, target)
-                        == self.linear_coupling_band(V, N, target))
+                b, dropped = self.linear_coupling_band(V, N, target)
+                assert spectral._coupling_band(V, N, target) == b
+                assert dropped <= target
 
     def test_wide_coupling_block_in_byte_plan(self, monkeypatch):
-        # at N = 2327, b = 2766 the coupling block E is 103 MB, more than
-        # the 24-per-entry plan's headroom over the measured 16: a budget
-        # that holds 24 N^2 but not 16 N^2 + E refuses before assembly
+        # at N = 2327 the fill's band is b = 3389 and the coupling block E
+        # 126 MB, more than the 24-per-entry plan's headroom over the
+        # measured 16: a budget that holds 24 N^2 but not 16 N^2 + E
+        # refuses before assembly
         N = 2327
-        plan = spectral._planned_bytes(WIDE_PAIR, N, 2766)
-        assert plan == 16 * N * N + 16 * 2766 * N > 24 * N * N
+        assert matelem._row_reach(WIDE_PAIR, N - 1) == 3389
+        plan = spectral._planned_bytes(WIDE_PAIR, N, 3389)
+        assert plan == 16 * N * N + 16 * 3389 * N > 24 * N * N
         assert spectral._planned_bytes(WIDE_PAIR, N, 200) == 24 * N * N
 
-        def refuse(V, N, band):
+        def refuse(V, N):
             raise AssertionError("assembled")
 
         monkeypatch.setattr(spectral, "solver_blocks", refuse)
         monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", plan - 1)
         seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
         with pytest.raises(ValueError, match=f"basis size {N} plans"):
-            spectral._solve_and_certify(WIDE_PAIR, N, (2766, 0.0), 145,
-                                        seconds)
+            spectral._solve_and_certify(WIDE_PAIR, N, 145, seconds)
 
     def test_start_capped_at_fitting_plan(self, monkeypatch):
-        # a = (+-20, 0) at nmax = 10 starts at N = 2341 with b = 2771, a
-        # plan of 183 MiB.  Under a 64 MiB budget the start drops to the
-        # largest size whose plan with its own band fits, and certifies
-        # there; under 35 MiB that size (795) cannot certify, and the
-        # certificate names the index
+        # a = (+-20, 0) at nmax = 10 starts at N = 2341 with the fill's
+        # band b = 3389, a plan of 205 MiB.  Under a 64 MiB budget the
+        # start drops to the largest size whose plan with its own band
+        # fits (1099, b = 2717), and certifies there; under 35 MiB that
+        # size (757) cannot certify, and the certificate names the index
         built = []
 
-        def record(V, N, band):
-            built.append((N, band))
-            return solver_blocks(V, N, band)
+        def record(V, N):
+            built.append(N)
+            return solver_blocks(V, N)
 
         monkeypatch.setattr(spectral, "solver_blocks", record)
         start = spectral._start_size(WIDE_PAIR, 10)
         budget = 64 * 2**20
 
         def plan(N):
-            return spectral._planned_bytes(WIDE_PAIR, N,
-                                           spectral._band(WIDE_PAIR, N)[0])
+            return spectral._planned_bytes(
+                WIDE_PAIR, N, matelem._row_reach(WIDE_PAIR, N - 1))
 
-        assert plan(start) > budget
+        assert start == 2341 and plan(start) > budget
         monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", budget)
         spec = spectrum(WIDE_PAIR, nmax=10)
         N = spec.basis_size
-        assert built == [(N, spec.coupling_band)]
-        assert spec.coupling_band == spectral._band(WIDE_PAIR, N)[0] > N
+        assert built == [N] == [1099]
+        assert spec.coupling_band == matelem._row_reach(WIDE_PAIR, N - 1) > N
         assert plan(N) <= budget < plan(N + 1)
         assert spec.max_certified_bound <= spec.convergence_tol
         built.clear()
         monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 35 * 2**20)
         with pytest.raises(TruncationError,
-                           match=r"failed at index 0: .* basis size 795\)"):
+                           match=r"failed at index 0: .* basis size 757\)"):
             spectrum(WIDE_PAIR, nmax=10)
-        assert [N for N, _ in built] == [795]
+        assert built == [757]
 
     @pytest.fixture
-    def built_sizes(self, bands, monkeypatch):
-        """The basis sizes `spectrum` solves, in order: each one assembled
-        with its band."""
+    def built_sizes(self, monkeypatch):
+        """The basis sizes `spectrum` solves, in order."""
         sizes = []
 
-        def record(V, N, band):
-            assert band == bands[-1]
+        def record(V, N):
             sizes.append(N)
-            return solver_blocks(V, N, band)
+            return solver_blocks(V, N)
 
         monkeypatch.setattr(spectral, "solver_blocks", record)
         return sizes
@@ -691,8 +693,9 @@ class TestSpectrum:
         # then certifies
         V = Potential.cosine(alpha=1.0, frequency=3.0)
         spec = spectrum(V, nmax=200, convergence_tol=1e-11)
-        # the band b0 at N = nmax sizes the start, then one assembly per size
-        assert len(bands) == len(built_sizes) + 1
+        # the band b0 at N = nmax sizes the start, the one band spectral
+        # reads; each assembly's band is its fill's
+        assert len(bands) == 1
         assert built_sizes[0] == 200 + math.ceil(1.5 * bands[0]) + 16
         assert built_sizes[0] == spectral._start_size(V, 200) == 410
         assert len(built_sizes) > 1 and built_sizes == sorted(set(built_sizes))
@@ -761,8 +764,9 @@ class TestSpectrum:
         # blocks are factored too from order _FACTORED_REAL_ORDER on
         monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", 1)
         spec = spectrum(V, nmax=nmax)
-        bounds, band = full_eigenvector_bounds(V, spec.basis_size, nmax)
-        assert band == spec.coupling_band
+        N = spec.basis_size
+        assert spec.coupling_band == matelem._row_reach(V, N - 1)
+        bounds = full_eigenvector_bounds(V, N, spec.coupling_band, nmax)
         np.testing.assert_allclose(spec.bounds, bounds, rtol=1e-9, atol=0)
         full = np.linalg.eigvalsh(build_matrix(V, spec.basis_size))
         np.testing.assert_allclose(spec.eigenvalues, full, rtol=0,
@@ -776,15 +780,15 @@ class TestSpectrum:
         # the bound squares residuals down to about 1e-6 where they still
         # count, so 1e-9 at both
         N = basis_size(nmax) - nmax
-        bounds = spectral._solve_and_certify(V, N, spectral._band(V, N),
-                                             nmax, seconds)[2]
-        oracle = full_eigenvector_bounds(V, N, nmax)[0]
+        bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
+        oracle = full_eigenvector_bounds(V, N, matelem._row_reach(V, N - 1),
+                                         nmax)
         assert np.max(oracle) < 1.1 * spectral._rounding(V, N)
         np.testing.assert_allclose(bounds, oracle, rtol=1e-12, atol=0)
         N = nmax + 24
-        bounds = spectral._solve_and_certify(V, N, spectral._band(V, N),
-                                             nmax, seconds)[2]
-        oracle = full_eigenvector_bounds(V, N, nmax)[0]
+        bounds = spectral._solve_and_certify(V, N, nmax, seconds)[2]
+        oracle = full_eigenvector_bounds(V, N, matelem._row_reach(V, N - 1),
+                                         nmax)
         assert np.max(oracle[np.isfinite(oracle)]) > 1e6 * spectral._rounding(V, N)
         np.testing.assert_allclose(bounds, oracle, rtol=1e-9, atol=0)
 
