@@ -34,6 +34,18 @@ from .specialfn import bessel_j_grid
 
 __all__ = ["RunConfig", "parse_config", "run_compute", "run_verify", "main"]
 
+# The largest --jmax of `oscspec matelem`.  u_element_bessel's rule grows
+# with jmax: measured in one process, jmax = 1024 took 0.02 s and 13 MB
+# more peak RSS, 4096 took 0.28 s and 163 MB, and 10^4 took 2.7 s and
+# 986 MB for the value jmax = 48 prints; at jmax = 3000 the series of
+# k = 0, k' = 300 overflows to an invalid product.
+_MATELEM_JMAX_MAX = 1024
+# The largest --jmax of `oscspec trace`.  `_rs_orders` costs O(jmax^2 N):
+# trace_eigenvalue(cos x, n = 72, epsilon = 0.5) took 0.05, 0.16 and
+# 0.59 s at jmax = 256, 512 and 1000 in one warm process, and its orders
+# past j = 242 were exactly 0.
+_TRACE_JMAX_MAX = 256
+
 _CSV_HEADER = ("n,lambda_numeric,lambda_unperturbed,c0,w_term,"
                "residual,scaled_residual,alt_scaled")
 
@@ -301,6 +313,9 @@ def main(argv=None) -> int:
             if args.jmax < 0:
                 raise ValueError(
                     f"jmax must be a nonnegative integer, got {args.jmax}")
+            if args.jmax > _MATELEM_JMAX_MAX:
+                raise ValueError(f"jmax must be at most {_MATELEM_JMAX_MAX}, "
+                                 f"got {args.jmax}")
             # the oracle's index cap before any route: the closed form's
             # cost grows with k, and the oracle would refuse only after it
             if max(k, kp) > ORACLE_INDEX_MAX:
@@ -323,6 +338,9 @@ def main(argv=None) -> int:
             V, n = config.potential, args.n
             if n < 0:
                 raise ValueError(f"n must be a nonnegative integer, got {n}")
+            if args.jmax > _TRACE_JMAX_MAX:
+                raise ValueError(f"jmax must be at most {_TRACE_JMAX_MAX}, "
+                                 f"got {args.jmax}")
             # every stage before any output, so a refusal prints only the
             # error; rvr_norms' byte guard first, before the sums' arrays
             norms = rvr_norms(V, n, eps)

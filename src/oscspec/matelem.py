@@ -10,21 +10,30 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 * `u_element_bessel` -- partial sums of the Bessel-series expansion.
 
 One fill, `_v_blocks`, assembles V's rows lo .. hi-1 straight into their
-parity blocks, typed and split as `_block_kinds` decides from V, and each
-block's coupling, V continued past row hi-1 out to every entry the fill
-keeps: from row 0 for `resolvent`; from row 0 for `solver_blocks`, which
-adds H and gives `spectral`'s eigensolver its LAPACK storage and its
-coupling blocks; a window of rows for `window_sup`, which bounds the
-elements near the diagonal; and from row 0 for `v_matrix` and
-`build_matrix`, which scatter the blocks into the dense matrix of V and
-of H+V.  One mirror, `_mirror`, fills an upper triangle from the lower.
+parity blocks, typed and split as `_block_kinds` decides from V: from
+row 0 for `resolvent`; from row 0 for `solver_blocks`, which alone asks
+for each block's coupling, V continued past row hi-1 out to every entry
+the fill keeps, adds H and gives `spectral`'s eigensolver its LAPACK
+storage and its coupling blocks; a window of rows for `window_sup`,
+which bounds the elements near the diagonal; and from row 0 for
+`v_matrix` and `build_matrix`, which scatter the blocks into the dense
+matrix of V and of H+V.  One mirror, `_mirror`, fills an upper triangle
+from the lower.
+
 Every closed-form magnitude comes from one prefactored Laguerre
 recurrence, `_magnitudes`, run on one offset for a single element and,
-in `_v_blocks`, on a vector of offsets for all {a, -a} pairs at once,
-cut at each step to the offsets still written.  Its iterates are exactly
-the (signed) element magnitudes, so every intermediate stays bounded by
-1 and basis sizes of 10^4 never overflow; a start below the float range
-carries its exponent apart until the iterate is back in range.
+in `_v_blocks`, on a vector of offsets for all {a, -a} pairs at once.
+Its iterates are exactly the (signed) element magnitudes, so every
+intermediate stays bounded by 1 and basis sizes of 10^4 never overflow;
+a start below the float range carries its exponent apart until the
+iterate is back in range.  It yields rows in chunks of _CHUNK, each cut
+to the offsets still written.  A narrow fill costs numpy's per-call
+overhead, not arithmetic, so a chunk builds its step tables once and
+runs each step as four ufuncs into its rows, and `_v_blocks` sums a
+chunk over the pairs and scatters it into the blocks at once.  Both keep
+the bits of a row-by-row fill: each offset runs the same operations in
+the same order, the pairs are added in order from 0, and every entry is
+written by one row.
 
 This module alone says where V's entries end.  From Szego's bound,
 `_coupling_band` gives the offset past which the entries of rows below N
@@ -80,6 +89,16 @@ _REACH_TOL = 1e-30
 # (`_magnitudes`).
 _CARRY_START = -900
 _CARRY_LEVEL = -300
+# Rows per chunk of `_magnitudes` and of `_v_blocks`' pair-sum and scatter.
+# A narrow fill's cost is numpy's per-call overhead, which a chunk pays
+# once for its tables, pair-sum and scatter instead of once per row.
+# Measured in us per row (median, one warm process) at 16, 32, 64, 128
+# and 256 rows per chunk: 7.9, 6.6, 5.8, 4.9 and 5.2 for the trace
+# route's fill of cos x, rows 0 .. 275 and 41 offsets a row (11.7 row
+# by row); 17.1, 15.6, 15.0, 14.8 and 16.8 for the blocks and coupling
+# of the four-pair quasi seed 7, rows 0 .. 797 and 183 offsets (21.4 row
+# by row).  At 64 that fill's chunk arrays plan 2.5 MB.
+_CHUNK = 64
 _LN2 = math.log(2.0)
 
 
@@ -109,16 +128,25 @@ def _log_factorial(m):
 
 
 def _magnitudes(r, m, kmax: int, widths=None):
-    """Yield g_k = sqrt(k!/k'!) (sqrt2 r)^m e^{-r^2} L_k^{(m)}(2 r^2), k = 0..kmax.
+    """Yield g_k = sqrt(k!/k'!) (sqrt2 r)^m e^{-r^2} L_k^{(m)}(2 r^2), k = 0..kmax,
+    in chunks (k0, rows): rows[i] is g_{k0+i}, for up to _CHUNK rows.
 
     m = k' - k is a float offset or an ndarray of offsets, and r a float or
     a (P, 1) ndarray of P pairs' radii, whose iterates are then P rows of
     offsets.  The recurrence runs on the prefactored quantity itself, so
-    every iterate is bounded by 1; its body uses only arithmetic and ** 0.5
-    so one loop serves floats and arrays, and each step's denominator
+    every iterate is bounded by 1, and each step's denominator
     sqrt((j+1)(j+1+m)) is the next step's sqrt(j(j+m)).  Given `widths`,
     row k of the caller writes the first widths[k] offsets, and each
-    iterate is cut to the offsets a row from it on still writes.
+    chunk's iterates are cut to the offsets a row from the chunk on still
+    writes.
+
+    A float offset runs the step in float arithmetic.  An array runs each
+    chunk's steps from two tables built once per chunk, (2j+1+m) - x and
+    sqrt((j+1)(j+1+m)), as four ufuncs into the chunk's rows: the
+    products a g and root prev, their difference, and its quotient by the
+    denominator.  These are the scalar step's operations in its order,
+    and every offset's iterate is computed alone, so the two paths, and
+    chunks of any width, give the same bits.
 
     A start below 2^_CARRY_START, which would lose digits as a subnormal
     or underflow to 0 while the true element at row k grows like
@@ -135,36 +163,63 @@ def _magnitudes(r, m, kmax: int, widths=None):
              - 0.5 * _log_factorial(m))
     low = log_g < _CARRY_START * _LN2
     e = None
-    if isinstance(log_g, np.ndarray):
-        ldexp = np.ldexp
-        if low.any():
-            e = np.where(low, np.ceil(_CARRY_LEVEL - log_g / _LN2), 0).astype(int)
-    else:
-        ldexp = math.ldexp
+    if not isinstance(log_g, np.ndarray):
         if low:
             e = math.ceil(_CARRY_LEVEL - log_g / _LN2)
+        g = np.exp(log_g if e is None else log_g + e * _LN2)
+        prev = root = 0.0   # g_{-1} and sqrt(j (j + m)) at j = 0
+        rows = [g if e is None else math.ldexp(g, -e)]
+        for j in range(kmax):
+            denominator = math.sqrt((j + 1) * (j + 1 + m))
+            prev, g = g, ((2 * j + 1 + m - x) * g - root * prev) / denominator
+            root = denominator
+            if e is not None:
+                g, prev, e = _carry(g, prev, e)
+            rows.append(g if e is None else math.ldexp(g, -e))
+            if len(rows) == _CHUNK:
+                yield j + 2 - _CHUNK, np.array(rows)
+                rows = []
+        if rows:
+            yield kmax + 1 - len(rows), np.array(rows)
+        return
+    if low.any():
+        e = np.where(low, np.ceil(_CARRY_LEVEL - log_g / _LN2), 0).astype(int)
     g = np.exp(log_g if e is None else log_g + e * _LN2)
+    starts = range(0, kmax + 1, _CHUNK)
     if widths is not None:
-        keep = np.maximum.accumulate(widths[::-1])[::-1].tolist()
-        g, m = g[..., :keep[0]], m[:keep[0]]
-        if e is not None:
-            e = e[..., :keep[0]]
-    prev = root = 0.0   # g_{-1} and sqrt(j (j + m)) at j = 0
-    yield g if e is None else ldexp(g, -e)
-    for j in range(kmax):
-        if widths is not None and keep[j + 1] < len(m):
-            w = keep[j + 1]
-            g, m = g[..., :w], m[:w]
-            if j:
-                prev, root = prev[..., :w], root[:w]
+        # the widest row from each chunk on
+        tops = np.maximum.reduceat(widths, np.asarray(starts))
+        keep = np.maximum.accumulate(tops[::-1])[::-1].tolist()
+    prev = np.zeros_like(g)   # g_{-1}
+    for i, k0 in enumerate(starts):
+        if widths is not None and keep[i] < len(m):
+            w = keep[i]
+            g, prev, m = g[..., :w], prev[..., :w], m[:w]
             if e is not None:
                 e = e[..., :w]
-        denominator = ((j + 1) * (j + 1 + m)) ** 0.5
-        prev, g = g, ((2 * j + 1 + m - x) * g - root * prev) / denominator
-        root = denominator
-        if e is not None:
-            g, prev, e = _carry(g, prev, e)
-        yield g if e is None else ldexp(g, -e)
+        rows = np.empty((min(_CHUNK, kmax + 1 - k0),) + g.shape)
+        first = 0
+        if k0 == 0:
+            rows[0] = g if e is None else np.ldexp(g, -e)
+            first = 1
+        # the steps to rows k = k0 + first .. : j = k - 1, and sqrt(k (k + m))
+        # from row k - 1 on, the first of which is the step's root
+        k = np.arange(k0 + first - 1, k0 + len(rows), dtype=float)[:, None]
+        sqrts = np.sqrt(k * (k + m))
+        a = ((2.0 * k[1:] - 1.0 + m).reshape(len(k) - 1, *(1,) * (g.ndim - 1),
+                                             len(m)) - x)
+        ag, rp = np.empty_like(g), np.empty_like(g)
+        for out, a_j, root, denominator in zip(rows[first:], a, sqrts,
+                                                sqrts[1:]):
+            np.multiply(a_j, g, out=ag)
+            np.multiply(root, prev, out=rp)
+            np.subtract(ag, rp, out=out)
+            np.divide(out, denominator, out=out)
+            prev, g = g, out
+            if e is not None:
+                g, prev, e = _carry(g, prev, e)
+                out[...] = g if e is None else np.ldexp(g, -e)
+        yield k0, rows
 
 
 def _carry(g, prev, e):
@@ -198,7 +253,8 @@ def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
     if r == 0.0:
         return 1.0 + 0.0j if k == k_prime else 0.0j
     m = k_prime - k
-    *_, mag = _magnitudes(r, float(m), k)
+    *_, (_, rows) = _magnitudes(r, float(m), k)
+    mag = rows[-1]
     if not math.isfinite(mag):
         raise OverflowError(
             f"matrix-element magnitude not finite at k={k}, k'={k_prime}"
@@ -502,40 +558,56 @@ class SolverBlocks:
     diagonal: np.ndarray
 
 
-def _v_blocks(V: Potential, lo: int, hi: int):
-    """V's rows and columns lo .. hi-1 as parity blocks, each with its
-    coupling to the rows past hi - 1, from one stacked pass of the
-    magnitude recurrence over rows k < hi, of which rows before lo write
-    nothing.
+def _v_blocks(V: Potential, lo: int, hi: int, coupling: bool = False):
+    """V's rows and columns lo .. hi-1 as parity blocks, with each block's
+    coupling to the rows past hi - 1 if asked for, from one stacked pass
+    of the magnitude recurrence over rows k < hi, of which rows before lo
+    write nothing.
 
-    Returns ((slice, block, coupling), ...), the slices relative to lo.
-    Each block is Fortran-ordered, float64 when real (`_block_kinds`),
-    with only its lower triangle filled, c0 on its diagonal.  Row k is
-    cut past offset `_row_reach`(V, k), which drops at most _REACH_TOL
-    from it and depends on k alone.  The coupling is the block continued
-    out to that reach: with band = `_row_reach`(V, hi - 1), which no row
-    below hi passes, V's rows hi .. hi+band-1 of the block's parity
-    against the block's columns from max(lo, hi-band) on, Fortran-ordered
-    and of the block's dtype, holding every entry the fill keeps past row
-    hi - 1.  Entry (k + m, k) of the lower triangle is conj(V_{k, k+m}),
-    so row k of the recurrence fills one column segment, which is split
-    at the block's last row between column k - lo of its parity block and
-    a column of its coupling.  A split matrix runs the recurrence on the
-    even offsets only.  The lower triangles are bitwise those of the
-    uncut `tests/dense_oracle.py` read through `tests/parity_oracle.py`
-    wherever they are nonzero, and 0 where that entry is at most
-    _REACH_TOL; a window's are the rows of the fill from 0.  The blocks
-    and couplings are refused over the byte budget before allocation.
+    Returns ((slice, block, coupling), ...), the slices relative to lo and
+    each coupling None unless asked for.  Each block is Fortran-ordered,
+    float64 when real (`_block_kinds`), with only its lower triangle
+    filled, c0 on its diagonal.  Row k is cut past offset
+    `_row_reach`(V, k), which drops at most _REACH_TOL from it and depends
+    on k alone.  The coupling is the block continued out to that reach:
+    with band = `_row_reach`(V, hi - 1), which no row below hi passes, V's
+    rows hi .. hi+band-1 of the block's parity against the block's
+    columns from max(lo, hi-band) on, Fortran-ordered and of the block's
+    dtype, holding every entry the fill keeps past row hi - 1.  Without
+    it each row stops at the block's last row.  Entry (k + m, k) of the
+    lower triangle is conj(V_{k, k+m}), so row k of the recurrence fills
+    one column segment, which is split at the block's last row between
+    column k - lo of its parity block and a column of its coupling.  A
+    split matrix runs the recurrence on the even offsets only.
+
+    The rows come in `_magnitudes`' chunks.  Each chunk's entries are
+    summed over the pairs at once, in the pairs' order by += from 0, and
+    written into each block and coupling by one index assignment: every
+    entry is written by one row, so it holds the sum each row added on
+    its own would leave, to the bit and to the sign of a zero.  The lower
+    triangles are bitwise those of the uncut `tests/dense_oracle.py` read
+    through `tests/parity_oracle.py` wherever they are nonzero, and 0
+    where that entry is at most _REACH_TOL; a window's are the rows of the
+    fill from 0.  The blocks, the couplings and a chunk's arrays are
+    refused over the byte budget before allocation.
     """
     if not 0 <= lo < hi:
         raise ValueError("rows need 0 <= lo < hi")
     split, real = _block_kinds(V)
-    dtype = float if real else complex
+    dtype = np.dtype(float if real else complex)
+    pairs = V.pairs()
     n = hi - lo
-    band = _row_reach(V, hi - 1)
-    _check_byte_budget(np.dtype(dtype).itemsize * (n * n + band * min(band, n)),
-                       f"basis size {n}")
     step = 2 if split else 1
+    reach = _row_reach(V, hi - 1)   # no row below hi reaches further
+    band = reach if coupling else 0
+    # a chunk's rows of offsets, its iterates, a-table and products (24
+    # bytes per pair and entry), its pair-sum and products of the fill's
+    # dtype, and its index arrays
+    width = min(reach, band + n - 1) // step + 1 if pairs else 0
+    chunk = _CHUNK * width * (24 * len(pairs) + dtype.itemsize * (len(pairs) + 1)
+                              + 40)
+    _check_byte_budget(dtype.itemsize * (n * n + band * min(band, n)) + chunk,
+                       f"basis size {n}")
     slices = ((slice(0, None, 2), slice(1, None, 2)) if split and n > 1
               else (slice(None),))
     elo = max(lo, hi - band)
@@ -546,32 +618,58 @@ def _v_blocks(V: Potential, lo: int, hi: int):
         # rows hi .. hi+band-1 of the block's parity, columns from elo on
         couplings.append(np.zeros(
             (len(range(p, n + band, step)) - size,
-             size - len(range(p, elo - lo, step))), dtype=dtype, order="F"))
-    pairs = V.pairs()
+             size - len(range(p, elo - lo, step))), dtype=dtype, order="F")
+            if coupling else None)
     if pairs:
-        # row k >= lo writes its offsets out to its reach
+        # row k >= lo writes its offsets out to its reach, or to row hi - 1
         widths = np.zeros(hi, dtype=int)
         widths[lo:] = _reach(V, lo, hi) // step + 1
+        if not coupling:
+            np.minimum(widths[lo:], (hi - 1 - np.arange(lo, hi)) // step + 1,
+                       out=widths[lo:])
         m = step * np.arange(widths.max(), dtype=float)
         r, coeff = _pair_terms(pairs, V.alpha, m)
         # the lower triangle's conj(V_{k, k+m}); real blocks drop the
         # rounding of e^{i m theta}
         lower = coeff.real if real else coeff.conjugate()
-        for k, g in enumerate(_magnitudes(r, m, hi - 1, widths)):
-            if k < lo:
+        for k0, rows in _magnitudes(r, m, hi - 1, widths):
+            first = max(k0, lo)
+            if first >= k0 + len(rows):
                 continue
-            t, c = (k - lo) % step, (k - lo) // step
-            w = widths[k]
-            terms = lower[:, :w] * g[:, :w]
-            inside = len(blocks[t]) - c
-            _add_rows(blocks[t][c:, c][:w], terms[:, :inside])
-            if w > inside:   # the coupling's columns are the block's last
-                _add_rows(couplings[t][:w - inside, -inside], terms[:, inside:])
+            g = rows[first - k0:]
+            w = g.shape[-1]
+            sums = np.zeros((len(g), w), dtype=dtype)
+            _add_rows(sums, lower[:, None, :w] * g.transpose(1, 0, 2))
+            for t in range(len(blocks)):
+                # the chunk's rows of parity t, from row k = first + i on
+                i = (t - (first - lo)) % step
+                _scatter(blocks[t], couplings[t], (first + i - lo) // step,
+                         widths[first + i:k0 + len(rows):step], sums[i::step])
     if V.c0 != 0:
         for block in blocks:
             i = np.arange(len(block))
             block[i, i] += V.c0.real if real else V.c0
     return tuple(zip(slices, blocks, couplings))
+
+
+def _scatter(block, coupling, col: int, widths, sums) -> None:
+    """Write the column segments sums[i, :widths[i]] into the lower
+    triangle of `block` from its diagonal entry (col + i, col + i) down,
+    each continued past the block's last row into the matching column of
+    `coupling` (its last columns are the block's) when given, or cut
+    there.  One fancy-index assignment per array, on its Fortran order."""
+    size = len(block)
+    cols = col + np.arange(len(sums))[:, None]
+    rows = cols + np.arange(sums.shape[1])
+    written = np.arange(sums.shape[1]) < widths[:, None]
+    inside = written & (rows < size)
+    block.T.reshape(-1)[(cols * size + rows)[inside]] = sums[inside]
+    if coupling is not None:
+        past = written & ~inside
+        if past.any():
+            height, ncols = coupling.shape
+            flat = (cols + ncols - size) * height + rows - size
+            coupling.T.reshape(-1)[flat[past]] = sums[past]
 
 
 def solver_blocks(V: Potential, N: int) -> SolverBlocks:
@@ -584,7 +682,7 @@ def solver_blocks(V: Potential, N: int) -> SolverBlocks:
     `tests/parity_oracle.py`, without its complex N x N matrix, except
     for the entries of at most _REACH_TOL that `_v_blocks` cuts to 0.
     """
-    blocks = _v_blocks(V, 0, N)
+    blocks = _v_blocks(V, 0, N, coupling=True)
     diag = V.alpha * (2.0 * np.arange(N) + 1.0)
     diagonal = np.empty(N)
     for s, block, _ in blocks:

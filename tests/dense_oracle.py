@@ -38,8 +38,8 @@ def _accumulate_pairs(out, V, lo):
     triangle of `out`, the block of rows and columns lo .. lo + len(out) - 1.
 
     One pass of the magnitude recurrence, stacked over the pairs and shared
-    across all diagonal offsets m = k' - k; row k is emitted as the
-    recurrence reaches degree k.
+    across all diagonal offsets m = k' - k; row k is written on its own,
+    as the recurrence's chunk holding degree k comes.
     """
     pairs = V.pairs()
     n = out.shape[0]
@@ -49,21 +49,28 @@ def _accumulate_pairs(out, V, lo):
     r, coeff = _pair_terms(pairs, V.alpha, m)
     rows = np.arange(lo + n)
     widths = np.where(rows >= lo, lo + n - rows, 0)
-    for k, g in enumerate(_magnitudes(r, m, lo + n - 1, widths)):
-        if k >= lo:
-            w = min(lo + n - k, g.shape[1])
-            _add_rows(out[k - lo, k - lo:k - lo + w], coeff[:, :w] * g[:, :w])
+    for k0, chunk in _magnitudes(r, m, lo + n - 1, widths):
+        for k, g in enumerate(chunk, k0):
+            if k >= lo:
+                w = lo + n - k
+                _add_rows(out[k - lo, k - lo:], coeff[:, :w] * g[:, :w])
+
+
+def v_window(V, lo, hi):
+    """Dense complex matrix of <V phi_k, phi_k'>, k, k' = lo .. hi-1."""
+    n = hi - lo
+    upper = np.zeros((n, n), dtype=complex)
+    _accumulate_pairs(upper, V, lo)
+    if V.c0 != 0:
+        upper[np.diag_indices(n)] += V.c0
+    for k in range(n - 1):
+        upper[k + 1:, k] = np.conj(upper[k, k + 1:])
+    return upper
 
 
 def v_matrix(V, N):
     """Dense N x N complex matrix of <V phi_k, phi_k'>."""
-    upper = np.zeros((N, N), dtype=complex)
-    _accumulate_pairs(upper, V, 0)
-    if V.c0 != 0:
-        upper[np.diag_indices(N)] += V.c0
-    for k in range(N - 1):
-        upper[k + 1:, k] = np.conj(upper[k, k + 1:])
-    return upper
+    return v_window(V, 0, N)
 
 
 def build_matrix(V, N):

@@ -394,14 +394,37 @@ class TestMain:
         assert "beyond supported range" in run.stderr
 
     def test_matelem_bessel_rule_over_budget_exit_two(self, capsys):
-        # k = k' and jmax = 10^6 ask for orders 0..10^6 at one argument:
-        # about 250000 nodes each, refused before the rule is allocated
-        assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "0",
-                     "--kprime", "0", "--jmax", str(10**6)]) == 2
+        # k = k' at |||a||| = 10^6 and jmax = 1024 ask for 1025 orders at
+        # one argument: about 250000 nodes each, refused before the rule
+        # is allocated
+        assert main(["matelem", "--ax", "1e6", "--axi", "0", "--k", "0",
+                     "--kprime", "0", "--jmax", "1024"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: a Bessel rule of")
         assert "over the 4 GiB budget" in captured.err
+
+    @pytest.mark.parametrize("jmax", [1025, 10**4, 10**6])
+    def test_matelem_jmax_past_bound_exit_two(self, capsys, monkeypatch,
+                                              jmax):
+        # jmax = 10^4 took 2.7 s and 986 MB for the value jmax = 48
+        # prints: refused past cli._MATELEM_JMAX_MAX before any route
+        def refuse(*args):
+            raise AssertionError("a route ran")
+
+        for route in ("u_element", "u_element_bessel", "u_element_oracle"):
+            monkeypatch.setattr(cli, route, refuse)
+        assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "0",
+                     "--kprime", "0", "--jmax", str(jmax)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: jmax must be at most 1024, got {jmax}\n"
+
+    def test_matelem_jmax_at_bound(self, capsys):
+        assert cli._MATELEM_JMAX_MAX == 1024
+        assert main(["matelem", "--ax", "1", "--axi", "0", "--k", "0",
+                     "--kprime", "0", "--jmax", "1024"]) == 0
+        assert "bessel series" in capsys.readouterr().out
 
     def test_verify_window_suite(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
@@ -508,6 +531,22 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    def test_trace_jmax_past_bound_exit_two(self, tmp_path, capsys,
+                                            monkeypatch):
+        # _rs_orders costs O(jmax^2 N): jmax = 2000 took 3.6 s at n = 72,
+        # so it is refused past cli._TRACE_JMAX_MAX before any assembly
+        assert cli._TRACE_JMAX_MAX == 256
+        built = []
+        monkeypatch.setattr(resolvent, "_v_blocks",
+                            lambda V, lo, hi: built.append(hi))
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["trace", "--config", str(cfg_path), "--n", "72",
+                     "--jmax", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: jmax must be at most 256, got 2000\n"
+        assert built == []
 
     def test_trace_index_zero(self, tmp_path, capsys):
         # the dense check certifies through index 1, the least spectrum takes

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import dense_oracle
 from laguerre_oracle import laguerre
 from parity_oracle import block_coupling
-from oscspec import spectral
-from oscspec.matelem import (_block_kinds, _magnitudes, _row_reach, _v_blocks,
-                             build_matrix, u_element,
+from oscspec import matelem, specialfn, spectral
+from oscspec.matelem import (_CHUNK, _block_kinds, _magnitudes, _row_reach,
+                             _v_blocks, build_matrix, u_element,
                              u_element_bessel, u_element_oracle, v_element,
                              v_matrix, window_sup)
 from oscspec.model import PhasePoint, Potential, metric_norm
@@ -330,7 +330,7 @@ class TestMagnitudePrefactor:
         eps = np.finfo(float).eps
         ms = self.offsets()
         for r in self.RADII:
-            g = next(_magnitudes(r, ms, 0))
+            _, (g,) = next(_magnitudes(r, ms, 0))
             with mpmath.workprec(128):
                 rm = mpmath.mpf(r)
                 for m, got in zip(ms.tolist(), g.tolist()):
@@ -343,11 +343,35 @@ class TestMagnitudePrefactor:
                         (r, m, got)
 
     def test_scalar_and_array_paths_identical(self):
+        # every row out to a kmax past three chunks, bit for bit; at
+        # r = 70 every start is carried
+        def rows(r, m, kmax):
+            return np.concatenate([c for _, c in _magnitudes(r, m, kmax)])
+
         ms = self.offsets()
+        kmax = 3 * _CHUNK + 5
         for r in self.RADII:
-            g = next(_magnitudes(r, ms, 0))
-            scalar = [next(_magnitudes(r, m, 0)) for m in ms.tolist()]
-            assert g.tolist() == [float(s) for s in scalar]
+            array = rows(r, ms, kmax)
+            scalar = np.stack([rows(r, m, kmax) for m in ms.tolist()], axis=1)
+            assert array.shape == (kmax + 1, len(ms))
+            np.testing.assert_array_equal(array.view(np.int64),
+                                          scalar.view(np.int64))
+
+    def test_chunks_cut_to_widths(self):
+        # the chunks start every _CHUNK rows, each as wide as the widest
+        # row from it on, and hold the uncut iterates' bits
+        ms = self.offsets()
+        kmax = 2 * _CHUNK + 1
+        widths = np.maximum(len(ms) - 5 * np.arange(kmax + 1), 0)
+        full = np.concatenate([c for _, c in _magnitudes(2.0, ms, kmax)])
+        starts = []
+        for k0, chunk in _magnitudes(2.0, ms, kmax, widths):
+            starts.append(k0)
+            assert chunk.shape == (min(_CHUNK, kmax + 1 - k0), widths[k0])
+            np.testing.assert_array_equal(
+                chunk.view(np.int64),
+                full[k0:k0 + len(chunk), :widths[k0]].view(np.int64))
+        assert starts == [0, _CHUNK, 2 * _CHUNK]
 
 
 class TestVElement:
@@ -450,6 +474,70 @@ ROW_RANGE = [cosx(), seeded_quasi(3), BLOCK_KINDS[2][0]]
 ROW_RANGE_IDS = ["cos x", "quasi seed 3", "split complex"]
 
 
+# cos x (two real blocks), quasi seed 7 (the benchmark's four pairs, one
+# complex block) and real c_a with a_xi != 0 (two complex blocks)
+CHUNKED = [cosx(), seeded_quasi(7), BLOCK_KINDS[2][0]]
+CHUNKED_IDS = ["cos x", "quasi seed 7", "split complex"]
+
+
+def assert_chunked_fill(V, lo, hi):
+    """The blocks and couplings of `_v_blocks`(V, lo, hi) against the
+    uncut dense oracle of rows lo .. hi+b-1, b the fill's band, read
+    through `parity_oracle`: bit for bit where they are nonzero, and at
+    most _REACH_TOL where cut to 0.  A fill without its coupling has the
+    same blocks.  Returns how many entries were cut."""
+    b = _row_reach(V, hi - 1)
+    step = 2 if _block_kinds(V)[0] else 1
+    full = dense_oracle.v_window(V, lo, hi + b)
+    n = hi - lo
+    cut = 0
+    for (s, block, e), (_, alone, none) in zip(
+            _v_blocks(V, lo, hi, coupling=True), _v_blocks(V, lo, hi)):
+        assert alone.dtype == block.dtype and alone.shape == block.shape
+        assert alone.tobytes() == block.tobytes() and none is None
+        want = full[:n, :n][s, s]
+        cut += dense_oracle.assert_cut_fill(
+            np.tril(block), np.tril(want.real if np.isrealobj(block) else want))
+        assert not np.any(np.triu(block, 1))
+        want = block_coupling(full, np.arange(n)[s], n, step)
+        cut += dense_oracle.assert_cut_fill(
+            e, want.real if np.isrealobj(e) else want)
+    return cut
+
+
+class TestChunkedFill:
+    """`_v_blocks` sums the pairs and scatters the rows a chunk of _CHUNK
+    rows at a time; every fill is the dense oracle's, about the chunks'
+    edges as well as inside them."""
+
+    @pytest.mark.parametrize("V", CHUNKED, ids=CHUNKED_IDS)
+    @pytest.mark.parametrize("hi", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                    2 * _CHUNK + 1])
+    def test_rows_about_chunk_edges(self, V, hi):
+        assert_chunked_fill(V, 0, hi)
+
+    @pytest.mark.parametrize("V", CHUNKED, ids=CHUNKED_IDS)
+    @pytest.mark.parametrize("lo, hi", [
+        (_CHUNK // 2, 2 * _CHUNK + 1), (_CHUNK + 5, 3 * _CHUNK - 3),
+        (2 * _CHUNK - 1, 2 * _CHUNK + 2)])
+    def test_window_from_mid_chunk(self, V, lo, hi):
+        assert lo % _CHUNK
+        assert_chunked_fill(V, lo, hi)
+
+    def test_carried_start_across_chunks(self, monkeypatch):
+        # 0.5 cos 10x (TestUnderflowedStart): the offsets whose start
+        # underflows carry their exponent through the first 910 steps,
+        # across 14 chunk edges, and rows 2900 .. 3700 and their coupling
+        # are the oracle's
+        V = Potential.cosine(alpha=1.0, amplitude=0.5, frequency=10.0)
+        steps = []
+        carry = matelem._carry
+        monkeypatch.setattr(matelem, "_carry",
+                            lambda *a: steps.append(1) or carry(*a))
+        assert assert_chunked_fill(V, 2900, 3701) > 0
+        assert len(steps) > 2 * _CHUNK
+
+
 class TestRowRangeFill:
     """`_v_blocks` over rows [lo, hi) is the one fill of V: solver blocks,
     trace blocks, windows and the dense matrix all come from it."""
@@ -470,7 +558,8 @@ class TestRowRangeFill:
         wider = dense_oracle.v_matrix(V, N + b)
         cut = 0
         for lo in sorted({0, b, N // 2, N - 5}):   # N - 5 is odd
-            blocks = _v_blocks(V, lo, N)
+            blocks = _v_blocks(V, lo, N, coupling=True)
+            assert all(e is None for _, _, e in _v_blocks(V, lo, N))
             assert ([block.dtype for _, block, _ in blocks]
                     == [block.dtype for _, block, _ in full])
             assert all(block.flags.f_contiguous for _, block, _ in blocks)
@@ -499,7 +588,7 @@ class TestRowRangeFill:
         b = _row_reach(V, N - 1)
         step = 2 if _block_kinds(V)[0] else 1
         wide = scattered(_v_blocks(V, 0, N + 2 * b), N + 2 * b)
-        for s, block, e in _v_blocks(V, 0, N):
+        for s, block, e in _v_blocks(V, 0, N, coupling=True):
             want = block_coupling(wide[:N + b, :N + b], np.arange(N)[s], N,
                                   step)
             np.testing.assert_array_equal(
@@ -521,12 +610,22 @@ class TestRowRangeFill:
         assert window_sup(V, n) == want
 
     def test_window_refused_over_budget(self):
-        # 2 floor(kappa sqrt(n)) + 1 = 25819 rows and their coupling to
-        # the 89137 rows past them plan 22.1 GiB; refused before the
-        # recurrence's arrays of n rows are built
-        assert _row_reach(cosx(), 2 * 10**9 + 12909) == 89137
-        with pytest.raises(ValueError, match="25819 plans 22.1 GiB"):
+        # 2 floor(kappa sqrt(n)) + 1 = 25819 rows plan 5.0 GiB, their
+        # coupling left out; refused before the recurrence's arrays of n
+        # rows are built
+        with pytest.raises(ValueError, match="25819 plans 5.0 GiB"):
             window_sup(cosx(), 2 * 10**9)
+
+    def test_window_plans_no_coupling(self, monkeypatch):
+        # a = (+-20, 0) at n = 1024: the 21-row window plans 58 KiB with
+        # its chunk arrays, and its coupling to the 2718 rows past it
+        # would add 0.4 MiB.  Under a 128 KiB budget the window is built
+        # and its maximum is the dense window's
+        V = Potential.cosine(alpha=1.0, frequency=20.0)
+        assert _row_reach(V, 1034) == 2718
+        want = np.max(np.abs(dense_oracle.window_block(V, 1024)))
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 2**17)
+        assert window_sup(V, 1024) == want
 
     @pytest.mark.parametrize("V, kind", BLOCK_KINDS, ids=KIND_IDS)
     def test_v_matrix_is_dense_fill(self, V, kind):
