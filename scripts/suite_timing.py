@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Time each suite of `oscspec verify` on its own.
+
+    python3 scripts/suite_timing.py [--seconds 1.0]
+
+Run from the repository root; the package is imported from `src/` of the
+checkout this file sits in.  Each suite is run once to warm up, then
+repeated for about `--seconds` (at least 5 times), each run on a fresh
+generator of seed 0, and the median time is printed in milliseconds.
+
+The configs are the cos x config of the benchmark's `verify_cos`
+workload and the quasi-periodic config of seed 3 of its `compute_quasi`
+workload (four pairs, c0 = 0.25).  `run_verify` runs the four suites in
+one call, so the benchmark's pass time does not split by suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from oscspec.cli import _SUITES, parse_config  # noqa: E402
+
+
+def cos_document() -> dict:
+    return {"alpha": 1.0, "c0": 0.0, "nmax": 800, "tol": 1e-8,
+            "epsilon": 0.5,
+            "terms": [[1.0, 0.0, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.0]]}
+
+
+def quasi_document(seed: int) -> dict:
+    """The four-pair config of the `compute_quasi` workload."""
+    pairs = (((1.0, 0.0), 0.5), ((2**0.5, 0.0), 0.15), ((0.6, 0.8), 0.2),
+             ((1.5, -1.2), 0.1))
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=4)
+    terms = []
+    for ((ax, axi), amp), phi in zip(pairs, phases):
+        re, im = amp * math.cos(phi), amp * math.sin(phi)
+        terms += [[ax, axi, re, im], [-ax, -axi, re, -im]]
+    return {"alpha": 1.0, "c0": 0.25, "nmax": 600, "tol": 1e-8,
+            "epsilon": 0.5, "terms": terms}
+
+
+def seconds_per_run(suite, config, budget):
+    suite(config, np.random.default_rng(0))
+    times = []
+    start = time.perf_counter()
+    while len(times) < 5 or time.perf_counter() - start < budget:
+        rng = np.random.default_rng(0)
+        t0 = time.perf_counter()
+        suite(config, rng)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seconds", type=float, default=1.0,
+                        help="time spent repeating each suite")
+    args = parser.parse_args(argv)
+    configs = (("cos x", cos_document()), ("quasi seed 3", quasi_document(3)))
+    print(f"{'config':14} {'suite':10} {'ms':>8}")
+    for label, doc in configs:
+        config = parse_config(json.dumps(doc))
+        for name, suite in _SUITES.items():
+            s = seconds_per_run(suite, config, args.seconds)
+            print(f"{label:14} {name:10} {1e3 * s:>8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

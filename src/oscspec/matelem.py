@@ -345,7 +345,8 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
 
     Converges to the closed form in the regime 2 rho <= (k'+k+1)^(1/6).
     The orders k'-k .. k'-k+jmax share the argument 2 rho sqrt(k'+k+1) and
-    come from one `bessel_j_grid` call.
+    come from one `bessel_j_grid` call.  A partial sum that overflows,
+    which happens only outside the regime, raises ValueError.
     """
     if k > k_prime:
         raise ValueError("bessel route requires k <= k'")
@@ -359,7 +360,14 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     # the kernel first: it refuses a rule past the byte budget
     terms = bessel_j_grid(m + j, 2.0 * r * math.sqrt(s))
     coeffs = np.array(a_coefficients(k, k_prime, jmax))
-    total = float(coeffs * (r / math.sqrt(s)) ** j @ terms)
+    # outside the regime (r/sqrt(s))^j can overflow, and so can the sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(coeffs * (r / math.sqrt(s)) ** j @ terms)
+    if not math.isfinite(total):
+        raise ValueError(
+            f"bessel series overflows at jmax = {jmax}: 2 rho = {2.0 * r:.6g} "
+            f"is outside its regime 2 rho <= (k'+k+1)^(1/6) = "
+            f"{s ** (1.0 / 6.0):.6g}")
     sqrt_f = math.sqrt(f_factor(k, k_prime))
     theta = cmath.phase(-w)
     return cmath.exp(1j * m * theta) * sqrt_f * total

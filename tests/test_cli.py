@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscspec import cli, matelem, resolvent, spectral
+from oscspec import cli, matelem, resolvent, specialfn, spectral
 from oscspec.cli import main, parse_config, run_compute, run_verify
 from oscspec.model import ValidationError
 from test_spectral import quasi_potential
@@ -55,6 +56,13 @@ _config_documents = st.fixed_dictionaries({}, optional={
     "tol": _json_values,
     "epsilon": _json_values,
 })
+
+
+def quasi_document(seed):
+    """GOOD_CONFIG with the potential of `quasi_potential(seed)`."""
+    V = quasi_potential(seed)
+    return {**GOOD_CONFIG, "c0": V.c0.real,
+            "terms": [[p.a_x, p.a_xi, c.real, c.imag] for p, c in V.terms]}
 
 
 def write_config(tmp_path, doc):
@@ -426,6 +434,34 @@ class TestMain:
                      "--kprime", "0", "--jmax", "1024"]) == 0
         assert "bessel series" in capsys.readouterr().out
 
+    def test_matelem_series_overflow_exit_two(self, capsys):
+        # 2 rho = 20 against (k+k'+1)^(1/6) = 1: (r/sqrt(s))^j overflows
+        # by j = 400, where the series printed (nan+nanj) with exit 0
+        assert main(["matelem", "--ax", "20", "--axi", "0", "--k", "0",
+                     "--kprime", "0", "--jmax", "400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "2 rho <= (k'+k+1)^(1/6)" in captured.err
+
+    @pytest.mark.parametrize("ax, axi, k, kprime, label", [
+        # 2 rho = 1.118 <= 11^(1/6) = 1.491
+        ("1.0", "0.5", "3", "7", ""),
+        # 2 rho = 20 > 1: the partial sum read 2.51e33 against the closed
+        # form's 3.72e-44
+        ("20", "0", "0", "0", " (outside 2 rho <= (k+k'+1)^(1/6): partial "
+                              "sum, not converged)"),
+    ], ids=["in regime", "outside"])
+    def test_matelem_series_regime_label(self, capsys, ax, axi, k, kprime,
+                                         label):
+        assert main(["matelem", "--ax", ax, "--axi", axi, "--k", k,
+                     "--kprime", kprime]) == 0
+        line, = (s for s in capsys.readouterr().out.splitlines()
+                 if s.startswith("bessel series:"))
+        assert re.fullmatch(r"bessel series: \(\S+\)" + re.escape(label),
+                            line)
+
     def test_verify_window_suite(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, GOOD_CONFIG)
         assert main(["verify", "--config", str(cfg_path),
@@ -437,10 +473,7 @@ class TestMain:
         # quasi seed 3 has c0 = 0.25, whose c0 I does not decay like
         # n^(-1/4): the suite reads sum c_a U_a alone, [0.5709, 0.6934,
         # 0.7171], where with c0 the sups were [0.5897, 0.5483, 2.1108]
-        V = quasi_potential(3)
-        terms = [[p.a_x, p.a_xi, c.real, c.imag] for p, c in V.terms]
-        cfg_path = write_config(tmp_path, {**GOOD_CONFIG, "c0": V.c0.real,
-                                           "terms": terms})
+        cfg_path = write_config(tmp_path, quasi_document(3))
         assert main(["verify", "--config", str(cfg_path),
                      "--suite", "window"]) == 0
         assert capsys.readouterr().out == (
@@ -462,6 +495,68 @@ class TestMain:
         misses = matelem._gh_rule.cache_info().misses
         assert run_verify(config, "matelem", seed=3)
         assert matelem._gh_rule.cache_info().misses == misses
+
+    def test_bessel_suite_is_one_kernel_call(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(n, xs):
+            calls.append((np.shape(n), np.shape(xs)))
+            return specialfn.bessel_j_grid(n, xs)
+
+        monkeypatch.setattr(cli, "bessel_j_grid", spy)
+        assert run_verify(parse_config(json.dumps(GOOD_CONFIG)), "bessel")
+        assert calls == [((51, 1), (2001,))]
+        assert capsys.readouterr().out == (
+            "PASS bessel: max |J_n(x)| x^(1/2) / 4 = 0.214312\n")
+
+    def test_matelem_suite_runs_series_only_in_regime(self, capsys,
+                                                      monkeypatch):
+        calls = []
+
+        def spy(p, alpha, k, kp, jmax):
+            calls.append((p.a_x, p.a_xi, k, kp))
+            return matelem.u_element_bessel(p, alpha, k, kp, jmax)
+
+        # the suite's draws, replayed: the series is read only for k <= k'
+        # with 2 rho = (a_x^2 + a_xi^2)^(1/2) <= (k+k'+1)^(1/6) at alpha = 1
+        rng = np.random.default_rng(3)
+        in_regime = []
+        for _ in range(200):
+            ax, axi = (float(v) for v in rng.uniform(-3.5, 3.5, size=2))
+            k, kp = (int(v) for v in rng.integers(0, 51, size=2))
+            if k <= kp and math.hypot(ax, axi) <= (k + kp + 1) ** (1 / 6):
+                in_regime.append((ax, axi, k, kp))
+        monkeypatch.setattr(cli, "u_element_bessel", spy)
+        assert run_verify(parse_config(json.dumps(GOOD_CONFIG)), "matelem",
+                          seed=3)
+        assert in_regime
+        assert calls == in_regime
+
+    @pytest.mark.parametrize("config, seed, expected", [
+        ("cos", 0,
+         "PASS bessel: max |J_n(x)| x^(1/2) / 4 = 0.214312\n"
+         "PASS matelem: max cross-route discrepancy = 4.340e-14\n"
+         "PASS window: sup|V_kk'| n^(1/4) over n in (64,256,1024) = "
+         "[0.3896, 0.6714, 0.6814]\n"
+         "PASS resolvent: n=64: s1/ln n=0.860 s2a=4.931 gap/sqrt n=0.688; "
+         "n=256: s1/ln n=0.750 s2a=4.934 gap/sqrt n=0.594; "
+         "|trace_1 - diag| = 0.00e+00\n"),
+        ("quasi", 5,
+         "PASS bessel: max |J_n(x)| x^(1/2) / 4 = 0.214312\n"
+         "PASS matelem: max cross-route discrepancy = 2.737e-14\n"
+         "PASS window: sup|V_kk'| n^(1/4) over n in (64,256,1024) = "
+         "[0.5709, 0.6934, 0.7171]\n"
+         "PASS resolvent: n=64: s1/ln n=0.860 s2a=4.931 gap/sqrt n=0.688; "
+         "n=256: s1/ln n=0.750 s2a=4.934 gap/sqrt n=0.594; "
+         "|trace_1 - diag| = 2.78e-17\n"),
+    ], ids=["cos x seed 0", "quasi seed 3 seed 5"])
+    def test_verify_all_output_pinned(self, tmp_path, capsys, config, seed,
+                                      expected):
+        cfg_path = write_config(tmp_path, GOOD_CONFIG if config == "cos"
+                                else quasi_document(3))
+        assert main(["verify", "--config", str(cfg_path),
+                     "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_compute_refuses_oversized_basis(self, tmp_path, capsys,
                                              monkeypatch):

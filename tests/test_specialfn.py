@@ -148,7 +148,13 @@ class TestBessel:
             assert np.max(err) <= 1e-13
 
     def test_matches_scipy_jv_on_suite_grid(self):
-        # the grid of `oscspec verify --suite bessel`
+        # the one call of `oscspec verify --suite bessel`: every order on
+        # the union of the grids, with one rule sized for n = 50 at x = 200
+        orders = np.arange(51)[:, None]
+        xs = np.arange(0.0, 200.0001, 0.1)
+        assert np.max(np.abs(bessel_j_grid(orders, xs)
+                             - jv(orders, xs))) <= 1e-13
+        # each order on its own grid 2n .. 2n + 100, with a rule per order
         for n in range(51):
             xs = np.arange(2 * n, 2 * n + 100.0001, 0.1)
             xs = xs[xs > 0]
