@@ -10,17 +10,19 @@ is printed in microseconds per recurrence row: a fill of rows lo .. hi-1
 runs the recurrence over all hi rows from row 0.  `width` is the number
 of offsets the widest row writes.
 
-The fills are those the benchmark's workloads run (the trace route's
-blocks of cos x at n = 64, 72 and 80; `spectrum`'s blocks with their
+The fills are those the benchmark's workloads run, on the potentials
+of their config documents (`perfbench/workloads.py`): the trace route's
+blocks of cos x at n = 64, 72 and 80, and `spectrum`'s blocks with their
 couplings for cos x at nmax = 800 and the quasi-periodic potential of
-seed 7 at nmax = 600), the three windows of the `window` verify suite,
-and the windows of cos x at n = 10^4 and 10^5, alone and with their
-coupling (a wide band: hundreds of offsets per row).
+seed 7 at nmax = 600.  Then come the three windows of the `window`
+verify suite, and the windows of cos x at n = 10^4 and 10^5, alone and
+with their coupling (a wide band: hundreds of offsets per row).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import statistics
 import sys
@@ -28,25 +30,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
+from oscspec.cli import parse_config  # noqa: E402
 from oscspec.matelem import _block_kinds, _reach, _v_blocks  # noqa: E402
-from oscspec.model import PhasePoint, Potential  # noqa: E402
+from oscspec.model import Potential  # noqa: E402
+from workloads import cos_document, quasi_document  # noqa: E402
 
 
-def quasi_potential(seed: int) -> Potential:
-    """The four-pair potential of the `compute_quasi` workload."""
-    pairs = (((1.0, 0.0), 0.5), ((2**0.5, 0.0), 0.15), ((0.6, 0.8), 0.2),
-             ((1.5, -1.2), 0.1))
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=4)
-    terms = []
-    for ((ax, axi), amp), phi in zip(pairs, phases):
-        c = complex(amp * math.cos(phi), amp * math.sin(phi))
-        terms += [(PhasePoint(ax, axi), c),
-                  (PhasePoint(-ax, -axi), c.conjugate())]
-    return Potential(alpha=1.0, terms=tuple(terms), c0=0.25)
+def potential(document: dict) -> Potential:
+    """The potential a workload's config document parses to."""
+    return parse_config(json.dumps(document)).potential
 
 
 def window(V: Potential, n: int) -> tuple[int, int]:
@@ -56,11 +52,12 @@ def window(V: Potential, n: int) -> tuple[int, int]:
 
 
 def fills():
-    cos = Potential.cosine(alpha=1.0)
+    cos = potential(cos_document())
     for n, hi in ((64, 256), (72, 276), (80, 296)):
         yield f"trace cos x n={n}", cos, 0, hi, False
     yield "spectrum cos x nmax=800", cos, 0, 935, True
-    yield "spectrum quasi seed 7 nmax=600", quasi_potential(7), 0, 798, True
+    quasi = potential(quasi_document(7))
+    yield "spectrum quasi seed 7 nmax=600", quasi, 0, 798, True
     for n in (64, 256, 1024):
         yield f"window cos x n={n}", cos, *window(cos, n), False
     # a window's rows and, as a wide band, the same rows with their coupling

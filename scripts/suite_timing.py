@@ -8,47 +8,29 @@ checkout this file sits in.  Each suite is run once to warm up, then
 repeated for about `--seconds` (at least 5 times), each run on a fresh
 generator of seed 0, and the median time is printed in milliseconds.
 
-The configs are the cos x config of the benchmark's `verify_cos`
-workload and the quasi-periodic config of seed 3 of its `compute_quasi`
-workload (four pairs, c0 = 0.25).  `run_verify` runs the four suites in
-one call, so the benchmark's pass time does not split by suite.
+The configs are the benchmark's own (`perfbench/workloads.py`): the cos x
+config of its `verify_cos` workload and the quasi-periodic config of seed
+3 of its `compute_quasi` workload (four pairs, c0 = 0.25).  `run_verify`
+runs the four suites in one call, so the benchmark's pass time does not
+split by suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
 from oscspec.cli import _SUITES, parse_config  # noqa: E402
-
-
-def cos_document() -> dict:
-    return {"alpha": 1.0, "c0": 0.0, "nmax": 800, "tol": 1e-8,
-            "epsilon": 0.5,
-            "terms": [[1.0, 0.0, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.0]]}
-
-
-def quasi_document(seed: int) -> dict:
-    """The four-pair config of the `compute_quasi` workload."""
-    pairs = (((1.0, 0.0), 0.5), ((2**0.5, 0.0), 0.15), ((0.6, 0.8), 0.2),
-             ((1.5, -1.2), 0.1))
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=4)
-    terms = []
-    for ((ax, axi), amp), phi in zip(pairs, phases):
-        re, im = amp * math.cos(phi), amp * math.sin(phi)
-        terms += [[ax, axi, re, im], [-ax, -axi, re, -im]]
-    return {"alpha": 1.0, "c0": 0.25, "nmax": 600, "tol": 1e-8,
-            "epsilon": 0.5, "terms": terms}
+from workloads import cos_document, quasi_document  # noqa: E402
 
 
 def seconds_per_run(suite, config, budget):

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticModel, first_order_diagonal, residual_report
-from .matelem import (ORACLE_INDEX_MAX, u_element, u_element_bessel,
+from .matelem import (_series_converges, u_element, u_element_bessel,
                       u_element_oracle, window_sup)
-from .model import PhasePoint, Potential, ValidationError, rho, validate
+from .model import PhasePoint, Potential, ValidationError, validate
 from .resolvent import resolvent_sums, rvr_norms, trace_eigenvalue, trace_order_j
 from .spectral import spectrum
 from .specialfn import bessel_j_grid
@@ -187,12 +187,6 @@ def _suite_bessel(config: RunConfig, rng) -> tuple[bool, str]:
     return ok, f"max |J_n(x)| x^(1/2) / 4 = {worst:.6f}"
 
 
-def _series_converges(p: PhasePoint, alpha: float, k: int, kp: int) -> bool:
-    """Whether <U_p phi_k, phi_kp> is in the regime of `u_element_bessel`,
-    2 rho <= (k+k'+1)^(1/6); outside it the series is a partial sum."""
-    return 2.0 * rho(p, alpha) <= (k + kp + 1) ** (1.0 / 6.0)
-
-
 def _suite_matelem(config: RunConfig, rng) -> tuple[bool, str]:
     worst = 0.0
     alpha = config.potential.alpha
@@ -322,16 +316,12 @@ def main(argv=None) -> int:
             if args.jmax > _MATELEM_JMAX_MAX:
                 raise ValueError(f"jmax must be at most {_MATELEM_JMAX_MAX}, "
                                  f"got {args.jmax}")
-            # the oracle's index cap before any route: the closed form's
-            # cost grows with k, and the oracle would refuse only after it
-            if max(k, kp) > ORACLE_INDEX_MAX:
-                raise ValueError(
-                    f"oracle quadrature capped at index {ORACLE_INDEX_MAX}")
-            # every route before any output, so a refusal prints only the error
+            # every route before any output, so a refusal prints only the
+            # error; the oracle first: its index and shift caps refuse at once
+            oracle = u_element_oracle(p, args.alpha, k, kp)
             closed = u_element(p, args.alpha, k, kp)
             series = (u_element_bessel(p, args.alpha, k, kp, args.jmax)
                       if k <= kp else None)
-            oracle = u_element_oracle(p, args.alpha, k, kp)
             print(f"closed form : {closed!r}")
             print(f"quadrature  : {oracle!r}")
             if series is not None:
@@ -345,17 +335,15 @@ def main(argv=None) -> int:
             config = _load_config(args.config)
             eps = args.epsilon if args.epsilon is not None else config.epsilon
             V, n = config.potential, args.n
-            if n < 0:
-                raise ValueError(f"n must be a nonnegative integer, got {n}")
             if args.jmax > _TRACE_JMAX_MAX:
                 raise ValueError(f"jmax must be at most {_TRACE_JMAX_MAX}, "
                                  f"got {args.jmax}")
             # every stage before any output, so a refusal prints only the
-            # error; rvr_norms' byte guard first, before the sums' arrays
+            # error; trace_eigenvalue first, which refuses before assembly
+            te = trace_eigenvalue(V, n, eps, jmax=args.jmax)
             norms = rvr_norms(V, n, eps)
             sums = resolvent_sums(n, eps, N=4 * n + 64, alpha=V.alpha,
                                   kappa=V.kappa())
-            te = trace_eigenvalue(V, n, eps, jmax=args.jmax)
             dense = float(spectrum(V, nmax=max(n, 1)).eigenvalues[n])
             print(f"s1={sums.s1:.6f} s2a={sums.s2a:.6f} s2={sums.s2:.6f} "
                   f"gap={sums.gap:.6f}")

@@ -102,12 +102,6 @@ _CHUNK = 64
 _LN2 = math.log(2.0)
 
 
-def _check_dense_budget(N: int, bytes_per_entry: int) -> None:
-    """Refuse, before anything is allocated, a basis whose dense arrays
-    would exceed DENSE_BYTE_BUDGET at `bytes_per_entry` of the N x N basis."""
-    _check_byte_budget(bytes_per_entry * N * N, f"basis size {N}")
-
-
 def _omega(a: PhasePoint, alpha: float) -> complex:
     """The complex parameter carrying the phase of the closed form."""
     sa = math.sqrt(alpha)
@@ -239,12 +233,17 @@ def _carry(g, prev, e):
     return math.ldexp(g, -s), math.ldexp(prev, -s), e - s or None
 
 
-def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
-    """Closed-form matrix element <U_a phi_k, phi_k'>."""
+def _check_element(alpha: float, k: int, k_prime: int) -> None:
+    """Refuse what no route to <U_a phi_k, phi_k'> takes; each runs this first."""
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if k < 0 or k_prime < 0:
         raise ValueError("indices must be nonnegative")
+
+
+def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
+    """Closed-form matrix element <U_a phi_k, phi_k'>."""
+    _check_element(alpha, k, k_prime)
     if k > k_prime:
         # U_a^* = U_{-a}
         return u_element(-a, alpha, k_prime, k).conjugate()
@@ -316,10 +315,9 @@ def u_element_oracle(a: PhasePoint, alpha: float, k: int, k_prime: int) -> compl
 
     Its n_nodes = 4(k + k') + 200 point rule holds to 1e-10 up to |||a||| =
     sqrt(2 n_nodes), the span of its nodes, and fails from about 1.3 times
-    that along a_x; a larger shift raises ValueError.
+    that along a_x; a larger shift raises ValueError, before any work.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    _check_element(alpha, k, k_prime)
     if k > ORACLE_INDEX_MAX or k_prime > ORACLE_INDEX_MAX:
         raise ValueError(f"oracle quadrature capped at index {ORACLE_INDEX_MAX}")
     n_nodes = 4 * (k + k_prime) + 200
@@ -348,6 +346,7 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     come from one `bessel_j_grid` call.  A partial sum that overflows,
     which happens only outside the regime, raises ValueError.
     """
+    _check_element(alpha, k, k_prime)
     if k > k_prime:
         raise ValueError("bessel route requires k <= k'")
     w = _omega(a, alpha)
@@ -371,6 +370,12 @@ def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
     sqrt_f = math.sqrt(f_factor(k, k_prime))
     theta = cmath.phase(-w)
     return cmath.exp(1j * m * theta) * sqrt_f * total
+
+
+def _series_converges(a: PhasePoint, alpha: float, k: int, kp: int) -> bool:
+    """Whether <U_a phi_k, phi_k'> is in the regime of `u_element_bessel`,
+    2 rho <= (k+k'+1)^(1/6); outside it the series is a partial sum."""
+    return 2.0 * rho_of(a, alpha) <= (k + kp + 1) ** (1.0 / 6.0)
 
 
 def v_element(V: Potential, k: int, k_prime: int) -> complex:
@@ -422,7 +427,7 @@ def v_matrix(V: Potential, N: int) -> np.ndarray:
     `_v_blocks` scattered into one complex matrix and mirrored."""
     if N < 1:
         raise ValueError("N must be positive")
-    _check_dense_budget(N, _V_MATRIX_BYTES_PER_ENTRY)
+    _check_byte_budget(_V_MATRIX_BYTES_PER_ENTRY * N * N, f"basis size {N}")
     mat = np.zeros((N, N), dtype=complex)
     for s, block, _ in _v_blocks(V, 0, N):
         mat[s, s] = block

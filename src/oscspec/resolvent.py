@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matelem import _check_dense_budget, _mirror, _v_blocks
+from .matelem import _mirror, _v_blocks
 # v_matrix has no use here; perfbench's tracer tests wrap it under this
 # module's name until the benchmark is refitted (ROADMAP item 3)
 from .matelem import v_matrix  # noqa: F401
@@ -161,6 +161,8 @@ def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
                    kappa: float = 1.0 / 3.0,
                    node_count: int = DEFAULT_NODES) -> ResolventSums:
     """Evaluate the contour-node maxima of the inverse-distance sums."""
+    if n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
     _check_byte_budget(_SUMS_BYTES_PER_NODE_INDEX * node_count * N,
                        f"{node_count} contour nodes at basis size {N}")
     contour = Contour(n=n, alpha=alpha, epsilon=epsilon, node_count=node_count)
@@ -214,8 +216,8 @@ _last_lock = threading.Lock()
 def _trace_blocks(V: Potential, n: int, N: int | None = None,
                   epsilon: float | None = None,
                   node_count: int = DEFAULT_NODES) -> _TraceBlocks:
-    """V's parity blocks at basis size N (default basis_size(n)), refused
-    over the byte budget before assembly, assembled once per V object and N.
+    """V's parity blocks at basis size N (default basis_size(n)), assembled
+    once per V object and N; n < 0 and the byte budget refuse it first.
 
     Given epsilon, the Contour around n is validated between the byte guard
     and the assembly: an oversized basis is reported first, and an invalid
@@ -227,9 +229,11 @@ def _trace_blocks(V: Potential, n: int, N: int | None = None,
     never alive at once; the one kept stays alive until a call with
     another V or N, at most 16 bytes per entry of the N x N basis.
     """
+    if n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
     if N is None:
         N = basis_size(n)
-    _check_dense_budget(N, _DENSE_BYTES_PER_ENTRY)
+    _check_byte_budget(_DENSE_BYTES_PER_ENTRY * N * N, f"basis size {N}")
     if epsilon is not None:
         Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     with _last_lock:

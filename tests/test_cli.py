@@ -2,11 +2,7 @@
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,31 +382,50 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error: oracle quadrature capped at index 300\n"
 
-    def test_matelem_huge_bessel_argument_exit_two(self):
-        # the series argument 2 rho sqrt(k'+k+1) is 1.4e17, past 2^53: the
-        # Bessel kernel refuses it instead of sizing a rule for it, and the
-        # timeout turns a regression into a failure rather than a hang
-        src = str(Path(spectral.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from oscspec.cli import main; sys.exit(main())",
-             "matelem", "--ax", "1e17", "--axi", "0", "--k", "0",
-             "--kprime", "1"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
-        assert run.returncode == 2
-        assert "beyond supported range" in run.stderr
+    @pytest.mark.parametrize("flags, message", [
+        # the series spent 1.5 s and 1.0 GB in the Bessel kernel on this
+        # shift before it refused
+        (["--ax", "1e5", "--k", "0", "--kprime", "0", "--jmax", "1024"],
+         "oracle quadrature at k=0, k'=0 holds for |||a||| <= sqrt(2 * 200) "
+         "= 20, got 1e+05"),
+        (["--ax", "1", "--k", "-100", "--kprime", "0"],
+         "indices must be nonnegative"),
+    ], ids=["shift 1e5", "k -100"])
+    def test_matelem_oracle_refuses_before_other_routes(self, capsys,
+                                                        monkeypatch, flags,
+                                                        message):
+        def refuse(*args):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(cli, "u_element", refuse)
+        monkeypatch.setattr(cli, "u_element_bessel", refuse)
+        assert main(["matelem", "--axi", "0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_matelem_huge_bessel_argument_exit_two(self, capsys):
+        # the series argument 2 rho sqrt(k'+k+1) would be 1.4e17, which the
+        # Bessel kernel refuses (tests/test_matelem.py); the oracle's shift
+        # cap refuses it first
+        assert main(["matelem", "--ax", "1e17", "--axi", "0", "--k", "0",
+                     "--kprime", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: oracle quadrature at k=0, k'=1 holds for |||a||| <= "
+            "sqrt(2 * 204) = 20.2, got 1e+17\n")
 
     def test_matelem_bessel_rule_over_budget_exit_two(self, capsys):
-        # k = k' at |||a||| = 10^6 and jmax = 1024 ask for 1025 orders at
-        # one argument: about 250000 nodes each, refused before the rule
-        # is allocated
+        # the series would ask for a Bessel rule over the byte budget
+        # (tests/test_matelem.py); the oracle's shift cap refuses it first
         assert main(["matelem", "--ax", "1e6", "--axi", "0", "--k", "0",
                      "--kprime", "0", "--jmax", "1024"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: a Bessel rule of")
-        assert "over the 4 GiB budget" in captured.err
+        assert captured.err == (
+            "error: oracle quadrature at k=0, k'=0 holds for |||a||| <= "
+            "sqrt(2 * 200) = 20, got 1e+06\n")
 
     @pytest.mark.parametrize("jmax", [1025, 10**4, 10**6])
     def test_matelem_jmax_past_bound_exit_two(self, capsys, monkeypatch,
@@ -626,6 +641,33 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "10", "--jmax", "0"], "jmax must be at least 1"),
+        (["--n", "-1"], "n must be a nonnegative integer, got -1"),
+    ], ids=["jmax 0", "negative n"])
+    def test_trace_route_refuses_before_any_stage(self, tmp_path, capsys,
+                                                  monkeypatch, flags,
+                                                  message):
+        # trace_eigenvalue runs first and refuses its own inputs: at n = 600
+        # the norms' assembly took 0.41 s before jmax = 0 was refused
+        built, stages = [], []
+        monkeypatch.setattr(resolvent, "_v_blocks",
+                            lambda V, lo, hi: built.append(hi))
+        for name in ("trace_eigenvalue", "rvr_norms", "resolvent_sums",
+                     "spectrum"):
+            def stage(*args, name=name, route=getattr(cli, name), **kw):
+                stages.append(name)
+                return route(*args, **kw)
+
+            monkeypatch.setattr(cli, name, stage)
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        assert main(["trace", "--config", str(cfg_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert stages == ["trace_eigenvalue"]
+        assert built == []
 
     def test_trace_jmax_past_bound_exit_two(self, tmp_path, capsys,
                                             monkeypatch):

@@ -56,9 +56,19 @@ def random_phase_point(rng, norm_cap, alpha):
 class TestUElement:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_alpha(self, alpha):
-        for route in (u_element, u_element_oracle):
+        # the series route raised ZeroDivisionError at alpha = 0 and a math
+        # domain error at alpha = -1
+        for route in (u_element, u_element_oracle, u_element_bessel):
             with pytest.raises(ValueError, match="positive and finite"):
                 route(PhasePoint(1.0, 0.0), alpha, 0, 1)
+
+    @pytest.mark.parametrize("k, kp", [(-1, 0), (0, -1), (-100, -100)])
+    def test_rejects_negative_index(self, k, kp):
+        # the oracle returned 0.7316 at k = -1, k' = 0
+        for route in (u_element, u_element_oracle, u_element_bessel):
+            with pytest.raises(ValueError,
+                               match="^indices must be nonnegative$"):
+                route(PhasePoint(1.0, 0.5), 1.0, k, kp)
 
     def test_identity_at_zero(self):
         a = PhasePoint(0, 0)
@@ -228,6 +238,32 @@ class TestBesselRoute:
                     * float(bessel_j_grid(kp - k + j, 2.0 * rho * math.sqrt(s)))
                     for j, aj in enumerate(a_coefficients(k, kp, jmax)))
         assert abs(abs(got) - math.sqrt(f_factor(k, kp)) * abs(total)) <= 1e-14
+
+    def test_huge_argument_refused(self):
+        # the series argument 2 rho sqrt(k'+k+1) is 1.4e17, past 2^53: the
+        # Bessel kernel refuses it instead of sizing a rule for it, and the
+        # timeout turns a regression into a failure rather than a hang
+        src = str(Path(matelem.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "from oscspec.matelem import u_element_bessel\n"
+             "from oscspec.model import PhasePoint\n"
+             "try:\n"
+             "    u_element_bessel(PhasePoint(1e17, 0.0), 1.0, 0, 1)\n"
+             "except ValueError as exc:\n"
+             "    print(exc)\n"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0
+        assert "beyond supported range" in run.stdout
+
+    def test_rule_over_budget_refused(self):
+        # k = k' at |||a||| = 10^6 and jmax = 1024 ask for 1025 orders at
+        # one argument: about 250000 nodes each, refused before the rule
+        # is allocated
+        with pytest.raises(ValueError,
+                           match="^a Bessel rule of .* over the 4 GiB budget"):
+            u_element_bessel(PhasePoint(1e6, 0.0), 1.0, 0, 0, jmax=1024)
 
     def test_diagonal_prefactor_is_one(self):
         from oscspec.specialfn import f_factor

@@ -360,6 +360,24 @@ class TestDenseBudget:
         with pytest.raises(Built):
             call(V, 7327)
 
+    @pytest.mark.parametrize("call", [
+        lambda V: rvr_norms(V, -1, 0.5, N=100),
+        lambda V: resolvent_sums(-1, 0.5, N=100),
+        lambda V: trace_eigenvalue(V, -1, 0.5, N=100),
+        lambda V: trace_order_j(V, -1, N=100),
+    ], ids=["rvr_norms", "resolvent_sums", "trace_eigenvalue",
+            "trace_order_j"])
+    def test_negative_index_refused_before_assembly(self, call, monkeypatch):
+        # rvr_norms returned norms at n = -1, resolvent_sums failed with a
+        # math domain error
+        def refuse(V, lo, hi):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(resolvent, "_v_blocks", refuse)
+        with pytest.raises(ValueError,
+                           match="^n must be a nonnegative integer, got -1$"):
+            call(cos_potential())
+
     def test_resolvent_sums_refused_before_allocation(self):
         # 26 bytes per contour node and basis index: 128 nodes at
         # N = 4 * 10^6 + 64 plan 12.4 GiB
