@@ -14,9 +14,8 @@ from .matelem import (MatrixElementTable, build_matrix, u_element,
 from .asymptotics import (AsymptoticModel, ResidualReport, first_order_diagonal,
                           residual_report, w_value)
 from .spectral import Spectrum, TruncationError, eigensolve, spectrum
-from .resolvent import (Contour, NeumannDivergence, WindowPartition,
-                        resolvent_sums, rvr_norms, trace_eigenvalue,
-                        trace_order_j)
+from .resolvent import (Contour, NeumannDivergence, resolvent_sums,
+                        rvr_norms, trace_eigenvalue, trace_order_j)
 
 __all__ = [
     "__version__",
@@ -27,6 +26,6 @@ __all__ = [
     "AsymptoticModel", "ResidualReport", "first_order_diagonal",
     "residual_report", "w_value",
     "Spectrum", "TruncationError", "eigensolve", "spectrum",
-    "Contour", "NeumannDivergence", "WindowPartition", "resolvent_sums",
-    "rvr_norms", "trace_eigenvalue", "trace_order_j",
+    "Contour", "NeumannDivergence", "resolvent_sums", "rvr_norms",
+    "trace_eigenvalue", "trace_order_j",
 ]

@@ -13,9 +13,9 @@ the same integrals serves only as a test oracle.  The Neumann contraction
 norm on sampled contour nodes.
 
 Every dense quantity reads V's parity blocks through `_trace_blocks`,
-which sizes the basis (`basis_size` by default), refuses one over the byte
-budget, validates the contour, and assembles by `matelem._v_blocks`
-straight into block storage, once per V object and N: split into even and
+which sizes the basis as basis_size(n), refuses one over the byte budget,
+validates the contour, and assembles by `matelem._v_blocks` straight
+into block storage, once per V object and index: split into even and
 odd indices when every c_a is real, and float64 when `_block_kinds` says
 real, decided from V before assembly; no complex N x N matrix is built and
 no block is found by scanning one.  Each block's lower triangle is
@@ -54,7 +54,6 @@ from .specialfn import _check_byte_budget
 
 __all__ = [
     "Contour",
-    "WindowPartition",
     "NeumannDivergence",
     "ResolventSums",
     "RvrNorms",
@@ -79,17 +78,19 @@ _DENSE_NODE_STRIDE = 16
 # 14.4.  rvr_norms then trace_eigenvalue, sharing one assembly, peak at
 # 10.1 and 63.9.
 _DENSE_BYTES_PER_ENTRY = 80
-# Peak bytes of resolvent_sums per contour node and basis index.  Measured
-# (max RSS growth): 24.2 at 128 nodes (N = 80064) and 25.0 at 32, the
-# fewest a Contour takes (N = 320064).
+# Peak bytes of resolvent_sums per contour node and basis index, at its
+# DEFAULT_NODES nodes.  Measured (max RSS growth): 24.2 at N = 80064.
 _SUMS_BYTES_PER_NODE_INDEX = 26
 
 
 def basis_size(nmax: int) -> int:
-    """Default basis size of the trace route and of the test oracles:
-    translations couple index k to a band of width O(sqrt k).  `spectrum`
-    sizes its basis from V instead (`spectral._start_size`)."""
-    return 2 * nmax + math.ceil(8.0 * math.sqrt(nmax)) + 64
+    """Basis size of the trace route and of the test oracles,
+    2 nmax + ceil(8 sqrt(nmax)) + 64: translations couple index k to a band
+    of width O(sqrt k).  `spectrum` sizes its basis from V instead
+    (`spectral._start_size`).  The root is taken in integers, so any nmax
+    gives a size for the byte guard to refuse."""
+    r = math.isqrt(64 * nmax)
+    return 2 * nmax + r + (r * r < 64 * nmax) + 64
 
 
 class NeumannDivergence(RuntimeError):
@@ -123,21 +124,6 @@ class Contour:
 
 
 @dataclass(frozen=True)
-class WindowPartition:
-    """Split of [0, N) into the parabolic window I around n and its complement."""
-
-    n: int
-    inside: np.ndarray
-    outside: np.ndarray
-
-    @classmethod
-    def build(cls, n: int, kappa: float, N: int) -> "WindowPartition":
-        k = np.arange(N)
-        mask = np.abs(k - n) <= kappa * math.sqrt(n)
-        return cls(n=n, inside=k[mask], outside=k[~mask])
-
-
-@dataclass(frozen=True)
 class ResolventSums:
     """Inverse-distance sums maximized over contour nodes (with tail bounds)."""
 
@@ -158,23 +144,28 @@ def _square_tail(n: int, alpha: float, epsilon: float, N: int) -> float:
 
 
 def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
-                   kappa: float = 1.0 / 3.0,
-                   node_count: int = DEFAULT_NODES) -> ResolventSums:
-    """Evaluate the contour-node maxima of the inverse-distance sums."""
+                   kappa: float = 1.0 / 3.0) -> ResolventSums:
+    """Maxima over the DEFAULT_NODES contour nodes of the inverse-distance
+    sums to the levels k in [0, N): s1 over the window
+    I = {k : |k - n| <= kappa sqrt(n)}, s2a over every k and s2 over the
+    complement J of I, both with the analytic tail past N; gap is the
+    least distance to a level in J."""
     if n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
-    _check_byte_budget(_SUMS_BYTES_PER_NODE_INDEX * node_count * N,
-                       f"{node_count} contour nodes at basis size {N}")
-    contour = Contour(n=n, alpha=alpha, epsilon=epsilon, node_count=node_count)
+    _check_byte_budget(_SUMS_BYTES_PER_NODE_INDEX * DEFAULT_NODES * N,
+                       f"{DEFAULT_NODES} contour nodes at basis size {N}")
+    contour = Contour(n=n, alpha=alpha, epsilon=epsilon)
     lam = contour.nodes()[:, None]
-    lam_k = alpha * (2.0 * np.arange(N) + 1.0)[None, :]
+    k = np.arange(N)
+    lam_k = alpha * (2.0 * k + 1.0)[None, :]
     dist = np.abs(lam - lam_k)
-    part = WindowPartition.build(n, kappa, N)
+    inside = np.abs(k - n) <= kappa * math.sqrt(n)
     tail = _square_tail(n, alpha, epsilon, N)
-    s1 = float(np.max(np.sum(1.0 / dist[:, part.inside], axis=1)))
+    s1 = float(np.max(np.sum(1.0 / dist[:, inside], axis=1)))
     s2a = float(np.max(np.sum(dist**-2, axis=1))) + tail
-    s2 = float(np.max(np.sum(dist[:, part.outside] ** -2, axis=1))) + tail
-    gap = float(np.min(dist[:, part.outside]))
+    outside = dist[:, ~inside]
+    s2 = float(np.max(np.sum(outside ** -2, axis=1))) + tail
+    gap = float(np.min(outside))
     return ResolventSums(s1=s1, s2a=s2a, s2=s2, gap=gap, tail_bound=tail)
 
 
@@ -213,11 +204,10 @@ _last: list = []
 _last_lock = threading.Lock()
 
 
-def _trace_blocks(V: Potential, n: int, N: int | None = None,
-                  epsilon: float | None = None,
+def _trace_blocks(V: Potential, n: int, epsilon: float | None = None,
                   node_count: int = DEFAULT_NODES) -> _TraceBlocks:
-    """V's parity blocks at basis size N (default basis_size(n)), assembled
-    once per V object and N; n < 0 and the byte budget refuse it first.
+    """V's parity blocks at basis size N = basis_size(n), assembled once
+    per V object and n; n < 0 and the byte budget refuse it first.
 
     Given epsilon, the Contour around n is validated between the byte guard
     and the assembly: an oversized basis is reported first, and an invalid
@@ -227,12 +217,11 @@ def _trace_blocks(V: Potential, n: int, N: int | None = None,
     assemble differently (the phases of -0.0 and 0.0 differ by rounding).
     The old assembly is dropped before a new one is built, so two are
     never alive at once; the one kept stays alive until a call with
-    another V or N, at most 16 bytes per entry of the N x N basis.
+    another V or n, at most 16 bytes per entry of the N x N basis.
     """
     if n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
-    if N is None:
-        N = basis_size(n)
+    N = basis_size(n)
     _check_byte_budget(_DENSE_BYTES_PER_ENTRY * N * N, f"basis size {N}")
     if epsilon is not None:
         Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
@@ -262,7 +251,7 @@ class RvrNorms:
     trace_norm: float
 
 
-def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
+def rvr_norms(V: Potential, n: int, epsilon: float,
               node_count: int = DEFAULT_NODES) -> RvrNorms:
     """Hilbert-Schmidt norm at every node; operator and trace norms at
     every _DENSE_NODE_STRIDE-th node, from the eigenvalues of |R| V |R|
@@ -271,13 +260,13 @@ def rvr_norms(V: Potential, n: int, epsilon: float, N: int | None = None,
     its conjugate: node_count / 2 + 1 Hilbert-Schmidt rows, and 5
     eigensolves per block at the default 128 nodes.
 
-    At the default N = basis_size(n) the trace norm is converged only to
-    about 1e-3 relative: it moves by 2.4e-4 to 8.0e-4 between N and 2N
+    On the basis_size(n) basis the trace norm is converged only to about
+    1e-3 relative: it moves by 2.4e-4 to 8.0e-4 between N and 2N
     (cos x and a complex potential, n = 10, 72, 256), while the
     Hilbert-Schmidt norm moves by at most 1.5e-8 and the operator norm by
     4.4e-16.
     """
-    tb = _trace_blocks(V, n, N, epsilon, node_count)
+    tb = _trace_blocks(V, n, epsilon, node_count)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon, node_count=node_count)
     nodes = contour.nodes()
 
@@ -318,8 +307,6 @@ def _rs_orders(tb: _TraceBlocks, n: int, alpha: float,
     matrix-vector product.  V preserves the parity blocks, so every psi^j
     lies in n's block and the recursion runs there alone.
     """
-    if not 0 <= n < tb.N:
-        raise ValueError(f"index n={n} must lie in the basis [0, {tb.N})")
     # the blocks are (even, odd) or one block of every index
     index, _, v = tb.blocks[n % len(tb.blocks)]
     at = n // len(tb.blocks)
@@ -392,15 +379,14 @@ def _neumann_contraction(tb: _TraceBlocks, contour: Contour) -> float:
     return contraction
 
 
-def trace_order_j(V: Potential, n: int, N: int | None = None,
-                  j: int = 1) -> float:
+def trace_order_j(V: Potential, n: int, j: int = 1) -> float:
     """Trace of (1/2 pi i) oint lambda R(lambda) (V R(lambda))^j dlambda.
 
     Evaluated exactly by the RS recursion, so no contour enters.
     """
     if j < 1:
         raise ValueError("j must be at least 1")
-    return float(_rs_orders(_trace_blocks(V, n, N), n, V.alpha, j)[j - 1])
+    return float(_rs_orders(_trace_blocks(V, n), n, V.alpha, j)[j - 1])
 
 
 @dataclass(frozen=True)
@@ -419,7 +405,7 @@ class TraceEigenvalue:
 
 
 def trace_eigenvalue(V: Potential, n: int, epsilon: float,
-                     N: int | None = None, jmax: int = 6) -> TraceEigenvalue:
+                     jmax: int = 6) -> TraceEigenvalue:
     """lambda_n(H+V) from the alternating series of contour traces.
 
     value = alpha(2n+1) + sum_{j=1}^{jmax} (-1)^(j+1) t_j, with the t_j
@@ -429,7 +415,7 @@ def trace_eigenvalue(V: Potential, n: int, epsilon: float,
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
-    tb = _trace_blocks(V, n, N, epsilon)
+    tb = _trace_blocks(V, n, epsilon)
     contour = Contour(n=n, alpha=V.alpha, epsilon=epsilon)
     contraction = _neumann_contraction(tb, contour)
     orders = tuple(float(t) for t in _rs_orders(tb, n, V.alpha, jmax))

@@ -607,6 +607,23 @@ class TestMain:
         assert "budget" in err
         assert built == []
 
+    def test_trace_index_beyond_float_range_exit_two(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a 401-digit n has no float square root; the basis is sized in
+        # integers and refused by the byte guard before any matrix is built
+        built = []
+        monkeypatch.setattr(resolvent, "_v_blocks",
+                            lambda V, lo, hi: built.append(hi))
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        n = 10**400
+        assert main(["trace", "--config", str(cfg_path), "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            rf"error: basis size {2 * n + 8 * 10**200 + 64} plans \d+\.\d "
+            r"GiB of dense arrays, over the 4 GiB budget\n", captured.err)
+        assert built == []
+
     def test_trace_refuses_bad_epsilon_before_assembly(self, tmp_path, capsys,
                                                        monkeypatch):
         # n = 3000 plans N = 6503, within the byte budget: the contour is

@@ -25,7 +25,6 @@ from oscspec.resolvent import (
     _DENSE_NODE_STRIDE,
     Contour,
     NeumannDivergence,
-    WindowPartition,
     _neumann_contraction,
     _rs_orders,
     _trace_blocks,
@@ -68,25 +67,6 @@ class TestContour:
             Contour(n=1, alpha=1.0, epsilon=0.5, node_count=33)
 
 
-class TestWindowPartition:
-    def test_covers_everything_once(self):
-        part = WindowPartition.build(n=100, kappa=1.0 / 3.0, N=400)
-        merged = np.sort(np.concatenate([part.inside, part.outside]))
-        np.testing.assert_array_equal(merged, np.arange(400))
-
-    def test_window_width(self):
-        # |I| <= 2 kappa sqrt(n) + 1
-        for n in (9, 100, 500):
-            kappa = 1.0 / 3.0
-            part = WindowPartition.build(n=n, kappa=kappa, N=4 * n)
-            assert len(part.inside) <= 2 * kappa * math.sqrt(n) + 1
-            assert n in part.inside
-
-    def test_small_n_degenerate(self):
-        part = WindowPartition.build(n=0, kappa=1.0 / 3.0, N=10)
-        np.testing.assert_array_equal(part.inside, [0])
-
-
 class TestBasisSize:
     def test_monotone_and_padded(self):
         prev = 0
@@ -98,6 +78,13 @@ class TestBasisSize:
 
     def test_formula(self):
         assert basis_size(100) == 200 + math.ceil(8 * 10.0) + 64
+
+    def test_integer_root_matches_float_form(self):
+        # the root is taken in integers; the float form it replaced agrees
+        # on every n below 10^5 and around every square up to 2 * 10^6
+        squares = [m * m + d for m in range(1, 1415) for d in (-1, 0, 1)]
+        for n in [*range(10**5), *squares]:
+            assert basis_size(n) == 2 * n + math.ceil(8.0 * math.sqrt(n)) + 64
 
 
 class TestResolventSums:
@@ -125,25 +112,53 @@ class TestResolventSums:
         b = resolvent_sums(n=256, epsilon=0.5, N=1200)
         assert b.s2 < a.s2
 
+    @pytest.mark.parametrize("n", [0, 9, 100, 500])
+    def test_window_and_complement_sums(self, n):
+        # the window I = {k : |k - n| <= sqrt(n) / 3}, as 9 (k - n)^2 <= n
+        # in integers, holds n and at most 2 sqrt(n) / 3 + 1 indices (only
+        # n at n = 0); s1 sums over I, s2 and gap over the rest of [0, N)
+        N, eps = 4 * n + 64, 0.5
+        sums = resolvent_sums(n, eps, N=N)
+        inside = [k for k in range(N) if 9 * (k - n) ** 2 <= n]
+        outside = [k for k in range(N) if k not in inside]
+        assert n in inside and len(inside) <= 2 * math.sqrt(n) / 3 + 1
+        if n == 0:
+            assert inside == [0]
+        tail = 1.0 / (2.0 * (2.0 * (N - 1 - n) - eps))
+        assert sums.tail_bound == pytest.approx(tail, rel=1e-15)
+        nodes = Contour(n=n, alpha=1.0, epsilon=eps).nodes()
+        s1 = s2a = s2 = 0.0
+        gap = math.inf
+        for lam in nodes:
+            dist = {k: abs(lam - (2 * k + 1)) for k in range(N)}
+            s1 = max(s1, sum(1.0 / dist[k] for k in inside))
+            s2a = max(s2a, sum(d ** -2 for d in dist.values()))
+            s2 = max(s2, sum(dist[k] ** -2 for k in outside))
+            gap = min(gap, *(dist[k] for k in outside))
+        assert sums.s1 == pytest.approx(s1, rel=1e-13)
+        assert sums.s2a == pytest.approx(s2a + tail, rel=1e-13)
+        assert sums.s2 == pytest.approx(s2 + tail, rel=1e-13)
+        assert sums.gap == gap
+
 
 class TestRvrNorms:
     def test_zero_potential(self):
         V = Potential(alpha=1.0, terms=(), c0=0.0)
-        norms = rvr_norms(V, n=10, epsilon=0.5, N=64)
+        norms = rvr_norms(V, n=10, epsilon=0.5)
         assert norms.operator_norm == 0.0
         assert norms.hilbert_schmidt == 0.0
         assert norms.trace_norm == 0.0
 
     def test_norm_ordering(self):
         V = cos_potential(amplitude=0.5)
-        norms = rvr_norms(V, n=16, epsilon=0.5, N=96)
+        norms = rvr_norms(V, n=16, epsilon=0.5)
         assert norms.operator_norm <= norms.hilbert_schmidt * (1 + 1e-10)
         assert norms.hilbert_schmidt <= norms.trace_norm * (1 + 1e-10)
         assert norms.operator_norm > 0
 
     def test_linear_in_amplitude(self):
-        n1 = rvr_norms(cos_potential(amplitude=0.2), n=12, epsilon=0.5, N=80)
-        n2 = rvr_norms(cos_potential(amplitude=0.4), n=12, epsilon=0.5, N=80)
+        n1 = rvr_norms(cos_potential(amplitude=0.2), n=12, epsilon=0.5)
+        n2 = rvr_norms(cos_potential(amplitude=0.4), n=12, epsilon=0.5)
         assert n2.hilbert_schmidt == pytest.approx(2.0 * n1.hilbert_schmidt,
                                                    rel=1e-10)
         assert n2.operator_norm == pytest.approx(2.0 * n1.operator_norm,
@@ -183,16 +198,14 @@ class TestRvrNorms:
     @pytest.mark.parametrize("n", [10, 72])
     @pytest.mark.parametrize("potential", ["cos", "quasi"])
     def test_basis_size_converged(self, potential, n):
-        # doubling the default basis moves neither norm: the truncation
-        # tail is negligible even at small n
+        # the dense oracle on twice the basis moves neither norm: the
+        # truncation tail is negligible even at small n
         V = cos_potential() if potential == "cos" else quasi_potential()
-        N = basis_size(n)
-        at_n, at_2n = (rvr_norms(V, n, 0.5, N=size, node_count=32)
-                       for size in (N, 2 * N))
-        assert at_n.hilbert_schmidt == pytest.approx(at_2n.hilbert_schmidt,
-                                                     rel=1e-6)
-        assert at_n.operator_norm == pytest.approx(at_2n.operator_norm,
-                                                   rel=1e-6)
+        at_n = rvr_norms(V, n, 0.5, node_count=32)
+        op, hs, _ = dense_rvr_norms(V, n, 0.5, N=2 * basis_size(n),
+                                    node_count=32)
+        assert at_n.hilbert_schmidt == pytest.approx(hs, rel=1e-6)
+        assert at_n.operator_norm == pytest.approx(op, rel=1e-6)
 
 
 class TestTraceOrders:
@@ -205,7 +218,7 @@ class TestTraceOrders:
     def test_zero_potential_all_orders_vanish(self):
         V = Potential(alpha=1.0, terms=(), c0=0.0)
         for j in (1, 2, 3):
-            assert trace_order_j(V, n=5, N=48, j=j) == \
+            assert trace_order_j(V, n=5, j=j) == \
                 pytest.approx(0.0, abs=1e-13)
 
     def test_epsilon_independence(self):
@@ -280,15 +293,11 @@ class TestRsMatchesContour:
         for j in range(1, 5):
             assert trace_order_j(V, n=12, j=j) == rs[j - 1]
 
-    def test_index_outside_basis_rejected(self):
-        with pytest.raises(ValueError):
-            trace_order_j(cos_potential(), n=10, N=10)
-
 
 class TestTraceEigenvalue:
     def test_zero_potential(self):
         V = Potential(alpha=1.0, terms=(), c0=0.0)
-        result = trace_eigenvalue(V, n=7, epsilon=0.5, N=64, jmax=3)
+        result = trace_eigenvalue(V, n=7, epsilon=0.5, jmax=3)
         assert result.value == pytest.approx(15.0, abs=1e-12)
         assert result.unperturbed == 15.0
 
@@ -336,17 +345,18 @@ class TestTraceEigenvalue:
         # amplitude far above the level spacing defeats the contraction
         V = cos_potential(amplitude=40.0)
         with pytest.raises(NeumannDivergence):
-            trace_eigenvalue(V, n=4, epsilon=0.5, N=64, jmax=2)
+            trace_eigenvalue(V, n=4, epsilon=0.5, jmax=2)
 
 
 class TestDenseBudget:
     @pytest.mark.parametrize("call", [
-        lambda V, N: rvr_norms(V, 100, 0.5, N=N),
-        lambda V, N: trace_eigenvalue(V, 100, 0.5, N=N),
-        lambda V, N: trace_order_j(V, 100, N=N),
+        lambda V, n: rvr_norms(V, n, 0.5),
+        lambda V, n: trace_eigenvalue(V, n, 0.5),
+        lambda V, n: trace_order_j(V, n),
     ], ids=["rvr_norms", "trace_eigenvalue", "trace_order_j"])
     def test_refused_before_assembly(self, call, monkeypatch):
-        # 80 bytes per entry: N = 7327 fits the 4 GiB budget, 7328 does not
+        # 80 bytes per entry: n = 3398 (N = 7327) fits the 4 GiB budget,
+        # n = 3399 (N = 7329) does not
         class Built(Exception):
             pass
 
@@ -355,16 +365,18 @@ class TestDenseBudget:
 
         monkeypatch.setattr(resolvent, "_v_blocks", refuse)
         V = cos_potential()
-        with pytest.raises(ValueError, match="7328 plans 4.0 GiB .* budget"):
-            call(V, 7328)
-        with pytest.raises(Built):
-            call(V, 7327)
+        with pytest.raises(ValueError,
+                           match="^basis size 7329 plans 4.0 GiB .* budget$"):
+            call(V, 3399)
+        with pytest.raises(Built) as built:
+            call(V, 3398)
+        assert built.value.args == (7327,)
 
     @pytest.mark.parametrize("call", [
-        lambda V: rvr_norms(V, -1, 0.5, N=100),
+        lambda V: rvr_norms(V, -1, 0.5),
         lambda V: resolvent_sums(-1, 0.5, N=100),
-        lambda V: trace_eigenvalue(V, -1, 0.5, N=100),
-        lambda V: trace_order_j(V, -1, N=100),
+        lambda V: trace_eigenvalue(V, -1, 0.5),
+        lambda V: trace_order_j(V, -1),
     ], ids=["rvr_norms", "resolvent_sums", "trace_eigenvalue",
             "trace_order_j"])
     def test_negative_index_refused_before_assembly(self, call, monkeypatch):
@@ -465,7 +477,7 @@ class TestMatchesDenseOracle:
                   seeded_quasi(3)):
             vm = v_matrix(V, 61)
             dense = [block for _, block in dense_blocks(vm)]
-            tb = _trace_blocks(V, 0, 61)
+            tb = resolvent._assemble(V, 61)
             assert len(tb.blocks) == len(dense)
             for (index, levels, v), d in zip(tb.blocks, dense):
                 np.testing.assert_array_equal(
@@ -568,7 +580,7 @@ class TestAssemblyMemo:
 
     def test_old_entry_dropped_before_build(self, builds, monkeypatch):
         V = cos_potential()
-        tb = _trace_blocks(V, 0, 40)
+        tb = _trace_blocks(V, 0)
         refs = [weakref.ref(tb), weakref.ref(tb.blocks[0][2])]
         del tb
         alive = []
@@ -579,12 +591,12 @@ class TestAssemblyMemo:
             return fill(V, lo, hi)
 
         monkeypatch.setattr(resolvent, "_v_blocks", check)
-        _trace_blocks(V, 0, 41)
+        _trace_blocks(V, 1)
         assert alive == [[False, False]]
 
     def test_cached_arrays_read_only(self):
         for V in (cos_potential(), quasi_potential()):
-            for index, levels, v in _trace_blocks(V, 0, 30).blocks:
+            for index, levels, v in _trace_blocks(V, 0).blocks:
                 with pytest.raises(ValueError, match="read-only"):
                     v[0, 0] = 1.0
                 with pytest.raises(ValueError, match="read-only"):
