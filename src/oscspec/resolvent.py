@@ -149,17 +149,23 @@ def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
     sums to the levels k in [0, N): s1 over the window
     I = {k : |k - n| <= kappa sqrt(n)}, s2a over every k and s2 over the
     complement J of I, both with the analytic tail past N; gap is the
-    least distance to a level in J."""
+    least distance to a level in J.  An n outside the basis, or a basis
+    with no level in J, is refused before the distances are formed."""
     if n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
+    if n >= N:   # in integers: a huge n never reaches numpy or math.sqrt
+        raise ValueError(f"n must lie in the basis 0 <= n < N = {N}, got {n}")
     _check_byte_budget(_SUMS_BYTES_PER_NODE_INDEX * DEFAULT_NODES * N,
                        f"{DEFAULT_NODES} contour nodes at basis size {N}")
+    k = np.arange(N)
+    inside = np.abs(k - n) <= kappa * math.sqrt(n)
+    if inside[0] and inside[-1]:   # then the window I holds every k < N
+        raise ValueError(f"the basis 0 <= k < N = {N} holds no level outside "
+                         f"the window of n = {n}")
     contour = Contour(n=n, alpha=alpha, epsilon=epsilon)
     lam = contour.nodes()[:, None]
-    k = np.arange(N)
     lam_k = alpha * (2.0 * k + 1.0)[None, :]
     dist = np.abs(lam - lam_k)
-    inside = np.abs(k - n) <= kappa * math.sqrt(n)
     tail = _square_tail(n, alpha, epsilon, N)
     s1 = float(np.max(np.sum(1.0 / dist[:, inside], axis=1)))
     s2a = float(np.max(np.sum(dist**-2, axis=1))) + tail

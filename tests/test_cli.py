@@ -524,6 +524,31 @@ class TestMain:
         assert capsys.readouterr().out == (
             "PASS bessel: max |J_n(x)| x^(1/2) / 4 = 0.214312\n")
 
+    def test_matelem_suite_is_one_oracle_call(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(points, alpha, k, kp):
+            calls.append((len(points), len(k), len(kp)))
+            return matelem.u_element_oracle(points, alpha, k, kp)
+
+        monkeypatch.setattr(cli, "u_element_oracle", spy)
+        assert run_verify(parse_config(json.dumps(GOOD_CONFIG)), "matelem",
+                          seed=7)
+        assert calls == [(200, 200, 200)]
+        assert capsys.readouterr().out == (
+            "PASS matelem: max cross-route discrepancy = 3.569e-14\n")
+
+    @pytest.mark.parametrize("seed, worst", [
+        (0, "4.340e-14"), (5, "2.737e-14"), (7, "3.569e-14"),
+        (123, "3.263e-14"),
+    ])
+    def test_matelem_suite_output_pinned(self, capsys, seed, worst):
+        # the lines the suite printed calling the oracle once per draw
+        assert run_verify(parse_config(json.dumps(GOOD_CONFIG)), "matelem",
+                          seed=seed)
+        assert capsys.readouterr().out == (
+            f"PASS matelem: max cross-route discrepancy = {worst}\n")
+
     def test_matelem_suite_runs_series_only_in_regime(self, capsys,
                                                       monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,138 @@ class TestUElement:
                 continue
             bound = (4.0 * two_rho**-0.5 + 0.5 * two_rho**2) * s**-0.25
             assert abs(u_element(a, 1.0, k, kp)) <= bound * (1 + 1e-12)
+
+
+def quadrature_one(a, alpha, k, kp):
+    """<U_a phi_k, phi_k'> by the quadrature written out for one element:
+    each Hermite factor on its own recurrence, as `u_element_oracle` runs
+    every segment of a batch, and the sum on the element's own arrays."""
+    n_nodes = 4 * (k + kp) + 200
+    u, wt = matelem._gh_rule(n_nodes)
+    b = math.sqrt(alpha) * a.a_xi
+    beta = a.a_x / math.sqrt(alpha)
+
+    def psi(n, arg):
+        r_prev = np.zeros_like(arg)
+        r = math.pi ** -0.25 * np.exp(-0.5 * arg * arg)
+        for j in range(n):
+            r_prev, r = r, (arg * math.sqrt(2.0 / (j + 1)) * r
+                            - math.sqrt(j / (j + 1.0)) * r_prev)
+        return r
+
+    total = np.sum(wt * psi(k, u + 0.5 * b) * psi(kp, u - 0.5 * b)
+                   * np.exp(1j * beta * u))
+    return complex(cmath.exp(1j * (0.5 * a.a_x * a.a_xi - 0.5 * beta * b))
+                   * total)
+
+
+@st.composite
+def oracle_elements(draw, alpha):
+    """(a, k, k') the oracle takes at alpha: k = 0, k' = 0 and k = k'
+    often, and a at 0, on the a_x axis, exactly at the shift cap
+    sqrt(2 n_nodes) along an axis, or anywhere inside it."""
+    k = draw(st.sampled_from([0, 1, 50, 300]) | st.integers(0, 300))
+    kp = draw(st.sampled_from([0, k]) | st.integers(0, 300))
+    limit = math.sqrt(2 * (4 * (k + kp) + 200))
+    s = math.sqrt(alpha)   # 0.5, 1 or 2: a_x / s and s a_xi are exact
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["zero", "a_xi = 0", "cap a_x", "cap a_xi",
+                                 "inside"]))
+    if kind == "zero":
+        a = PhasePoint(0.0, 0.0)
+    elif kind == "a_xi = 0":
+        a = PhasePoint(s * limit * draw(st.floats(-1.0, 1.0)), 0.0)
+    elif kind == "cap a_x":
+        a = PhasePoint(sign * s * limit, 0.0)
+    elif kind == "cap a_xi":
+        a = PhasePoint(0.0, sign * limit / s)
+    else:
+        frac = draw(st.floats(0.0, 0.999))
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        a = PhasePoint(s * frac * limit * math.cos(phi),
+                       frac * limit * math.sin(phi) / s)
+    return a, k, kp
+
+
+class TestOracleBatch:
+    """`u_element_oracle` on sequences: one recurrence for every element,
+    each element with the bits of its own quadrature."""
+
+    @given(data=st.data(), alpha=st.sampled_from([0.25, 1.0, 4.0]),
+           size=st.integers(1, 6), group=st.sampled_from([400, 1000, 2**15]))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_is_scalar_calls_bitwise(self, data, alpha, size, group):
+        # groups of 400 and 1000 nodes split a batch as the 2^15 of the
+        # suite's 200 draws do (a segment has 200 to 2600 nodes)
+        elements = data.draw(st.lists(oracle_elements(alpha), min_size=size,
+                                      max_size=size))
+        points, ks, kps = zip(*elements)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matelem, "_ORACLE_GROUP_NODES", group)
+            batch = u_element_oracle(points, alpha, ks, kps)
+        assert batch.dtype == np.complex128 and batch.shape == (size,)
+        scalar = np.array([u_element_oracle(a, alpha, k, kp)
+                           for a, k, kp in elements])
+        alone = np.array([quadrature_one(a, alpha, k, kp)
+                          for a, k, kp in elements])
+        np.testing.assert_array_equal(batch.view(np.int64),
+                                      scalar.view(np.int64))
+        np.testing.assert_array_equal(batch.view(np.int64),
+                                      alone.view(np.int64))
+
+    def test_scalar_and_empty(self):
+        a = PhasePoint(1.0, 0.0)
+        assert type(u_element_oracle(a, 1.0, 0, 1)) is complex
+        batch = u_element_oracle([a], 1.0, [0], [1])
+        assert batch.tolist() == [u_element_oracle(a, 1.0, 0, 1)]
+        empty = u_element_oracle([], 1.0, [], [])
+        assert empty.dtype == np.complex128 and empty.shape == (0,)
+
+    def test_lengths_must_match(self):
+        a = PhasePoint(1.0, 0.0)
+        with pytest.raises(ValueError, match="same length"):
+            u_element_oracle([a, a], 1.0, [0], [0, 1])
+
+    @pytest.fixture
+    def no_rule(self, monkeypatch):
+        def refuse(n_nodes):
+            raise AssertionError(f"built a {n_nodes}-node rule")
+
+        monkeypatch.setattr(matelem, "_gh_rule", refuse)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((PhasePoint(1.0, 0.0), -1, 400), "indices must be nonnegative"),
+        ((PhasePoint(0.0, 1e3), 301, 0),
+         "oracle quadrature capped at index 300"),
+        ((PhasePoint(30.0, 0.0), 2, 1),
+         "oracle quadrature at k=2, k'=1 holds for |||a||| <= "
+         "sqrt(2 * 212) = 20.59, got 30"),
+    ], ids=["negative index", "index cap", "shift cap"])
+    def test_first_refusal_raises_before_any_rule(self, no_rule, bad,
+                                                  message):
+        # each element gets the scalar checks in the scalar order, and the
+        # first element refused (at 150) raises, not the one at 170
+        elements = [(PhasePoint(0.5, 0.5), i % 51, 3 * i % 51)
+                    for i in range(200)]
+        elements[150] = bad
+        elements[170] = (PhasePoint(100.0, 0.0), 0, 0)
+        points, ks, kps = zip(*elements)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            u_element_oracle(points, 1.0, ks, kps)
+
+    def test_batch_over_budget_refused_before_any_rule(self, no_rule,
+                                                      monkeypatch):
+        # 200 elements at k = k' = 50: 400 segments of 600 nodes, 8 bytes
+        # a node kept and 24 a node of one group of 2^15 nodes, plan
+        # 1,920,000 + 786,432 bytes
+        points, ks = [PhasePoint(0.5, 0.5)] * 200, [50] * 200
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 2_706_432 - 1)
+        with pytest.raises(ValueError,
+                           match="^an oracle batch of 200 elements plans "):
+            u_element_oracle(points, 1.0, ks, ks)
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 2_706_432)
+        with pytest.raises(AssertionError, match="built a 600-node rule"):
+            u_element_oracle(points, 1.0, ks, ks)
 
 
 class TestUnderflowedStart:

@@ -6,6 +6,7 @@ them, and the epsilon and node-count tests run on that quadrature.
 """
 
 import math
+import re
 import weakref
 
 import numpy as np
@@ -397,6 +398,30 @@ class TestDenseBudget:
                            match="128 contour nodes at basis size 4000064 "
                                  "plans 12.4 GiB .* budget"):
             resolvent_sums(10**6, 0.5, N=4 * 10**6 + 64)
+
+    @pytest.mark.parametrize("n, N", [
+        (10**20, 100), (10**400, 100), (3, 0), (200, 100), (100, 100),
+    ])
+    def test_resolvent_sums_index_outside_basis(self, n, N, monkeypatch):
+        # refused in integers before the byte guard: 10^20 and 10^400 raised
+        # OverflowError from numpy and math.sqrt, N = 0 numpy's zero-size
+        # error, and n = 200 at N = 100 returned s2a = s2 = inf
+        def refuse(planned, what):
+            raise AssertionError("reached the byte guard")
+
+        monkeypatch.setattr(resolvent, "_check_byte_budget", refuse)
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must lie in the basis 0 <= n < N = {N}, got {n}")):
+            resolvent_sums(n, 0.5, N=N)
+
+    def test_resolvent_sums_basis_inside_window(self):
+        # at n = 0 and N = 1 the window holds the whole basis, which gave
+        # numpy's zero-size error for the gap; N = 2 reaches level 1
+        with pytest.raises(ValueError, match=re.escape(
+                "the basis 0 <= k < N = 1 holds no level outside the window "
+                "of n = 0")):
+            resolvent_sums(0, 0.5, N=1)
+        assert resolvent_sums(0, 0.5, N=2).gap == 1.5
 
 
 def split_complex_potential():
