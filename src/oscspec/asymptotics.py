@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .matelem import v_element
-from .model import Potential, metric_norm
+from .model import CONJUGACY_TOL, Potential, metric_norm
 
 __all__ = [
     "AsymptoticModel",
@@ -24,7 +24,6 @@ __all__ = [
 ]
 
 _W_PREFACTOR = 2.0**0.25 / math.sqrt(math.pi)
-_IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class AsymptoticModel:
 
     @classmethod
     def from_potential(cls, V: Potential) -> "AsymptoticModel":
-        if abs(V.c0.imag) > _IMAG_TOL:
+        if abs(V.c0.imag) > CONJUGACY_TOL:
             raise ValueError("c0 must be real")
         waves = []
         for p, c in V.pairs():
@@ -60,12 +59,27 @@ def w_value(model: AsymptoticModel, lam: float) -> float:
 
 
 def first_order_diagonal(V: Potential, n: int) -> float:
-    """The diagonal element <V phi_n, phi_n>, asserted real."""
+    """The diagonal element <V phi_n, phi_n>, real for a Hermitian V.
+
+    On the diagonal <U_a phi_n, phi_n> is real and the same for a and -a,
+    so each pair {a, -a} adds at most |c_{-a} - conj(c_a)| (c = 0 for a
+    missing term) to the imaginary part, and c0 adds |Im c0|.  Within
+    what `validate` lets through, CONJUGACY_TOL each, and the sum's
+    rounding, the imaginary part is dropped; past it, refused.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     val = v_element(V, n, n)
-    if abs(val.imag) > _IMAG_TOL:
-        raise AssertionError(f"diagonal element has imaginary part {val.imag}")
+    coeffs, firsts = dict(V.terms), dict(V.pairs())
+    gaps = [abs(coeffs.get(-p, 0.0) - c.conjugate()) for p, c in V.terms
+            if p in firsts or -p not in coeffs]
+    allowed = (sum(min(g, CONJUGACY_TOL) for g in [abs(V.c0.imag), *gaps])
+               + (len(V.terms) + 1) * math.ulp(1.0)
+               * (abs(V.c0) + V.coefficient_sum()))
+    if abs(val.imag) > allowed:
+        raise ValueError(
+            f"diagonal element <V phi_{n}, phi_{n}> has imaginary part "
+            f"{val.imag:.3g}, past the {allowed:.3g} a Hermitian V allows")
     return val.real
 
 

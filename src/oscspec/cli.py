@@ -187,19 +187,25 @@ def _suite_bessel(config: RunConfig, rng) -> tuple[bool, str]:
     return ok, f"max |J_n(x)| x^(1/2) / 4 = {worst:.6f}"
 
 
-def _suite_matelem(config: RunConfig, rng) -> tuple[bool, str]:
-    alpha = config.potential.alpha
+def _matelem_draws(rng) -> tuple[tuple, tuple, tuple]:
+    """The matelem suite's 200 elements: points, k and k'."""
     draws = []
     for _ in range(200):
         ax, axi = rng.uniform(-3.5, 3.5, size=2)
         k, kp = (int(v) for v in rng.integers(0, 51, size=2))
         draws.append((PhasePoint(float(ax), float(axi)), k, kp))
-    # one oracle call for all draws; the closed form and series per element
-    points, ks, kps = zip(*draws)
+    return tuple(zip(*draws))
+
+
+def _suite_matelem(config: RunConfig, rng) -> tuple[bool, str]:
+    alpha = config.potential.alpha
+    # one oracle and one closed-form call for all draws; the series per
+    # element
+    points, ks, kps = _matelem_draws(rng)
     oracles = u_element_oracle(points, alpha, ks, kps).tolist()
+    closeds = u_element(points, alpha, ks, kps).tolist()
     worst = 0.0
-    for (p, k, kp), oracle in zip(draws, oracles):
-        closed = u_element(p, alpha, k, kp)
+    for p, k, kp, oracle, closed in zip(points, ks, kps, oracles, closeds):
         worst = max(worst, abs(closed - oracle))
         if k <= kp and _series_converges(p, alpha, k, kp):
             series = u_element_bessel(p, alpha, k, kp, jmax=48)

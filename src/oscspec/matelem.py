@@ -4,7 +4,8 @@ Three independent routes are provided for <U_a phi_k, phi_k'>:
 
 * `u_element`     -- closed form: Laguerre polynomial times a log-space
                      factorial prefactor (log m! by `math.lgamma`) and an
-                     explicit phase.
+                     explicit phase, for one element or a batch on one
+                     recurrence.
 * `u_element_oracle` -- the defining inner-product integral by high-order
                      Gauss-Hermite quadrature (the test oracle), for one
                      element or a batch on one Hermite recurrence.
@@ -22,8 +23,9 @@ matrix of V and of H+V.  One mirror, `_mirror`, fills an upper triangle
 from the lower.
 
 Every closed-form magnitude comes from one prefactored Laguerre
-recurrence, `_magnitudes`, run on one offset for a single element and,
-in `_v_blocks`, on a vector of offsets for all {a, -a} pairs at once.
+recurrence, `_magnitudes`, run elementwise on the elements of a
+`u_element` batch and, in `_v_blocks`, on a grid of offsets for all
+{a, -a} pairs at once.
 Its iterates are exactly the (signed) element magnitudes, so every
 intermediate stays bounded by 1 and basis sizes of 10^4 never overflow;
 a start below the float range carries its exponent apart until the
@@ -96,10 +98,11 @@ _V_MATRIX_BYTES_PER_ENTRY = 32
 # eigenvalues moved by up to 3.9e-12, through LAPACK's rounding.
 _REACH_TOL = 1e-30
 # A magnitude start below 2^_CARRY_START carries its exponent apart, with
-# its value held near 2^_CARRY_LEVEL until the true value gets there
-# (`_magnitudes`).
+# its value held near 2^_CARRY_LEVEL until the true value gets there, and
+# an exponent of at most _CARRY_MAX (`_magnitudes`).
 _CARRY_START = -900
 _CARRY_LEVEL = -300
+_CARRY_MAX = 2**62
 # Rows per chunk of `_magnitudes` and of `_v_blocks`' pair-sum and scatter.
 # A narrow fill's cost is numpy's per-call overhead, which a chunk pays
 # once for its tables, pair-sum and scatter instead of once per row.
@@ -110,6 +113,10 @@ _CARRY_LEVEL = -300
 # of the four-pair quasi seed 7, rows 0 .. 797 and 183 offsets (21.4 row
 # by row).  At 64 that fill's chunk arrays plan 2.5 MB.
 _CHUNK = 64
+# Planned bytes per element of a `u_element` batch: a chunk's rows, its
+# step table and its root table with that table's two temporaries, _CHUNK
+# doubles each, and 16 doubles of starts and iterates.
+_ELEMENT_BYTES = 8 * (5 * _CHUNK + 16)
 _LN2 = math.log(2.0)
 
 
@@ -120,38 +127,32 @@ def _omega(a: PhasePoint, alpha: float) -> complex:
 
 
 def _elementwise(f, v):
-    """f(v) by `math` for a float v, or for each entry of an ndarray v, so
-    that both give the same bits."""
-    if isinstance(v, np.ndarray):
-        return np.array([f(e) for e in v.ravel().tolist()]).reshape(v.shape)
-    return f(v)
-
-
-def _log_factorial(m):
-    """log m! by math.lgamma, for a float m >= 0 or each entry of an ndarray."""
-    return _elementwise(lambda v: math.lgamma(v + 1.0), m)
+    """f by `math` on each entry of the array (or number) v, in v's shape,
+    with the bits `math` gives."""
+    v = np.asarray(v)
+    return np.array([f(e) for e in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _magnitudes(r, m, kmax: int, widths=None):
     """Yield g_k = sqrt(k!/k'!) (sqrt2 r)^m e^{-r^2} L_k^{(m)}(2 r^2), k = 0..kmax,
     in chunks (k0, rows): rows[i] is g_{k0+i}, for up to _CHUNK rows.
 
-    m = k' - k is a float offset or an ndarray of offsets, and r a float or
-    a (P, 1) ndarray of P pairs' radii, whose iterates are then P rows of
-    offsets.  The recurrence runs on the prefactored quantity itself, so
-    every iterate is bounded by 1, and each step's denominator
-    sqrt((j+1)(j+1+m)) is the next step's sqrt(j(j+m)).  Given `widths`,
-    row k of the caller writes the first widths[k] offsets, and each
-    chunk's iterates are cut to the offsets a row from the chunk on still
-    writes.
+    m = k' - k is an array of float offsets, the last axis of every
+    iterate, and r the radii broadcast against it: (P, 1) for the grid of
+    P pairs' rows of offsets in `_v_blocks`, or one radius per offset for
+    the single elements of `u_element`.  The recurrence runs on the
+    prefactored quantity itself, so every iterate is bounded by 1, and
+    each step's denominator sqrt((j+1)(j+1+m)) is the next step's
+    sqrt(j(j+m)).  Given `widths`, row k of the caller writes the first
+    widths[k] offsets, and each chunk's iterates are cut to the offsets a
+    row from the chunk on still writes.
 
-    A float offset runs the step in float arithmetic.  An array runs each
-    chunk's steps from two tables built once per chunk, (2j+1+m) - x and
-    sqrt((j+1)(j+1+m)), as four ufuncs into the chunk's rows: the
-    products a g and root prev, their difference, and its quotient by the
-    denominator.  These are the scalar step's operations in its order,
-    and every offset's iterate is computed alone, so the two paths, and
-    chunks of any width, give the same bits.
+    Each chunk's steps run from two tables built once per chunk,
+    (2j+1+m) - x and sqrt((j+1)(j+1+m)), as four ufuncs into the chunk's
+    rows: the products a g and root prev, their difference, and its
+    quotient by the denominator.  Every entry's iterate is computed
+    alone, so an entry has the same bits in a grid, as a single element,
+    and in chunks of any width.
 
     A start below 2^_CARRY_START, which would lose digits as a subnormal
     or underflow to 0 while the true element at row k grows like
@@ -161,35 +162,24 @@ def _magnitudes(r, m, kmax: int, widths=None):
     J. Geodesy 86, 2012).  The recurrence is linear, so scaling by powers
     of 2 (`_carry`) changes nothing but the exponent.  Offsets that carry
     nothing run the same arithmetic, and once no offset carries the loop
-    is the plain one.
+    is the plain one.  Past r of about 2.5e9, e would pass int64, so it
+    is clipped to _CARRY_MAX = 2^62 once the start is scaled.  Every row
+    k <= kmax < 2^51 stays exact: a carry takes at most 1324 from e (the
+    iterates are below 2^1024), so a clipped e stays above 2^60, each
+    carry moves what it would unclipped, and each row g 2^-e is a zero
+    of g's sign either way.
     """
     x = 2.0 * r * r
+    # log m! by math.lgamma
     log_g = (m * _elementwise(math.log, math.sqrt(2.0) * r) - r * r
-             - 0.5 * _log_factorial(m))
+             - 0.5 * _elementwise(lambda v: math.lgamma(v + 1.0), m))
     low = log_g < _CARRY_START * _LN2
     e = None
-    if not isinstance(log_g, np.ndarray):
-        if low:
-            e = math.ceil(_CARRY_LEVEL - log_g / _LN2)
-        g = np.exp(log_g if e is None else log_g + e * _LN2)
-        prev = root = 0.0   # g_{-1} and sqrt(j (j + m)) at j = 0
-        rows = [g if e is None else math.ldexp(g, -e)]
-        for j in range(kmax):
-            denominator = math.sqrt((j + 1) * (j + 1 + m))
-            prev, g = g, ((2 * j + 1 + m - x) * g - root * prev) / denominator
-            root = denominator
-            if e is not None:
-                g, prev, e = _carry(g, prev, e)
-            rows.append(g if e is None else math.ldexp(g, -e))
-            if len(rows) == _CHUNK:
-                yield j + 2 - _CHUNK, np.array(rows)
-                rows = []
-        if rows:
-            yield kmax + 1 - len(rows), np.array(rows)
-        return
     if low.any():
-        e = np.where(low, np.ceil(_CARRY_LEVEL - log_g / _LN2), 0).astype(int)
-    g = np.exp(log_g if e is None else log_g + e * _LN2)
+        shift = np.where(low, np.ceil(_CARRY_LEVEL - log_g / _LN2), 0.0)
+        log_g = log_g + shift * _LN2
+        e = np.minimum(shift, _CARRY_MAX).astype(np.int64)
+    g = np.exp(log_g)
     starts = range(0, kmax + 1, _CHUNK)
     if widths is not None:
         # the widest row from each chunk on
@@ -233,15 +223,12 @@ def _carry(g, prev, e):
     back to about 2^_CARRY_LEVEL, or e goes to 0.  Both are multiplied by
     2^-s, s <= e, which is exact while prev stays normal (a prev that does
     not is below 2^-720 of g and no longer counts).  Returns g, prev and
-    e, e being None once it is 0 everywhere.  A float g runs in `math`.
+    e, e being None once it is 0 everywhere.
     """
-    if isinstance(g, np.ndarray):
-        top = np.frexp(np.maximum(np.abs(g), np.abs(prev)))[1]
-        s = np.minimum(e, np.maximum(top - _CARRY_LEVEL, 0))
-        e = e - s
-        return np.ldexp(g, -s), np.ldexp(prev, -s), e if e.any() else None
-    s = min(e, max(math.frexp(max(abs(g), abs(prev)))[1] - _CARRY_LEVEL, 0))
-    return math.ldexp(g, -s), math.ldexp(prev, -s), e - s or None
+    top = np.frexp(np.maximum(np.abs(g), np.abs(prev)))[1]
+    s = np.minimum(e, np.maximum(top - _CARRY_LEVEL, 0))
+    e = e - s
+    return np.ldexp(g, -s), np.ldexp(prev, -s), e if e.any() else None
 
 
 def _check_element(alpha: float, k: int, k_prime: int) -> None:
@@ -252,25 +239,67 @@ def _check_element(alpha: float, k: int, k_prime: int) -> None:
         raise ValueError("indices must be nonnegative")
 
 
-def u_element(a: PhasePoint, alpha: float, k: int, k_prime: int) -> complex:
-    """Closed-form matrix element <U_a phi_k, phi_k'>."""
-    _check_element(alpha, k, k_prime)
-    if k > k_prime:
-        # U_a^* = U_{-a}
-        return u_element(-a, alpha, k_prime, k).conjugate()
-    w = _omega(a, alpha)
-    r = abs(w)
-    if r == 0.0:
-        return 1.0 + 0.0j if k == k_prime else 0.0j
-    m = k_prime - k
-    *_, (_, rows) = _magnitudes(r, float(m), k)
-    mag = rows[-1]
-    if not math.isfinite(mag):
-        raise OverflowError(
-            f"matrix-element magnitude not finite at k={k}, k'={k_prime}"
-        )
-    theta = cmath.phase(-w)
-    return cmath.exp(1j * m * theta) * mag
+def _batch(a, k, k_prime):
+    """(points, ks, k_primes, scalar) of a PhasePoint and two ints, or of
+    a sequence of points and integer sequences k, k' of its length."""
+    if isinstance(a, PhasePoint):
+        return [a], [k], [k_prime], True
+    points, ks, kps = list(a), list(k), list(k_prime)
+    if not len(points) == len(ks) == len(kps):
+        raise ValueError("points, k and k' must have the same length")
+    return points, ks, kps, False
+
+
+def u_element(a, alpha: float, k, k_prime):
+    """Closed-form matrix element <U_a phi_k, phi_k'>: a complex for a
+    PhasePoint and two ints, a complex array for a batch of them as
+    `u_element_oracle` takes it.
+
+    For k <= k' an element is e^{i m theta} g_k, m = k' - k, theta =
+    arg(-omega) and g_k the magnitude `_magnitudes` gives at r = |omega|,
+    or delta_{kk'} at r = 0.  For k > k' it is conj <U_{-a} phi_k', phi_k>
+    (U_a^* = U_{-a}), from one call on the batch with those swapped.
+    Each element is refused in input order by `_check_element`, then a
+    batch over DENSE_BYTE_BUDGET, before any recurrence.  The elements
+    run as the offsets of one elementwise recurrence, each read out at its
+    row k with the bits it has alone.
+    """
+    points, ks, kps, scalar = _batch(a, k, k_prime)
+    for kk, kkp in zip(ks, kps):
+        _check_element(alpha, kk, kkp)
+    _check_byte_budget(_ELEMENT_BYTES * len(points),
+                       f"a batch of {len(points)} elements")
+    swap = [kk > kkp for kk, kkp in zip(ks, kps)]
+    if any(swap):
+        values = u_element([-p if s else p for p, s in zip(points, swap)],
+                           alpha, list(map(min, ks, kps)),
+                           list(map(max, ks, kps)))
+        np.conjugate(values, out=values, where=np.array(swap))
+        return complex(values[0]) if scalar else values
+    omegas = [_omega(p, alpha) for p in points]
+    radii = [abs(w) for w in omegas]
+    # r = 0 is delta_{kk'}; past 2 r^2 = inf (|a| of 1.9e154 at alpha = 1)
+    # no magnitude is finite
+    live = np.flatnonzero([0.0 < v and 2.0 * v * v < math.inf
+                           for v in radii])
+    mags = np.full(len(points), math.inf)
+    if len(live):
+        rows_k = np.array(ks)[live]
+        m = np.array(kps)[live] - rows_k.astype(float)
+        for k0, rows in _magnitudes(np.array(radii)[live], m,
+                                    int(rows_k.max())):
+            at = np.flatnonzero((rows_k >= k0) & (rows_k < k0 + len(rows)))
+            mags[live[at]] = rows[rows_k[at] - k0, at]
+    values = []
+    for w, kk, kkp, mag in zip(omegas, ks, kps, mags.tolist()):
+        if w == 0.0:
+            values.append(1.0 + 0.0j if kk == kkp else 0.0j)
+        elif not math.isfinite(mag):
+            raise OverflowError(
+                f"matrix-element magnitude not finite at k={kk}, k'={kkp}")
+        else:
+            values.append(cmath.exp(1j * (kkp - kk) * cmath.phase(-w)) * mag)
+    return values[0] if scalar else np.array(values, dtype=complex)
 
 
 # u_element_oracle asks for n_nodes = 4(k + k') + 200, k, k' <=
@@ -396,10 +425,7 @@ def u_element_oracle(a, alpha: float, k, k_prime):
     step: the 200 draws (seed 7) of `oscspec verify`'s matelem suite take
     11 ms in one call and 29 ms in 200 (2 vCPUs).
     """
-    points, ks, kps = (([a], [k], [k_prime]) if isinstance(a, PhasePoint)
-                       else (list(a), list(k), list(k_prime)))
-    if not len(points) == len(ks) == len(kps):
-        raise ValueError("points, k and k' must have the same length")
+    points, ks, kps, scalar = _batch(a, k, k_prime)
     plans = [_oracle_plan(p, alpha, kk, kkp)
              for p, kk, kkp in zip(points, ks, kps)]
     # segment 2i is psi_k of element i on u + b/2, 2i + 1 its psi_k' on
@@ -435,8 +461,7 @@ def u_element_oracle(a, alpha: float, k, k_prime):
         total = np.add.reduce(wt * rk * rkp * osc)
         prefactor = cmath.exp(1j * (0.5 * p.a_x * p.a_xi - 0.5 * beta * b))
         values.append(complex(prefactor * total))
-    return (values[0] if isinstance(a, PhasePoint)
-            else np.array(values, dtype=complex))
+    return values[0] if scalar else np.array(values, dtype=complex)
 
 
 def u_element_bessel(a: PhasePoint, alpha: float, k: int, k_prime: int,
@@ -481,10 +506,14 @@ def _series_converges(a: PhasePoint, alpha: float, k: int, kp: int) -> bool:
 
 
 def v_element(V: Potential, k: int, k_prime: int) -> complex:
-    """<V phi_k, phi_k'> = sum_a c_a <U_a phi_k, phi_k'> (+ c0 on the diagonal)."""
+    """<V phi_k, phi_k'> = sum_a c_a <U_a phi_k, phi_k'> (+ c0 on the
+    diagonal), the elements of every U_a from one `u_element` call."""
+    n = len(V.terms)
+    elements = u_element([p for p, _ in V.terms], V.alpha, [k] * n,
+                         [k_prime] * n)
     total = V.c0 if k == k_prime else 0.0j
-    for p, c in V.terms:
-        total += c * u_element(p, V.alpha, k, k_prime)
+    for (_, c), u in zip(V.terms, elements.tolist()):
+        total += c * u
     return complex(total)
 
 

@@ -134,23 +134,16 @@ class ResolventSums:
     tail_bound: float
 
 
-def _square_tail(n: int, alpha: float, epsilon: float, N: int) -> float:
-    """Analytic bound on sum_{k >= N} |lambda - lambda_k|^-2 on the contour."""
-    # |lambda - lambda_k| >= 2 alpha (k - n) - epsilon for k > n
-    lead = 2.0 * alpha * (N - 1 - n) - epsilon
-    if lead <= 0:
-        return math.inf
-    return 1.0 / (2.0 * alpha * lead)
-
-
 def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
                    kappa: float = 1.0 / 3.0) -> ResolventSums:
     """Maxima over the DEFAULT_NODES contour nodes of the inverse-distance
     sums to the levels k in [0, N): s1 over the window
     I = {k : |k - n| <= kappa sqrt(n)}, s2a over every k and s2 over the
     complement J of I, both with the analytic tail past N; gap is the
-    least distance to a level in J.  An n outside the basis, or a basis
-    with no level in J, is refused before the distances are formed."""
+    least distance to a level in J.  An n outside the basis, a basis with
+    no level in J, or one that ends within epsilon / (2 alpha) levels of
+    n, where the tail has no bound, is refused before the distances are
+    formed."""
     if n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if n >= N:   # in integers: a huge n never reaches numpy or math.sqrt
@@ -163,10 +156,17 @@ def resolvent_sums(n: int, epsilon: float, N: int, alpha: float = 1.0,
         raise ValueError(f"the basis 0 <= k < N = {N} holds no level outside "
                          f"the window of n = {n}")
     contour = Contour(n=n, alpha=alpha, epsilon=epsilon)
+    # |lambda - lambda_k| >= 2 alpha (k - n) - epsilon for k > n, so the
+    # tail past N sums to at most 1 / (2 alpha lead)
+    lead = 2.0 * alpha * (N - 1 - n) - epsilon
+    if lead <= 0:
+        raise ValueError(f"the basis 0 <= k < N = {N} ends within epsilon / "
+                         f"(2 alpha) = {epsilon / (2.0 * alpha):.4g} levels of "
+                         f"n = {n}: the sums past it have no bound")
     lam = contour.nodes()[:, None]
     lam_k = alpha * (2.0 * k + 1.0)[None, :]
     dist = np.abs(lam - lam_k)
-    tail = _square_tail(n, alpha, epsilon, N)
+    tail = 1.0 / (2.0 * alpha * lead)
     s1 = float(np.max(np.sum(1.0 / dist[:, inside], axis=1)))
     s2a = float(np.max(np.sum(dist**-2, axis=1))) + tail
     outside = dist[:, ~inside]

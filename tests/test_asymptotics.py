@@ -14,7 +14,8 @@ from oscspec.asymptotics import (
     residual_report,
     w_value,
 )
-from oscspec.model import PhasePoint, Potential, metric_norm
+from oscspec.matelem import v_element
+from oscspec.model import PhasePoint, Potential, metric_norm, validate
 
 
 def cos_model(alpha=1.0, amplitude=1.0, frequency=1.0):
@@ -128,6 +129,30 @@ class TestFirstOrderDiagonal:
         V = Potential.cosine(alpha=1.0, amplitude=1.0, frequency=1.0)
         with pytest.raises(ValueError):
             first_order_diagonal(V, -1)
+
+    def test_conjugacy_gaps_within_tolerance_dropped(self):
+        # three pairs, each mirror 9e-13 from conj(c_a) as `validate`
+        # accepts: Im V_nn = 2.69e-12 is dropped, the real part kept
+        terms = []
+        for ax, axi in ((0.01, 0.0), (0.0, 0.01), (0.01, 0.01)):
+            terms += [(PhasePoint(ax, axi), 0.5),
+                      (PhasePoint(-ax, -axi), 0.5 + 9e-13j)]
+        V = Potential(alpha=1.0, terms=tuple(terms))
+        validate(V)
+        assert abs(v_element(V, 50, 50).imag) > 2e-12
+        assert first_order_diagonal(V, 50) == v_element(V, 50, 50).real
+
+    @pytest.mark.parametrize("terms, c0", [
+        (((PhasePoint(1.0, 0.0), 0.5j), (PhasePoint(-1.0, 0.0), 0.5j)), 0.0),
+        (((PhasePoint(1.0, 0.0), 0.5), (PhasePoint(-1.0, 0.0), 0.5)), 1e-9j),
+    ], ids=["anti-conjugate pair", "complex c0"])
+    def test_non_hermitian_refused(self, terms, c0):
+        # never validated: the imaginary part is past what a Hermitian V
+        # allows, a ValueError (an AssertionError before)
+        V = Potential(alpha=1.0, terms=terms, c0=c0)
+        with pytest.raises(ValueError, match=r"^diagonal element <V phi_3, "
+                                             r"phi_3> has imaginary part "):
+            first_order_diagonal(V, 3)
 
 
 class TestResidualReport:

@@ -538,6 +538,39 @@ class TestMain:
         assert capsys.readouterr().out == (
             "PASS matelem: max cross-route discrepancy = 3.569e-14\n")
 
+    def test_matelem_suite_is_one_closed_form_call(self, capsys,
+                                                   monkeypatch):
+        calls = []
+
+        def spy(points, alpha, k, kp):
+            calls.append((len(points), len(k), len(kp)))
+            return matelem.u_element(points, alpha, k, kp)
+
+        monkeypatch.setattr(cli, "u_element", spy)
+        assert run_verify(parse_config(json.dumps(GOOD_CONFIG)), "matelem",
+                          seed=7)
+        assert calls == [(200, 200, 200)]
+        assert capsys.readouterr().out == (
+            "PASS matelem: max cross-route discrepancy = 3.569e-14\n")
+
+    def test_resolvent_suite_on_near_conjugate_config(self, tmp_path,
+                                                      capsys):
+        # each mirror coefficient is 9e-13 from conj(c_a), which `validate`
+        # accepts; the three gaps gave V_nn an imaginary part of 2.69e-12,
+        # which the first-order diagonal refused with a traceback
+        doc = {"alpha": 1.0, "nmax": 10, "terms": [
+            [0.01, 0, 0.5, 0], [-0.01, 0, 0.5, 9e-13],
+            [0, 0.01, 0.5, 0], [0, -0.01, 0.5, 9e-13],
+            [0.01, 0.01, 0.5, 0], [-0.01, -0.01, 0.5, 9e-13]]}
+        assert main(["verify", "--config", str(write_config(tmp_path, doc)),
+                     "--suite", "resolvent"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "PASS resolvent: n=64: s1/ln n=0.481 s2a=4.931 gap/sqrt n=0.188; "
+            "n=256: s1/ln n=0.361 s2a=4.934 gap/sqrt n=0.094; "
+            "|trace_1 - diag| = 0.00e+00\n")
+
     @pytest.mark.parametrize("seed, worst", [
         (0, "4.340e-14"), (5, "2.737e-14"), (7, "3.569e-14"),
         (123, "3.263e-14"),

@@ -300,6 +300,147 @@ class TestOracleBatch:
             u_element_oracle(points, 1.0, ks, ks)
 
 
+@st.composite
+def closed_form_elements(draw, alpha):
+    """(a, k, k') for `u_element`: k, k' <= 4000 in either order, k = k',
+    a = 0, a_xi = 0, and carried starts, |a| <= 0.02 with |k' - k| >= 1000
+    (a start below 2^-900)."""
+    kind = draw(st.sampled_from(["any", "diagonal", "zero", "real",
+                                 "carried"]))
+    k, kp = draw(st.integers(0, 4000)), draw(st.integers(0, 4000))
+    ax, axi = draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0))
+    if kind == "diagonal":
+        kp = k
+    elif kind == "zero":
+        ax = axi = 0.0
+    elif kind == "real":
+        axi = 0.0
+    elif kind == "carried":
+        k = draw(st.integers(0, 3000))
+        kp = draw(st.integers(k + 1000, 4000))
+        if draw(st.booleans()):
+            k, kp = kp, k
+        ax = draw(st.floats(-0.014, 0.014)) * math.sqrt(alpha)
+        axi = draw(st.floats(-0.014, 0.014)) / math.sqrt(alpha)
+    return PhasePoint(ax, axi), k, kp
+
+
+class TestClosedFormBatch:
+    """`u_element` on sequences: one elementwise recurrence for every
+    element, each element with the bits it has alone."""
+
+    @given(data=st.data(), alpha=st.sampled_from([0.25, 1.0, 4.0]),
+           size=st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_is_singletons_bitwise(self, data, alpha, size):
+        elements = data.draw(st.lists(closed_form_elements(alpha),
+                                      min_size=size, max_size=size))
+        points, ks, kps = zip(*elements) if elements else ((), (), ())
+        batch = u_element(points, alpha, ks, kps)
+        assert batch.dtype == np.complex128 and batch.shape == (size,)
+        single = np.array([u_element(a, alpha, k, kp)
+                           for a, k, kp in elements], dtype=complex)
+        np.testing.assert_array_equal(batch.view(np.int64),
+                                      single.view(np.int64))
+
+    def test_scalar_and_empty(self):
+        a = PhasePoint(1.0, 0.0)
+        assert type(u_element(a, 1.0, 0, 1)) is complex
+        assert type(u_element(a, 1.0, 1, 0)) is complex
+        batch = u_element([a], 1.0, [0], [1])
+        assert batch.tolist() == [u_element(a, 1.0, 0, 1)]
+        empty = u_element([], 1.0, [], [])
+        assert empty.dtype == np.complex128 and empty.shape == (0,)
+
+    def test_lengths_must_match(self):
+        a = PhasePoint(1.0, 0.0)
+        with pytest.raises(ValueError, match="same length"):
+            u_element([a, a], 1.0, [0], [0, 1])
+
+    def test_swapped_elements_make_one_call(self, monkeypatch):
+        # U_a^* = U_{-a}: the elements with k > k' are swapped, and their
+        # point negated, in one call on the whole batch
+        calls = []
+        closed_form = matelem.u_element
+
+        def spy(a, alpha, k, kp):
+            calls.append(([(p.a_x, p.a_xi) for p in a], list(k), list(kp)))
+            return closed_form(a, alpha, k, kp)
+
+        monkeypatch.setattr(matelem, "u_element", spy)
+        a = PhasePoint(0.3, -0.7)
+        got = matelem.u_element([a, a, a], 1.0, [7, 2, 5], [3, 2, 9])
+        assert calls == [([(0.3, -0.7)] * 3, [7, 2, 5], [3, 2, 9]),
+                         ([(-0.3, 0.7), (0.3, -0.7), (0.3, -0.7)],
+                          [3, 2, 5], [7, 2, 9])]
+        assert got[0] == closed_form(-a, 1.0, 3, 7).conjugate()
+        calls.clear()
+        matelem.u_element([a, a], 1.0, [3, 2], [7, 2])
+        assert len(calls) == 1
+
+    @pytest.fixture
+    def no_recurrence(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran the recurrence")
+
+        monkeypatch.setattr(matelem, "_magnitudes", refuse)
+
+    @pytest.mark.parametrize("bad", [(-1, 400), (400, -1), (-3, -3)])
+    def test_first_refusal_raises_before_any_recurrence(self, no_recurrence,
+                                                        bad):
+        # each element gets the scalar check, and the first refused (at
+        # 150) raises before the batch's swap or recurrence
+        elements = [(PhasePoint(0.5, 0.5), i % 51, 3 * i % 51)
+                    for i in range(200)]
+        elements[150] = (PhasePoint(1.0, 0.0), *bad)
+        points, ks, kps = zip(*elements)
+        with pytest.raises(ValueError,
+                           match="^indices must be nonnegative$"):
+            u_element(points, 1.0, ks, kps)
+        with pytest.raises(ValueError, match="positive and finite"):
+            u_element(points[:150], 0.0, ks[:150], kps[:150])
+
+    def test_batch_over_budget_refused_before_any_recurrence(
+            self, no_recurrence, monkeypatch):
+        # 200 elements at 8 (5 * 64 + 16) bytes each plan 537,600 bytes
+        points, ks = [PhasePoint(0.5, 0.5)] * 200, [50] * 200
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 537_600 - 1)
+        with pytest.raises(ValueError, match="^a batch of 200 elements plans "):
+            u_element(points, 1.0, ks, ks)
+        monkeypatch.setattr(specialfn, "DENSE_BYTE_BUDGET", 537_600)
+        with pytest.raises(AssertionError, match="ran the recurrence"):
+            u_element(points, 1.0, ks, ks)
+
+    @pytest.mark.parametrize("size", [1e10, 1e50, 1e100])
+    def test_huge_shift_clips_the_carried_exponent(self, size):
+        # from r of about 2.5e9 on the carried exponent passes int64, and
+        # its cast warned "invalid value encountered in cast".  Every
+        # element is a zero, pinned with its signs as the float recurrence
+        # (Python ints for the exponent) gave them, alone and in one batch
+        want = {(1.0, 0.0): [complex(0.0, -0.0), complex(-0.0, -0.0),
+                             complex(-0.0, -0.0), complex(0.0, 0.0)],
+                (0.0, 1.0): [complex(-0.0, 0.0), complex(0.0, -0.0),
+                             complex(-0.0, -0.0), complex(-0.0, 0.0)]}
+        ks, kps = [0, 3, 9, 40], [3, 0, 5, 41]
+        for (dx, dxi), values in want.items():
+            points = [PhasePoint(size * dx, size * dxi)] * 4
+            want_bits = np.array(values).view(np.int64)
+            np.testing.assert_array_equal(
+                u_element(points, 1.0, ks, kps).view(np.int64), want_bits)
+            single = np.array([u_element(p, 1.0, k, kp)
+                               for p, k, kp in zip(points, ks, kps)])
+            np.testing.assert_array_equal(single.view(np.int64), want_bits)
+
+    def test_shift_past_float_range_overflows(self):
+        # 2 r^2 = inf from |a| of about 1.9e154 (alpha = 1): no magnitude
+        # is finite, an OverflowError as before, and no RuntimeWarning
+        points = [PhasePoint(1.0, 0.0), PhasePoint(0.0, 1e200)]
+        with pytest.raises(OverflowError,
+                           match="^matrix-element magnitude not finite at "
+                                 "k=0, k'=3$"):
+            u_element(points, 1.0, [2, 3], [2, 0])
+
+
 class TestUnderflowedStart:
     """At k = 12000, k' = 12440 and a = (3, 0) the start g_0 of offset
     m = 440 underflows: without its exponent carried apart the recurrence
@@ -511,20 +652,23 @@ class TestMagnitudePrefactor:
                     assert err <= 2 * eps * scale * float(want) + 2.0**-1022, \
                         (r, m, got)
 
-    def test_scalar_and_array_paths_identical(self):
-        # every row out to a kmax past three chunks, bit for bit; at
-        # r = 70 every start is carried
+    def test_elementwise_and_grid_paths_identical(self):
+        # every row out to a kmax past three chunks, bit for bit: the
+        # (P, 1) x (W,) grid of `_v_blocks` and its P W entries as single
+        # elements, (P W,) radii against (P W,) offsets.  At r = 70 every
+        # start is carried, at r = 1e-3 those of the large offsets
         def rows(r, m, kmax):
             return np.concatenate([c for _, c in _magnitudes(r, m, kmax)])
 
         ms = self.offsets()
+        radii = np.array(self.RADII)
         kmax = 3 * _CHUNK + 5
-        for r in self.RADII:
-            array = rows(r, ms, kmax)
-            scalar = np.stack([rows(r, m, kmax) for m in ms.tolist()], axis=1)
-            assert array.shape == (kmax + 1, len(ms))
-            np.testing.assert_array_equal(array.view(np.int64),
-                                          scalar.view(np.int64))
+        grid = rows(radii[:, None], ms, kmax)
+        assert grid.shape == (kmax + 1, len(radii), len(ms))
+        single = rows(np.repeat(radii, len(ms)), np.tile(ms, len(radii)), kmax)
+        assert single.shape == (kmax + 1, len(radii) * len(ms))
+        np.testing.assert_array_equal(
+            grid.reshape(kmax + 1, -1).view(np.int64), single.view(np.int64))
 
     def test_chunks_cut_to_widths(self):
         # the chunks start every _CHUNK rows, each as wide as the widest
@@ -559,6 +703,19 @@ class TestVElement:
         for k, kp in ((0, 3), (2, 7), (5, 5)):
             assert v_element(pot, kp, k) == pytest.approx(
                 v_element(pot, k, kp).conjugate(), abs=1e-14)
+
+    def test_one_closed_form_call(self, monkeypatch):
+        calls = []
+
+        def spy(points, alpha, k, kp):
+            calls.append((len(points), list(k), list(kp)))
+            return u_element(points, alpha, k, kp)
+
+        monkeypatch.setattr(matelem, "u_element", spy)
+        got = v_element(quasi_potential(), 3, 8)
+        assert calls == [(4, [3] * 4, [8] * 4)]
+        assert got == pytest.approx(v_element_oracle(quasi_potential(), 3, 8),
+                                    abs=1e-12)
 
     def test_c0_shifts_diagonal_only(self):
         pot = Potential(alpha=1.0, c0=0.7)

@@ -423,6 +423,25 @@ class TestDenseBudget:
             resolvent_sums(0, 0.5, N=1)
         assert resolvent_sums(0, 0.5, N=2).gap == 1.5
 
+    @pytest.mark.parametrize("n, N", [(99, 100), (4, 5)])
+    def test_resolvent_sums_basis_ends_at_n(self, n, N, monkeypatch):
+        # the last level is within epsilon / (2 alpha) = 0.25 levels of n,
+        # where the tail has no bound: s2a = s2 = inf came back silently.
+        # Refused before any distance is formed
+        def refuse(self):
+            raise AssertionError("formed the contour nodes")
+
+        monkeypatch.setattr(resolvent.Contour, "nodes", refuse)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the basis 0 <= k < N = {N} ends within epsilon / (2 alpha) "
+                f"= 0.25 levels of n = {n}: the sums past it have no bound")):
+            resolvent_sums(n, 0.5, N=N)
+
+    def test_resolvent_sums_basis_one_level_past_n(self):
+        sums = resolvent_sums(98, 0.5, N=100)
+        assert sums.tail_bound == 1.0 / 3.0
+        assert math.isfinite(sums.s2a) and math.isfinite(sums.s2)
+
 
 def split_complex_potential():
     """Real c_a with a_xi != 0: two parity blocks, both complex."""
