@@ -99,7 +99,19 @@ class NeumannDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class Contour:
-    """Circular contour of radius epsilon around alpha(2n+1)."""
+    """Circular contour of radius epsilon around alpha(2n+1).
+
+    epsilon must lie in (0, alpha) and be at least u = ulp(alpha(2n+1)),
+    the spacing of floats at the level.  A node alpha(2n+1) + epsilon
+    e^(i theta) has its imaginary part epsilon sin(theta) to a relative
+    eps, but its real part is rounded to a float near the level, off by
+    up to u / 2.  So the node's distance to the level is epsilon within
+    u / 2, and at theta = 0, where the node is real, an epsilon of at
+    most u / 2 can put the node on the level itself: a distance of 0, which the
+    resolvent sums and R(lambda) divide by.  epsilon >= u keeps every
+    node's distance within [epsilon / 2, 3 epsilon / 2].  At n = 64,
+    alpha = 1 that is epsilon >= 2.8e-14.
+    """
 
     n: int
     alpha: float
@@ -111,6 +123,13 @@ class Contour:
             raise ValueError("epsilon must lie in (0, alpha)")
         if self.node_count < 32 or self.node_count % 2:
             raise ValueError("node_count must be even and at least 32")
+        smallest = math.ulp(self.center)
+        if self.epsilon < smallest:
+            raise ValueError(
+                f"epsilon = {self.epsilon!r} is below the float spacing at "
+                f"the level alpha(2n+1) of n = {self.n}, where the contour's "
+                "nodes cannot resolve it; the smallest epsilon accepted is "
+                f"{smallest!r}")
 
     @property
     def center(self) -> float:

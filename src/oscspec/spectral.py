@@ -29,7 +29,9 @@ residuals ||E_s x_i||^2 need only the last b rows of the Ritz vectors, and
 real one of order `_FACTORED_REAL_ORDER` and up, is reduced in place and
 keeps its eigenvectors factored through its Householder tridiagonal, and
 the reflectors and Z are applied to E_s itself.  `_certify` reads only
-the Ritz values and these residuals.
+the Ritz values and these residuals, so `eigensolve` frees each block as
+soon as they exist, and a reduced block before dstevd's Z and workspace
+are allocated.
 """
 
 from __future__ import annotations
@@ -81,24 +83,46 @@ def eigensolve(matrix: SolverBlocks, *, ritz: list) -> np.ndarray:
     eigenvectors x_i.  The columns of E_s are the block's last ones, so
     only the eigenvectors' last rows enter.  A real block below order
     _FACTORED_REAL_ORDER is solved by `np.linalg.eigh` and E_s multiplied
-    by its eigenvectors in numpy; a complex or a larger real block keeps
-    them factored (`_factored_eigh`), which applies the reflectors and Z
-    to E_s in scipy.  Either way the product runs in the library that
-    solved the block, so a certificate never switches between numpy's and
-    scipy's OpenBLAS thread pools.  The out-parameter keeps the solve with
-    its residuals inside this function, where perfbench's tracer observes
-    it (the `eigensolve_N` span); a private helper would hide it.
+    by its eigenvectors in numpy (`_eigh`); a complex or a larger real
+    block keeps them factored (`_factored_eigh`), which applies the
+    reflectors and Z to E_s in scipy.  Either way the product runs in the
+    library that solved the block, so a certificate never switches between
+    numpy's and scipy's OpenBLAS thread pools.  The out-parameter keeps the
+    solve with its residuals inside this function, where perfbench's
+    tracer observes it (the `eigensolve_N` span).
+
+    `eigensolve` owns the blocks it is handed.  It drops `matrix` and
+    passes each (block, coupling) on to its solver as the only reference,
+    which the solver drops as soon as the block's Ritz values and
+    residuals exist: the first parity block and its eigenvectors are freed
+    before the second is solved, and `_factored_eigh` frees the reduced
+    block before dstevd (CPython gives a value popped inside a call's
+    argument list to the callee's frame alone).  A caller that keeps its
+    `SolverBlocks` keeps every block alive through the call, and gets the
+    same results; so does a wrapper that holds the arguments.
     """
+    blocks = [block for _, block, _ in matrix.blocks]
+    couplings = [e for _, _, e in matrix.blocks]
+    del matrix
     parts = []
-    for _, block, e in matrix.blocks:
-        if np.isrealobj(block) and len(block) < _FACTORED_REAL_ORDER:
-            w, x = np.linalg.eigh(block)
-            res2 = np.sum(np.abs(e @ x[len(x) - e.shape[1]:]) ** 2, axis=0)
-        else:
-            w, res2 = _factored_eigh(block, e)
+    while blocks:
+        small = (np.isrealobj(blocks[0])
+                 and len(blocks[0]) < _FACTORED_REAL_ORDER)
+        # popped inside the call, so the solver holds the only reference
+        w, res2 = (_eigh if small else _factored_eigh)(blocks.pop(0),
+                                                        couplings.pop(0))
         ritz.append((w, res2))
         parts.append(w)
     return np.sort(np.concatenate(parts))
+
+
+def _eigh(a: np.ndarray, e: np.ndarray):
+    """Eigenvalues w of the real symmetric matrix `a` (its lower triangle),
+    ascending, and the residuals ||e x_i||^2 of its eigenvectors x_i
+    restricted to their last e.shape[1] rows, all in numpy.  `a` and the
+    eigenvectors are freed on return."""
+    w, x = np.linalg.eigh(a)
+    return w, np.sum(np.abs(e @ x[len(x) - e.shape[1]:]) ** 2, axis=0)
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -120,10 +144,15 @@ def _factored_eigh(a: np.ndarray, e: np.ndarray):
     in place, and C Q is multiplied by Z with scipy's dgemm, once on the
     real and imaginary parts together.  That is O(b N^2) work for b rows
     of `e`, in place of the O(N^3) back-transform of `np.linalg.eigh`.
-    Every product of the block runs in scipy's BLAS: numpy and scipy each
-    load their own OpenBLAS, whose threads spin for a while after each
-    call, and a call into one library right after the other ran 1.5 to 4
-    times as slow on 2 vCPUs.
+    The reflectors are applied to C before dstevd runs, and `a` and `e`
+    are then dropped: when this function holds the only reference to the
+    block (`eigensolve` hands it over so), the reduced block is freed
+    before dstevd allocates Z and its N^2 workspace.  The two calls read
+    disjoint data, so their order changes no bit.  Every product of the
+    block runs in scipy's BLAS: numpy and scipy each load their own
+    OpenBLAS, whose threads spin for a while after each call, and a call
+    into one library right after the other ran 1.5 to 4 times as slow on
+    2 vCPUs.
     """
     # lazily: small real blocks need neither
     from scipy.linalg import blas, lapack
@@ -136,31 +165,37 @@ def _factored_eigh(a: np.ndarray, e: np.ndarray):
                                                 lwork=int(lwork.real),
                                                 overwrite_a=1)
     _check_info(trd, info)
+    flat = None
+    if e.size:
+        q = np.zeros((len(e), n), dtype=np.result_type(c, e), order="F")
+        q[:, n - e.shape[1]:] = e
+        # Q = diag(1, Q'), and Q' is in QR storage at c[1:, :n-1]:
+        # reflector i is one at row i+1 and c[i+2:, i] below.  Moved up one
+        # row in place, Q' sits in the Fortran-contiguous c[:, :n-1], which
+        # reaches the multiply uncopied (the slice c[1:, :n-1] would be
+        # copied whole).
+        for i in range(n - 2):
+            c[i + 1:n - 1, i] = c[i + 2:, i]
+        # a complex q read as a real one of twice the rows (row i's real
+        # part, then its imaginary part): a real Q' and Z act on both alike
+        flat = q.T.view(np.float64).T if np.iscomplexobj(q) else q
+        if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
+            cq = flat if real else q
+            _, work, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
+                                                 cq[:, 1:], -1)
+            _check_info(mqr, info)
+            _, _, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
+                                              cq[:, 1:], int(work[0].real),
+                                              overwrite_c=1)
+            _check_info(mqr, info)
+    # the reduced block (c is `a` itself when `a` is Fortran-ordered) is
+    # freed before dstevd allocates Z and its N^2 workspace
+    del a, c, e
     # dstevd takes an off-diagonal of length max(n - 1, 1)
     w, z, info = lapack.dstevd(d, off if n > 1 else [0.0])
     _check_info("dstevd", info)
-    if not e.size:
+    if flat is None:
         return w, np.zeros(n)
-    q = np.zeros((len(e), n), dtype=np.result_type(c, e), order="F")
-    q[:, n - e.shape[1]:] = e
-    # Q = diag(1, Q'), and Q' is in QR storage at c[1:, :n-1]: reflector i
-    # is one at row i+1 and c[i+2:, i] below.  Moved up one row in place,
-    # Q' sits in the Fortran-contiguous c[:, :n-1], which reaches the
-    # multiply uncopied (the slice c[1:, :n-1] would be copied whole).
-    for i in range(n - 2):
-        c[i + 1:n - 1, i] = c[i + 2:, i]
-    # a complex q read as a real one of twice the rows (row i's real
-    # part, then its imaginary part): a real Q' and Z act on both alike
-    flat = q.T.view(np.float64).T if np.iscomplexobj(q) else q
-    if n > 1:   # q[:, 1:] := q[:, 1:] Q', in place
-        cq = flat if real else q
-        _, work, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
-                                             cq[:, 1:], -1)
-        _check_info(mqr, info)
-        _, _, info = getattr(lapack, mqr)("R", "N", c[:, :-1], tau,
-                                          cq[:, 1:], int(work[0].real),
-                                          overwrite_c=1)
-        _check_info(mqr, info)
     x = blas.dgemm(1.0, flat, z)
     if flat is not q:
         x = x.T.view(q.dtype).T
@@ -196,17 +231,26 @@ def _planned_bytes(V: Potential, N: int, b: int) -> int:
     """Planned peak bytes of one attempt of `spectrum` at basis size N
     and band b, the band of its fill (`matelem._row_reach`).
 
-    Peak bytes per entry of the N x N basis, measured in a child process
-    at N = 1653-4570: 14.3-15.6 when the matrix splits, with real blocks
-    (cos x) or complex ones (real c_a, a_xi != 0): two blocks of half the
-    order, each one's eigenvectors or reflectors, and LAPACK's workspace
-    for one.  A split matrix plans 24 per entry, the largest measurement
-    with 40/27 headroom.  One block measured 41.4-41.6 when real (sin x:
-    the block, `eigh`'s copy of it, the eigenvectors and dsyevd's 2 N^2
-    workspace) and 33.5-34.2 when complex (quasi seed 3: the block
-    reduced in place, Z and dstevd's workspace).  It plans 56, whose cap
+    Peak bytes per entry of the N x N basis, the growth of VmHWM over one
+    `spectrum` call in a fresh process (`scripts/peak_memory.py`), at
+    N = 1665-4826.  `eigensolve` frees each block once it is solved, and
+    a factored block before dstevd.  When the matrix splits: 12.3-12.9
+    with real blocks (cos x) and 8.6-9.8 with complex ones (real c_a,
+    a_xi != 0), one block of half the order with its eigenvectors and
+    LAPACK's workspace, or the reduced block, or Z with dstevd's
+    workspace.  One block: 41.8 when real and below
+    _FACTORED_REAL_ORDER (sin x at N = 1665: the block, `eigh`'s copy of
+    it, the eigenvectors and dsyevd's 2 N^2 workspace), 18.4-21.7 when
+    real and factored (sin x from N = 2696), and 19.1-21.4 when complex
+    (quasi seed 3: the block reduced in place, then Z and dstevd's
+    workspace).  While every block was kept to the end, those read
+    14.3-15.0, 12.5-13.3, 26.0-29.1 and 32.7-34.4.  The constants predate
+    these frees and stay.  A split matrix plans 24 per entry, its old
+    largest measurement, 15.6, with 40/27 headroom; one block plans 56,
+    which the unfactored real block still needs, and whose cap
     N <= 8757 keeps one complex block short of order 10^4, where the
-    complex rounding is not yet measured.
+    complex rounding is not yet measured.  A lower constant would raise
+    the ceilings past any size measured.
 
     The couplings E_s of the blocks hold at most 16 b min(b, N) bytes
     together: about b rows of at most min(b, N) columns, 8 bytes an entry
@@ -328,22 +372,25 @@ def _solve_and_certify(V: Potential, N: int, nmax: int, seconds: dict):
     blocks and storage the eigensolver reads, and each block's coupling
     in A_{N+b}, b the band of the fill, come from one pass of
     `solver_blocks`; the solve stage includes the residual products
-    E_s X.  The blocks and the eigenvectors (or reflectors) of one basis
-    size are freed on return, before `spectrum` tries a larger one."""
+    E_s X.  The blocks are handed to `eigensolve` with no reference kept
+    here, so it frees each one as soon as it is solved; nothing of them is
+    alive on return, before `spectrum` tries a larger basis."""
     _check_byte_budget(_planned_bytes(V, N, _row_reach(V, N - 1)),
                        f"basis size {N}")
     t0 = time.perf_counter()
-    blocks = solver_blocks(V, N)
+    handed = [solver_blocks(V, N)]
+    diagonal = handed[0].diagonal
     t1 = time.perf_counter()
     ritz = []
-    ev = eigensolve(blocks, ritz=ritz)
+    # popped inside the call: eigensolve holds the only reference
+    ev = eigensolve(handed.pop(), ritz=ritz)
     t2 = time.perf_counter()
     bounds = _certify(V, N, ritz, nmax)
     t3 = time.perf_counter()
     seconds["assembly"] += t1 - t0
     seconds["solve"] += t2 - t1
     seconds["certificate"] += t3 - t2
-    return ev, blocks.diagonal, bounds
+    return ev, diagonal, bounds
 
 
 def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum:
@@ -374,7 +421,9 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     (`_fitted_size`); once N can grow no further, TruncationError names
     the first index that fails.  An nmax that leaves no room for nmax + 1
     Ritz values under the budget is refused before assembly.
-    `Spectrum.basis_sizes` lists every size tried.
+    A tolerance below the rounding term at that smallest basis, which
+    every bound holds and which grows with N, is refused before assembly
+    too.  `Spectrum.basis_sizes` lists every size tried.
     Warns, naming the indices, where sorted order may not be the
     perturbative labelling.
     """
@@ -383,6 +432,14 @@ def spectrum(V: Potential, nmax: int, convergence_tol: float = 1e-8) -> Spectrum
     # nmax + 1 is the smallest basis with nmax + 1 Ritz values; refusing
     # it in integers first keeps huge nmax away from math.sqrt
     _check_byte_budget(_planned_bytes(V, nmax + 1, 0), f"basis size {nmax + 1}")
+    # every bound holds the rounding term, which grows with N: past the
+    # tolerance at the smallest basis, no basis can pass
+    floor = _rounding(V, nmax + 1)
+    if floor > convergence_tol:
+        raise TruncationError(
+            f"no basis can certify tolerance {convergence_tol:.3e}: every "
+            f"bound holds the modelled rounding, {floor:.3e} at the smallest "
+            f"basis size {nmax + 1} and growing with N (requested {nmax})")
     N = _fitted_size(V, _start_size(V, nmax), nmax)
     seconds = {"assembly": 0.0, "solve": 0.0, "certificate": 0.0}
     sizes = []

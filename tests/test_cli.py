@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -650,6 +651,46 @@ class TestMain:
         assert "budget" in err
         assert built == []
         assert not out.exists()
+
+    def test_compute_refuses_impossible_tolerance(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # sum |c_a| = 2e300 puts the rounding term of every bound near
+        # 1e285: no basis can meet the tolerance, and none is assembled
+        def refuse(V, N):
+            raise AssertionError(f"basis size {N} was assembled")
+
+        monkeypatch.setattr(spectral, "solver_blocks", refuse)
+        doc = {"alpha": 1.0, "terms": [[1, 0, 1e300, 0], [-1, 0, 1e300, 0]],
+               "nmax": 10}
+        out = tmp_path / "run.csv"
+        assert main(["compute", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: no basis can certify tolerance 1\.000e-08: every bound "
+            r"holds the modelled rounding, 1\.\d{3}e\+285 at the smallest "
+            r"basis size 11 and growing with N \(requested 10\)\n", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", [1e-20, 1e-300])
+    @pytest.mark.parametrize("command, flags, n, smallest", [
+        ("verify", ["--suite", "resolvent"], 64, "2.842170943040401e-14"),
+        ("trace", ["--n", "5"], 5, "1.7763568394002505e-15"),
+    ], ids=["verify", "trace"])
+    def test_unresolved_epsilon_exit_two(self, tmp_path, capsys, epsilon,
+                                         command, flags, n, smallest):
+        # nodes alpha(2n+1) + epsilon e^(i theta) round onto the level
+        # below half its float spacing: refused with no division by zero
+        cfg_path = write_config(tmp_path, {**GOOD_CONFIG, "epsilon": epsilon})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: epsilon = {epsilon!r} is below the float spacing at the "
+            f"level alpha(2n+1) of n = {n}, where the contour's nodes cannot "
+            f"resolve it; the smallest epsilon accepted is {smallest}\n")
 
     def test_trace_refuses_oversized_basis(self, tmp_path, capsys,
                                            monkeypatch):

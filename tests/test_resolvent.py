@@ -61,6 +61,24 @@ class TestContour:
         with pytest.raises(ValueError):
             Contour(n=1, alpha=0.5, epsilon=0.7)
 
+    @pytest.mark.parametrize("n, alpha", [(0, 1.0), (5, 1.0), (64, 1.0),
+                                          (3000, 0.3), (10**6, 2.0)])
+    def test_smallest_epsilon_resolves_nodes(self, n, alpha):
+        # epsilon = ulp(alpha(2n+1)) is accepted, and each node's distance
+        # to the level is within half of it; one float less is refused
+        smallest = math.ulp(alpha * (2 * n + 1))
+        c = Contour(n=n, alpha=alpha, epsilon=smallest)
+        distance = np.abs(c.nodes() - c.center)
+        assert np.all(distance >= 0.5 * smallest)
+        assert np.all(distance <= 1.5 * smallest)
+        below = math.nextafter(smallest, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon = {below!r} is below the float spacing at the "
+                f"level alpha(2n+1) of n = {n}, where the contour's nodes "
+                f"cannot resolve it; the smallest epsilon accepted is "
+                f"{smallest!r}")):
+            Contour(n=n, alpha=alpha, epsilon=below)
+
     def test_node_count_enforced(self):
         with pytest.raises(ValueError):
             Contour(n=1, alpha=1.0, epsilon=0.5, node_count=16)

@@ -2,9 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -409,22 +411,21 @@ class TestSolverBlocks:
         monkeypatch.setattr(matelem, "build_matrix", refuse)
         assert spectrum(V, nmax=40).max_certified_bound <= 1e-8
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                        reason="reads the peak RSS from /proc")
-    def test_peak_memory_within_plan(self):
-        # spectrum's peak RSS growth for cos x, in a fresh process, stays
-        # under the per-entry plan of the byte guard.  The peak is VmHWM:
-        # ru_maxrss keeps the high-water mark of the forking process
+    @staticmethod
+    def fresh_peak(V, nmax):
+        """Basis size, peak RSS growth and plan of `spectrum(V, nmax)` in a
+        fresh process, warmed by `spectrum(V, 20)`.  The peak is VmHWM:
+        ru_maxrss keeps the high-water mark of the forking process."""
         code = ("from oscspec import spectral\n"
-                "from oscspec.model import Potential\n"
+                "from oscspec.model import PhasePoint, Potential\n"
                 "def peak():\n"
                 "    with open('/proc/self/status') as f:\n"
                 "        line = next(l for l in f if l.startswith('VmHWM:'))\n"
                 "    return 1024 * int(line.split()[1])\n"
-                "V = Potential.cosine(alpha=1.0)\n"
+                f"V = {V!r}\n"
                 "spectral.spectrum(V, nmax=20)\n"
                 "base = peak()\n"
-                "spec = spectral.spectrum(V, nmax=1500)\n"
+                f"spec = spectral.spectrum(V, nmax={nmax})\n"
                 "N = spec.basis_size\n"
                 "print(N, peak() - base,\n"
                 "      spectral._planned_bytes(V, N, spec.coupling_band))\n")
@@ -432,11 +433,115 @@ class TestSolverBlocks:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
-        N, growth, plan = map(int, out.split())
+        return tuple(map(int, out.split()))
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_peak_memory_within_plan(self):
+        # spectrum's peak RSS growth for cos x, in a fresh process, stays
+        # under the per-entry plan of the byte guard
         V = Potential.cosine(alpha=1.0)
+        N, growth, plan = self.fresh_peak(V, 1500)
         assert N == spectral._start_size(V, 1500) == 1665
         assert plan == 24 * N * N
         assert 0 < growth < plan
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    def test_peak_memory_one_complex_block(self):
+        # one complex block: the block, reduced in place, is freed before
+        # dstevd's Z and workspace exist, so the peak is about one of the
+        # two, 21 bytes per entry; holding all three grew it by 34
+        V = quasi_potential(3)
+        N, growth, plan = self.fresh_peak(V, 1500)
+        assert N == spectral._start_size(V, 1500) == 1776
+        assert plan == 56 * N * N
+        assert 0 < growth <= 24 * N * N
+
+
+class TestBlockRelease:
+    """`eigensolve` owns the blocks it is handed: each (block, coupling)
+    is freed once its Ritz values and residuals exist, unless the caller
+    keeps a reference, which changes no result."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """Weak references to every block `spectrum` assembles, in order;
+        `spectrum` keeps the only strong ones."""
+        refs = []
+
+        def record(V, N):
+            blocks = solver_blocks(V, N)
+            refs.extend(weakref.ref(block) for _, block, _ in blocks.blocks)
+            return blocks
+
+        monkeypatch.setattr(spectral, "solver_blocks", record)
+        return refs
+
+    @pytest.mark.parametrize("V, factored_order, blocks", [
+        (quasi_potential(3), spectral._FACTORED_REAL_ORDER, 1),
+        (Potential.cosine(alpha=1.0), 1, 2),
+    ], ids=["complex block", "factored real blocks"])
+    def test_block_freed_before_dstevd(self, V, factored_order, blocks,
+                                       handed, monkeypatch):
+        # the i-th dstevd runs on the i-th block's tridiagonal T, after the
+        # reflectors are applied; that block, reduced in place, is gone
+        from scipy.linalg import lapack
+        monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", factored_order)
+        dstevd = lapack.dstevd
+        alive = []
+
+        def check(*args, **kwargs):
+            alive.append([ref() is not None for ref in handed])
+            return dstevd(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dstevd", check)
+        spec = spectrum(V, nmax=40)
+        assert spec.max_certified_bound <= spec.convergence_tol
+        assert len(handed) == blocks
+        assert alive == [[i > solved for i in range(blocks)]
+                         for solved in range(blocks)]
+
+    def test_first_block_and_eigenvectors_freed(self, handed, monkeypatch):
+        # the split path: at the second block's eigh, the first block and
+        # the eigenvectors of its solve are gone
+        eigh = np.linalg.eigh
+        seen, alive = [], []
+
+        def check(a, *args, **kwargs):
+            alive.append([ref() is not None for ref in seen])
+            w, x = eigh(a, *args, **kwargs)
+            seen.extend((weakref.ref(a), weakref.ref(x)))
+            return w, x
+
+        monkeypatch.setattr(np.linalg, "eigh", check)
+        spectrum(Potential.cosine(alpha=1.0), nmax=40)
+        assert len(handed) == 2
+        assert alive == [[], [False, False]]
+
+    @pytest.mark.parametrize("V, factored_order", [
+        (Potential.cosine(alpha=1.0), spectral._FACTORED_REAL_ORDER),
+        (Potential.cosine(alpha=1.0), 1),
+        (quasi_potential(3), spectral._FACTORED_REAL_ORDER),
+    ], ids=["real eigh", "factored real", "complex"])
+    def test_kept_blocks_same_bits(self, V, factored_order, monkeypatch):
+        # a SolverBlocks the caller keeps stays alive through the call and
+        # gives the Ritz values and residuals of one handed over, bit for bit
+        monkeypatch.setattr(spectral, "_FACTORED_REAL_ORDER", factored_order)
+        kept = solver_blocks(V, 300)
+        kept_ritz, handed_ritz = [], []
+        ev = eigensolve(kept, ritz=kept_ritz)
+        refs = [weakref.ref(block) for _, block, _ in kept.blocks]
+        handed = [solver_blocks(V, 300)]
+        handed_refs = [weakref.ref(block) for _, block, _ in handed[0].blocks]
+        np.testing.assert_array_equal(
+            eigensolve(handed.pop(), ritz=handed_ritz), ev)
+        assert all(ref() is not None for ref in refs)
+        assert all(ref() is None for ref in handed_refs)
+        assert len(kept_ritz) == len(handed_ritz) == len(refs)
+        for (w, res2), (w2, res22) in zip(kept_ritz, handed_ritz):
+            assert np.array_equal(w.view(np.int64), w2.view(np.int64))
+            assert np.array_equal(res2.view(np.int64), res22.view(np.int64))
 
 
 class TestSpectrum:
@@ -662,14 +767,27 @@ class TestSpectrum:
         return sizes
 
     def test_impossible_tolerance_raises(self, built_sizes):
-        # the rounding term sqrt(N) eps ||A_N|| alone exceeds 1e-300 and
-        # grows with N, so every index fails at the start size and no
-        # larger basis is tried
+        # the rounding term sqrt(N) eps ||A_N|| alone exceeds 1e-300 at the
+        # smallest basis, nmax + 1, and grows with N, so every index of
+        # every basis would fail: refused before any assembly
         V = Potential.cosine(alpha=1.0, amplitude=0.4, frequency=8.0)
-        with pytest.raises(TruncationError,
-                           match=r"failed at index 0: .* basis size 472\)"):
+        floor = spectral._rounding(V, 11)
+        with pytest.raises(TruncationError, match=re.escape(
+                "no basis can certify tolerance 1.000e-300: every bound "
+                f"holds the modelled rounding, {floor:.3e} at the smallest "
+                "basis size 11 and growing with N (requested 10)")):
             spectrum(V, nmax=10, convergence_tol=1e-300)
-        assert built_sizes == [472]
+        assert built_sizes == []
+
+    def test_tolerance_at_rounding_floor_accepted(self, built_sizes):
+        # a tolerance just at the rounding of the smallest basis is not
+        # refused up front: the start basis is built, and its larger
+        # rounding then fails the certificate
+        V = Potential.cosine(alpha=1.0)
+        tol = spectral._rounding(V, 41)
+        with pytest.raises(TruncationError, match="failed at index"):
+            spectrum(V, nmax=40, convergence_tol=tol)
+        assert built_sizes == [spectral._start_size(V, 40)]
 
     @pytest.mark.parametrize("V", [
         Potential.cosine(alpha=1.0), quasi_potential(3),
